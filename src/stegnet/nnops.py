@@ -16,6 +16,30 @@ Conventions
 * Forward/backward calls are pure functions of their arguments plus context;
   the only mutation is the running-statistics update inside
   ``batchnorm_forward`` in train mode.
+
+Convolution kernels
+-------------------
+``conv2d_forward`` and ``conv2d_backward`` pick one of three kernels from
+the ``Conv2dSpec`` alone (see :func:`conv_kernel`):
+
+* ``depthwise`` -- stride 1, groups == in_channels == out_channels (the 3x3
+  depthwise convs of the separable blocks): per image and block of channels,
+  one multiply-add of a shifted slice per kernel tap. The weight gradient is
+  one per-channel dot product per tap; the input gradient runs the same
+  kernel on the framed upstream with the flipped kernel.
+* ``taps`` -- stride 1 with more than one input channel per group (the 1x1
+  pointwise and the dense 3x3 convs): one matmul per image and kernel tap
+  over the flattened padded map, where tap (u, v) is the contiguous slice at
+  offset u*wp+v. The weight gradient is one matmul per tap against the same
+  slices; the input gradient runs the same kernel with the flipped,
+  transposed weights.
+* ``im2col`` -- everything else: stride > 1, and one input channel per group
+  feeding several outputs (the preprocessing filter bank). Patches are a
+  strided view regrouped for one batched matmul; the input gradient is
+  scattered back tap by tap.
+
+Average pooling sums its window separably (rows, then columns) and its
+backward spreads in the reverse order.
 """
 from __future__ import annotations
 
@@ -95,12 +119,37 @@ class Conv2dSpec:
 
 @dataclass
 class Conv2dContext:
+    """What conv2d_backward needs from the forward call.
+
+    ``x_padded`` is the zero-padded input, which every kernel reads again
+    for the weight gradient. ``input_grad`` is False when the caller needs
+    only the weight and bias gradients; conv2d_backward then returns None
+    for the input gradient instead of computing it. The kernel that serves
+    the backward is chosen from ``spec`` by :func:`conv_kernel`, the same
+    way as in the forward call.
+    """
+
     spec: Conv2dSpec
     x_padded: np.ndarray
     weights: np.ndarray
     has_bias: bool
     in_shape: tuple[int, ...]
     out_shape: tuple[int, ...]
+    input_grad: bool = True
+
+
+def conv_kernel(spec: Conv2dSpec) -> str:
+    """The kernel that serves ``spec``: "depthwise" for a stride-1 conv with
+    one input and one output channel per group, "taps" for a stride-1 conv
+    with more than one input channel per group, "im2col" for the rest
+    (stride > 1, or one input channel per group feeding several outputs)."""
+    if spec.stride != 1:
+        return "im2col"
+    if spec.groups == spec.in_channels == spec.out_channels:
+        return "depthwise"
+    if spec.in_channels > spec.groups:
+        return "taps"
+    return "im2col"
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
@@ -122,6 +171,87 @@ def _conv_cols(xp: np.ndarray, spec: Conv2dSpec, oh: int, ow: int) -> np.ndarray
     cg = spec.in_channels // g
     view = _im2col(xp, spec.kernel_h, spec.kernel_w, spec.stride, oh, ow)
     return view.reshape(n, g, cg * spec.kernel_h * spec.kernel_w, oh * ow)
+
+
+def _full_upstream(up: np.ndarray, spec: Conv2dSpec, h: int, w: int) -> np.ndarray:
+    """The upstream gradient framed so that correlating it with the flipped
+    kernel (stride 1) gives the [h, w] input gradient directly: kernel-1-pad
+    zero rows and columns on each side, cropped where the padding exceeds
+    kernel-1."""
+    top, left = spec.kernel_h - 1 - spec.padding, spec.kernel_w - 1 - spec.padding
+    fh, fw = h + spec.kernel_h - 1, w + spec.kernel_w - 1
+    if top == left == 0 and up.shape[2:] == (fh, fw):
+        return up
+    out = np.zeros(up.shape[:2] + (fh, fw), dtype=up.dtype)
+    r0, c0 = max(top, 0), max(left, 0)
+    src = up[:, :, r0 - top :, c0 - left :]
+    rows, cols = min(src.shape[2], fh - r0), min(src.shape[3], fw - c0)
+    out[:, :, r0 : r0 + rows, c0 : c0 + cols] = src[:, :, :rows, :cols]
+    return out
+
+
+# Channel planes a depthwise tap handles per call, sized so that one block
+# of the output and of the product buffer stays in cache.
+_DW_BLOCK_ELEMS = 1 << 16
+
+
+def _depthwise_taps(xp: np.ndarray, k: np.ndarray, oh: int, ow: int) -> np.ndarray:
+    """Stride-1 depthwise correlation of a padded [N, C, oh+kh-1, ow+kw-1]
+    map with per-channel kernels k [C, kh, kw]: for each image and block of
+    channels, one multiply-add of a shifted slice per kernel tap."""
+    n, c = xp.shape[:2]
+    kh, kw = k.shape[1], k.shape[2]
+    out = np.empty((n, c, oh, ow), dtype=xp.dtype)
+    block = max(1, _DW_BLOCK_ELEMS // (oh * ow))
+    prod = np.empty((min(block, c), oh, ow), dtype=xp.dtype)
+    for i in range(n):
+        for c0 in range(0, c, block):
+            c1 = min(c, c0 + block)
+            acc, tmp, src = out[i, c0:c1], prod[: c1 - c0], xp[i, c0:c1]
+            for u in range(kh):
+                for v in range(kw):
+                    tap = k[c0:c1, u, v, None, None]
+                    if u == 0 and v == 0:
+                        np.multiply(src[:, u : u + oh, v : v + ow], tap, out=acc)
+                    else:
+                        np.multiply(src[:, u : u + oh, v : v + ow], tap, out=tmp)
+                        acc += tmp
+    return out
+
+
+def _matmul_taps(xp: np.ndarray, wt: np.ndarray, kh: int, kw: int,
+                 oh: int, ow: int) -> np.ndarray:
+    """Stride-1 grouped correlation of a padded, C-contiguous [N, Cin, hp, wp]
+    map with per-tap weight matrices wt [kh*kw, groups, og, cg]: one matmul
+    per image and tap. Each tap reads the flattened padded map at offset
+    u*wp+v, so the output comes out on the padded width wp; the last kw-1
+    columns of every row are discarded."""
+    n, _, hp, wp = xp.shape
+    _, g, og, cg = wt.shape
+    span = (oh - 1) * wp + ow
+    xf = xp.reshape(n, g, cg, hp * wp)
+    wide = np.empty((n, g, og, oh * wp), dtype=xp.dtype)
+    tmp = np.empty((g, og, span), dtype=xp.dtype)
+    for i in range(n):
+        acc = wide[i, :, :, :span]
+        for u in range(kh):
+            for v in range(kw):
+                off = u * wp + v
+                if u == 0 and v == 0:
+                    np.matmul(wt[0], xf[i, :, :, off : off + span], out=acc)
+                else:
+                    np.matmul(wt[u * kw + v], xf[i, :, :, off : off + span], out=tmp)
+                    acc += tmp
+    out = wide.reshape(n, g * og, oh, wp)
+    return out if wp == ow else np.ascontiguousarray(out[:, :, :, :ow])
+
+
+def _tap_weights(w: np.ndarray, groups: int) -> np.ndarray:
+    """[Cout, cg, kh, kw] weights as per-tap matrices [kh*kw, groups, og, cg]."""
+    cout, cg, kh, kw = w.shape
+    return np.ascontiguousarray(
+        w.reshape(groups, cout // groups, cg, kh * kw).transpose(3, 0, 1, 2)
+    )
 
 
 def conv2d_forward(
@@ -164,12 +294,17 @@ def conv2d_forward(
     else:
         xp = x
 
-    g = spec.groups
-    og = spec.out_channels // g
-    cols = _conv_cols(xp, spec, oh, ow)
-    wmat = w.reshape(g, og, -1)
-    out = np.matmul(wmat[None], cols)  # [N, g, og, oh*ow]
-    out = out.reshape(n, spec.out_channels, oh, ow)
+    kernel = conv_kernel(spec)
+    if kernel == "depthwise":
+        out = _depthwise_taps(xp, w[:, 0], oh, ow)
+    elif kernel == "taps":
+        out = _matmul_taps(xp, _tap_weights(w, spec.groups), spec.kernel_h, spec.kernel_w, oh, ow)
+    else:
+        g = spec.groups
+        cols = _conv_cols(xp, spec, oh, ow)
+        wmat = w.reshape(g, spec.out_channels // g, -1)
+        out = np.matmul(wmat[None], cols)  # [N, g, og, oh*ow]
+        out = out.reshape(n, spec.out_channels, oh, ow)
     if b is not None:
         out += b[None, :, None, None]
     ctx = Conv2dContext(
@@ -183,21 +318,57 @@ def conv2d_forward(
     return Tensor(out), ctx
 
 
-def conv2d_backward(
-    upstream: Tensor, ctx: Conv2dContext
-) -> tuple[Tensor, Tensor, Optional[Tensor]]:
-    """Gradients (grad_input, grad_weights, grad_bias-or-None) for conv2d."""
-    _require_ctx(ctx, Conv2dContext, "conv2d")
-    _require_rank(upstream, 4, "conv2d upstream")
-    if upstream.shape != ctx.out_shape:
-        raise ShapeError(
-            f"conv2d upstream shape {upstream.shape} does not match output {ctx.out_shape}"
-        )
-    spec = ctx.spec
-    up = upstream.array
-    if up.dtype != ctx.x_padded.dtype:
-        raise ShapeError("conv2d upstream dtype differs from forward input")
+def _depthwise_backward(up: np.ndarray, ctx: Conv2dContext) -> tuple[Optional[np.ndarray], np.ndarray]:
+    spec, xp, w = ctx.spec, ctx.x_padded, ctx.weights
+    kh, kw = spec.kernel_h, spec.kernel_w
+    oh, ow = up.shape[2], up.shape[3]
+    grad_w = np.zeros_like(w)
+    for i in range(up.shape[0]):
+        for u in range(kh):
+            for v in range(kw):
+                grad_w[:, 0, u, v] += np.einsum("chw,chw->c", up[i], xp[i, :, u : u + oh, v : v + ow])
+    grad_x = None
+    if ctx.input_grad:
+        h, w_in = ctx.in_shape[2], ctx.in_shape[3]
+        grad_x = _depthwise_taps(_full_upstream(up, spec, h, w_in), w[:, 0, ::-1, ::-1], h, w_in)
+    return grad_x, grad_w
 
+
+def _matmul_taps_backward(up: np.ndarray, ctx: Conv2dContext) -> tuple[Optional[np.ndarray], np.ndarray]:
+    spec, xp = ctx.spec, ctx.x_padded
+    kh, kw, g = spec.kernel_h, spec.kernel_w, spec.groups
+    n, cin, hp, wp = xp.shape
+    oh, ow = up.shape[2], up.shape[3]
+    og, cg = spec.out_channels // g, cin // g
+    span = (oh - 1) * wp + ow
+    # the upstream on the padded width, zero in the discarded columns, so
+    # each tap's weight gradient is one matmul against a flat input slice
+    if wp == ow:
+        up_wide = up
+    else:
+        up_wide = np.zeros((n, spec.out_channels, oh, wp), dtype=up.dtype)
+        up_wide[:, :, :, :ow] = up
+    upf = up_wide.reshape(n, g, og, oh * wp)[:, :, :, :span]
+    xf = xp.reshape(n, g, cg, hp * wp)
+    grad_wt = np.empty((kh * kw, g, og, cg), dtype=up.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            off = u * wp + v
+            per_image = np.matmul(upf, xf[:, :, :, off : off + span].swapaxes(2, 3))
+            grad_wt[u * kw + v] = per_image.sum(axis=0)
+    grad_w = grad_wt.transpose(1, 2, 3, 0).reshape(ctx.weights.shape)
+    grad_x = None
+    if ctx.input_grad:
+        # the input gradient is the upstream correlated with the flipped,
+        # transposed kernel: reversing the tap order flips both axes
+        h, w_in = ctx.in_shape[2], ctx.in_shape[3]
+        wt_flip = np.ascontiguousarray(_tap_weights(ctx.weights, g)[::-1].swapaxes(2, 3))
+        grad_x = _matmul_taps(_full_upstream(up, spec, h, w_in), wt_flip, kh, kw, h, w_in)
+    return grad_x, grad_w
+
+
+def _im2col_backward(up: np.ndarray, ctx: Conv2dContext) -> tuple[Optional[np.ndarray], np.ndarray]:
+    spec = ctx.spec
     n, _, oh, ow = up.shape
     g = spec.groups
     og = spec.out_channels // g
@@ -206,11 +377,12 @@ def conv2d_backward(
     gy = up.reshape(n, g, og, oh * ow)
     # patches are recomputed from the saved padded input rather than stored
     cols = _conv_cols(ctx.x_padded, spec, oh, ow)
-    wmat = ctx.weights.reshape(g, og, -1)
-
     grad_w = np.matmul(gy, cols.transpose(0, 1, 3, 2)).sum(axis=0)
     grad_w = grad_w.reshape(ctx.weights.shape)
+    if not ctx.input_grad:
+        return None, grad_w
 
+    wmat = ctx.weights.reshape(g, og, -1)
     grad_cols = np.matmul(wmat.transpose(0, 2, 1)[None], gy)  # [N, g, Cg*kh*kw, oh*ow]
     grad_cols = grad_cols.reshape(n, spec.in_channels, kh, kw, oh, ow)
     grad_xp = np.zeros_like(ctx.x_padded)
@@ -219,12 +391,37 @@ def conv2d_backward(
             grad_xp[:, :, u : u + s * oh : s, v : v + s * ow : s] += grad_cols[:, :, u, v]
     if p:
         h, w_in = ctx.in_shape[2], ctx.in_shape[3]
-        grad_x = grad_xp[:, :, p : p + h, p : p + w_in]
-    else:
-        grad_x = grad_xp
+        return grad_xp[:, :, p : p + h, p : p + w_in], grad_w
+    return grad_xp, grad_w
 
+
+_CONV_BACKWARD = {
+    "depthwise": _depthwise_backward,
+    "taps": _matmul_taps_backward,
+    "im2col": _im2col_backward,
+}
+
+
+def conv2d_backward(
+    upstream: Tensor, ctx: Conv2dContext
+) -> tuple[Optional[Tensor], Tensor, Optional[Tensor]]:
+    """Gradients (grad_input, grad_weights, grad_bias-or-None) for conv2d.
+
+    grad_input is None when the context was made with ``input_grad=False``.
+    """
+    _require_ctx(ctx, Conv2dContext, "conv2d")
+    _require_rank(upstream, 4, "conv2d upstream")
+    if upstream.shape != ctx.out_shape:
+        raise ShapeError(
+            f"conv2d upstream shape {upstream.shape} does not match output {ctx.out_shape}"
+        )
+    up = upstream.array
+    if up.dtype != ctx.x_padded.dtype:
+        raise ShapeError("conv2d upstream dtype differs from forward input")
+
+    grad_x, grad_w = _CONV_BACKWARD[conv_kernel(ctx.spec)](up, ctx)
     grad_b = Tensor(up.sum(axis=(0, 2, 3))) if ctx.has_bias else None
-    return Tensor(grad_x), Tensor(grad_w), grad_b
+    return (None if grad_x is None else Tensor(grad_x)), Tensor(grad_w), grad_b
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +438,50 @@ class AvgPoolContext:
     dtype: np.dtype
 
 
+def _window_taps(size: int, out_size: int, win: int, stride: int, pad: int):
+    """For each window offset u along one axis: (first, last+1) output
+    positions whose window reads an input position at offset u, and the
+    slice of input positions they read. Positions in the zero padding are
+    skipped, since they add nothing to a sum."""
+    for u in range(win):
+        lo = max(0, -(-(pad - u) // stride))
+        hi = min(out_size, (size - 1 - u + pad) // stride + 1)
+        if lo < hi:
+            start = lo * stride + u - pad
+            yield lo, hi, slice(start, start + (hi - lo - 1) * stride + 1, stride)
+
+
+def _box_sum(a: np.ndarray, axis: int, out_size: int, win: int, stride: int, pad: int) -> np.ndarray:
+    """Windowed sums of ``a`` along ``axis`` (2 or 3) with zero padding."""
+    shape = list(a.shape)
+    shape[axis] = out_size
+    out = np.zeros(shape, dtype=a.dtype)
+    lead = (slice(None),) * axis
+    for lo, hi, src in _window_taps(a.shape[axis], out_size, win, stride, pad):
+        out[lead + (slice(lo, hi),)] += a[lead + (src,)]
+    return out
+
+
+def _box_spread(g: np.ndarray, axis: int, size: int, win: int, stride: int, pad: int) -> np.ndarray:
+    """Adjoint of :func:`_box_sum`: adds each windowed sum's gradient back
+    onto the ``size`` input positions its window covers."""
+    shape = list(g.shape)
+    shape[axis] = size
+    out = np.zeros(shape, dtype=g.dtype)
+    lead = (slice(None),) * axis
+    for lo, hi, dst in _window_taps(size, g.shape[axis], win, stride, pad):
+        out[lead + (dst,)] += g[lead + (slice(lo, hi),)]
+    return out
+
+
 def avg_pool(
     inp: Tensor, win: int, stride: int, padding: int = 0
 ) -> tuple[Tensor, AvgPoolContext]:
     """Average pooling with a square window.
 
     Zero padding counts toward the window average (the pad pixels contribute
-    zeros and the divisor stays win*win).
+    zeros and the divisor stays win*win). The window sum is separable: rows
+    are summed first, then columns.
     """
     _require_rank(inp, 4, "avg_pool input")
     if not isinstance(win, int) or win < 1:
@@ -257,46 +491,35 @@ def avg_pool(
     if not isinstance(padding, int) or padding < 0:
         raise SpecError(f"avg_pool padding must be a non-negative integer, got {padding!r}")
     x = inp.array
-    n, c, h, w = x.shape
+    h, w = x.shape[2], x.shape[3]
     hp, wp = h + 2 * padding, w + 2 * padding
     if win > hp or win > wp:
         raise SpecError(
             f"avg_pool window {win} exceeds padded input {hp}x{wp}"
         )
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
     oh = (hp - win) // stride + 1
     ow = (wp - win) // stride + 1
-    sn, sc, sh, sw = xp.strides
-    v = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, oh, ow, win, win),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    out = v.mean(axis=(4, 5))
+    rows = _box_sum(x, 2, oh, win, stride, padding)
+    out = _box_sum(rows, 3, ow, win, stride, padding)
+    out /= x.dtype.type(win * win)
     ctx = AvgPoolContext(win, stride, padding, x.shape, out.shape, x.dtype)
     return Tensor(out), ctx
 
 
 def avg_pool_backward(upstream: Tensor, ctx: AvgPoolContext) -> Tensor:
-    """Distributes each upstream value uniformly over its pooling window."""
+    """Distributes each upstream value uniformly over its pooling window:
+    columns first, then rows (the forward's sums in reverse)."""
     _require_ctx(ctx, AvgPoolContext, "avg_pool")
     _require_rank(upstream, 4, "avg_pool upstream")
     if upstream.shape != ctx.out_shape:
         raise ShapeError(
             f"avg_pool upstream shape {upstream.shape} does not match output {ctx.out_shape}"
         )
-    n, c, h, w = ctx.in_shape
+    h, w = ctx.in_shape[2], ctx.in_shape[3]
     win, s, p = ctx.win, ctx.stride, ctx.padding
-    oh, ow = ctx.out_shape[2], ctx.out_shape[3]
     scaled = upstream.array / ctx.dtype.type(win * win)
-    grad_xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=ctx.dtype)
-    for u in range(win):
-        for v in range(win):
-            grad_xp[:, :, u : u + s * oh : s, v : v + s * ow : s] += scaled
-    if p:
-        grad_xp = grad_xp[:, :, p : p + h, p : p + w]
-    return Tensor(grad_xp)
+    cols = _box_spread(scaled, 3, w, win, s, p)
+    return Tensor(_box_spread(cols, 2, h, win, s, p))
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +621,20 @@ class BatchNormState:
 
 @dataclass
 class BatchNormContext:
-    xhat: np.ndarray
+    """What batchnorm_backward needs. ``centred`` is x - batch mean in train
+    mode; in eval mode it is the input itself and ``offset`` holds the
+    running mean still to subtract from it (None in train mode)."""
+
+    centred: np.ndarray
+    offset: Optional[np.ndarray]
     inv_std: np.ndarray  # per channel
     gamma: np.ndarray
     count: int
     mode: str
+
+
+def _per_channel(v: np.ndarray) -> np.ndarray:
+    return v[None, :, None, None]
 
 
 def batchnorm_forward(inp: Tensor, state: BatchNormState) -> tuple[Tensor, BatchNormContext]:
@@ -411,6 +643,7 @@ def batchnorm_forward(inp: Tensor, state: BatchNormState) -> tuple[Tensor, Batch
     Train mode normalizes with the biased batch statistics and folds them
     into the running averages: running = (1-momentum)*running + momentum*batch.
     Eval mode normalizes with the running statistics and mutates nothing.
+    Either way gamma*inv_std is applied as one per-channel scale.
     """
     _require_rank(inp, 4, "batchnorm input")
     x = inp.array
@@ -431,22 +664,28 @@ def batchnorm_forward(inp: Tensor, state: BatchNormState) -> tuple[Tensor, Batch
             raise DataError(
                 f"batchnorm train mode needs at least 2 values per channel, got {count}"
             )
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))  # biased: divide by count
+        mean = np.einsum("nchw->c", x) / dt.type(count)
+        centred = x - _per_channel(mean)
+        var = np.einsum("nchw,nchw->c", centred, centred) / dt.type(count)  # biased
         m = dt.type(state.momentum)
         state.running_mean *= 1 - m
         state.running_mean += m * mean
         state.running_var *= 1 - m
         state.running_var += m * var
+        inv_std = 1.0 / np.sqrt(var + dt.type(state.eps))
+        scale = state.gamma * inv_std
+        out = centred * _per_channel(scale)
+        out += _per_channel(state.beta)
+        offset = None
     else:
         count = 0
-        mean = state.running_mean
-        var = state.running_var
-
-    inv_std = 1.0 / np.sqrt(var + dt.type(state.eps))
-    xhat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    out = state.gamma[None, :, None, None] * xhat + state.beta[None, :, None, None]
-    ctx = BatchNormContext(xhat=xhat, inv_std=inv_std.astype(dt, copy=False),
+        centred = x
+        offset = state.running_mean.copy()
+        inv_std = 1.0 / np.sqrt(state.running_var + dt.type(state.eps))
+        scale = state.gamma * inv_std
+        out = x * _per_channel(scale)
+        out += _per_channel(state.beta - offset * scale)
+    ctx = BatchNormContext(centred=centred, offset=offset, inv_std=inv_std.astype(dt, copy=False),
                            gamma=state.gamma.copy(), count=count, mode=state.mode)
     return Tensor(out), ctx
 
@@ -458,21 +697,23 @@ def batchnorm_backward(
     _require_ctx(ctx, BatchNormContext, "batchnorm")
     _require_rank(upstream, 4, "batchnorm upstream")
     up = upstream.array
-    if up.shape != ctx.xhat.shape:
+    if up.shape != ctx.centred.shape:
         raise ShapeError(
-            f"batchnorm upstream shape {up.shape} does not match output {ctx.xhat.shape}"
+            f"batchnorm upstream shape {up.shape} does not match output {ctx.centred.shape}"
         )
-    grad_beta = up.sum(axis=(0, 2, 3))
-    grad_gamma = (up * ctx.xhat).sum(axis=(0, 2, 3))
-    gxhat = up * ctx.gamma[None, :, None, None]
-    inv = ctx.inv_std[None, :, None, None]
-    if ctx.mode == "eval":
-        # running statistics are constants in eval mode
-        grad_x = gxhat * inv
-    else:
-        mean_g = gxhat.mean(axis=(0, 2, 3), keepdims=True)
-        mean_gx = (gxhat * ctx.xhat).mean(axis=(0, 2, 3), keepdims=True)
-        grad_x = inv * (gxhat - mean_g - ctx.xhat * mean_gx)
+    grad_beta = np.einsum("nchw->c", up)
+    dot = np.einsum("nchw,nchw->c", up, ctx.centred)  # sum of up * (x - mean) / inv_std
+    if ctx.offset is not None:
+        dot -= ctx.offset * grad_beta
+    grad_gamma = dot * ctx.inv_std
+    scale = ctx.gamma * ctx.inv_std
+    grad_x = up * _per_channel(scale)
+    if ctx.mode == "train":
+        # the batch statistics depend on x: subtract the mean of the scaled
+        # upstream and its projection onto the normalized input
+        n = up.dtype.type(ctx.count)
+        grad_x -= ctx.centred * _per_channel(scale * ctx.inv_std * ctx.inv_std * dot / n)
+        grad_x -= _per_channel(scale * grad_beta / n)
     return Tensor(grad_x), Tensor(grad_gamma), Tensor(grad_beta)
 
 

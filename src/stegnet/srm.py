@@ -21,7 +21,7 @@ single-channel image and can be trained (plain gradient steps) or frozen.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 
@@ -254,9 +254,13 @@ def preprocess_forward(images: Tensor, layer: PreprocessingLayer) -> tuple[Tenso
 
 
 def preprocess_backward(
-    upstream: Tensor, ctx: PreprocessContext
-) -> tuple[Tensor, Tensor, Tensor]:
-    """Gradients (grad_images, grad_kernels3, grad_kernels5)."""
+    upstream: Tensor, ctx: PreprocessContext, image_grad: bool = True
+) -> tuple[Tensor | None, Tensor, Tensor]:
+    """Gradients (grad_images, grad_kernels3, grad_kernels5).
+
+    With ``image_grad=False`` only the kernel gradients are computed and
+    grad_images is None: the network's input images take no gradient.
+    """
     if not isinstance(ctx, PreprocessContext):
         raise ContractError(
             "preprocess_backward needs the context saved by preprocess_forward"
@@ -265,8 +269,14 @@ def preprocess_backward(
         raise ShapeError("preprocess upstream must be a [N, 30, H, W] tensor")
     up3 = Tensor(np.ascontiguousarray(upstream.array[:, : ctx.split]))
     up5 = Tensor(np.ascontiguousarray(upstream.array[:, ctx.split :]))
-    gx3, gk3, _ = nnops.conv2d_backward(up3, ctx.ctx3)
-    gx5, gk5, _ = nnops.conv2d_backward(up5, ctx.ctx5)
+    ctx3, ctx5 = ctx.ctx3, ctx.ctx5
+    if not image_grad:
+        ctx3 = replace(ctx3, input_grad=False)
+        ctx5 = replace(ctx5, input_grad=False)
+    gx3, gk3, _ = nnops.conv2d_backward(up3, ctx3)
+    gx5, gk5, _ = nnops.conv2d_backward(up5, ctx5)
+    if not image_grad:
+        return None, gk3, gk5
     gx = _fold_edge_padding(gx3.array, 1) + _fold_edge_padding(gx5.array, 2)
     return Tensor(gx), gk3, gk5
 

@@ -312,46 +312,49 @@ class ZhuNetModel:
             raise SpecError(f"forward mode must be 'train' or 'eval', got {mode!r}")
         self._check_admissible(images)
         self._set_bn_mode(mode)
+        # Only a train forward keeps the backward contexts; an eval forward
+        # drops each one as soon as its layer returns, and leaves no context
+        # for a backward to reuse.
+        self._ctx = None
+        keep = mode == "train"
+        saved: dict = {}
         stages: dict[str, Tensor] = {}
 
-        x, pre_ctx = srm.preprocess_forward(images, self.pre)
-        if record:
-            stages["preprocessing"] = x
-        s1, sep1_ctx = self.sep1.forward(x)
-        if record:
-            stages["sep1"] = s1
-        s2, sep2_ctx = self.sep2.forward(s1)
-        if record:
-            stages["sep2"] = s2
+        def run(name: str, result: tuple) -> Tensor:
+            out, ctx = result
+            if keep:
+                saved[name] = ctx
+            if record and name in STAGES:
+                stages[name] = out
+            return out
 
-        t = s2
-        block_ctxs = []
+        t = run("preprocessing", srm.preprocess_forward(images, self.pre))
+        t = run("sep1", self.sep1.forward(t))
+        t = run("sep2", self.sep2.forward(t))
         for i, blk in enumerate(self.blocks, start=1):
-            t, bctx = blk.forward(t, self.config.activation_mode)
-            block_ctxs.append(bctx)
-            if record:
-                stages[f"block{i}"] = t
+            t = run(f"block{i}", blk.forward(t, self.config.activation_mode))
 
-        feat, spp_ctx = nnops.spp_forward(t, self.spp)
-        h1, fc1_ctx = nnops.linear_forward(feat, self.fc1_w, self.fc1_b)
-        h1a = nnops.relu(h1)
-        logits, fc2_ctx = nnops.linear_forward(h1a, self.fc2_w, self.fc2_b)
+        feat = run("spp", nnops.spp_forward(t, self.spp))
+        h1 = run("fc1", nnops.linear_forward(feat, self.fc1_w, self.fc1_b))
+        logits = run("fc2", nnops.linear_forward(nnops.relu(h1), self.fc2_w, self.fc2_b))
 
-        self._ctx = _ForwardContext(
-            pre=pre_ctx,
-            sep1=sep1_ctx,
-            sep2=sep2_ctx,
-            blocks=block_ctxs,
-            spp=spp_ctx,
-            fc1=fc1_ctx,
-            fc1_act_in=h1,
-            fc2=fc2_ctx,
-            logits_shape=logits.shape,
-        )
+        if keep:
+            self._ctx = _ForwardContext(
+                pre=saved["preprocessing"],
+                sep1=saved["sep1"],
+                sep2=saved["sep2"],
+                blocks=[saved[f"block{i}"] for i in range(1, len(self.blocks) + 1)],
+                spp=saved["spp"],
+                fc1=saved["fc1"],
+                fc1_act_in=h1,
+                fc2=saved["fc2"],
+                logits_shape=logits.shape,
+            )
         return logits, stages
 
     def forward(self, images: Tensor, mode: str = "train") -> Tensor:
-        """Class logits [N, 2]; saves the context consumed by backward."""
+        """Class logits [N, 2]. A train forward saves the context consumed
+        by backward; an eval forward saves none."""
         logits, _ = self._run(images, mode, record=False)
         return logits
 
@@ -361,7 +364,10 @@ class ZhuNetModel:
         while the preprocessing layer is trainable."""
         ctx = self._ctx
         if ctx is None:
-            raise ContractError("backward called with no saved forward context")
+            raise ContractError(
+                "backward called with no saved forward context; only a train-mode "
+                "forward saves one"
+            )
         if not isinstance(grad_logits, Tensor) or grad_logits.shape != ctx.logits_shape:
             raise ShapeError(
                 f"grad_logits must be a Tensor of shape {ctx.logits_shape}"
@@ -382,7 +388,7 @@ class ZhuNetModel:
         g, s1grads = self.sep1.backward(g, ctx.sep1)
         for k, v in s1grads.items():
             grads[f"sep1.{k}"] = v
-        _, gk3, gk5 = srm.preprocess_backward(g, ctx.pre)
+        _, gk3, gk5 = srm.preprocess_backward(g, ctx.pre, image_grad=False)
         if self.pre.trainable:
             grads["pre.kernels3"] = gk3
             grads["pre.kernels5"] = gk5

@@ -3,7 +3,8 @@ per property so `pytest -v` prints one pass/fail line each.
 
 Pinned tolerances and budgets (asserted inside the tests):
   1  gradient checks     rel err < 1e-6 (operators) / < 1e-4 (end-to-end), h = 1e-5, < 120 s
-  2  convolution oracle  200 random grouped configs, max |delta| < 1e-12 at f64, < 60 s
+  2  convolution oracle  200 random grouped configs, forward max |delta| < 1e-12 at f64
+                         (1e-4 at f32), backward adjoint gaps < 1e-12 (1e-5 at f32), < 60 s
   3  pyramid pooling     feature length exactly 2688 at inputs 224 and 256
   4  filter bank         30 filters, exact zero sums, |r| < 1e-6 on constant images
   5  architecture        2,869,044 trainable parameters, fixed widths/placement
@@ -41,10 +42,30 @@ def test_every_backward_pass_survives_finite_difference_verification():
     assert elapsed < 120.0, f"gradient checks took {elapsed:.1f}s (budget 120s)"
 
 
+def _f32_exact(a):
+    return a.astype(np.float32).astype(np.float64)
+
+
+def _adjoint_gaps(x, wgt, spec, up, ref):
+    """Relative gaps of the two adjoint identities of a bias-free conv,
+    sum(up * conv(x, w)) = sum(grad_x * x) = sum(grad_w * w), with the
+    left side taken from the oracle's output ``ref``."""
+    _, ctx = nnops.conv2d_forward(Tensor(x), Tensor(wgt), None, spec)
+    gx, gw, gb = nnops.conv2d_backward(Tensor(up), ctx)
+    assert gb is None and gx.shape == x.shape and gw.shape == wgt.shape
+    target = float(np.sum(up * ref))
+    scale = float(np.sum(np.abs(up * ref))) + 1e-30
+    return (abs(float(np.sum(gx.array.astype(np.float64) * x)) - target) / scale,
+            abs(float(np.sum(gw.array.astype(np.float64) * wgt)) - target) / scale)
+
+
 def test_convolution_matches_a_nested_loop_reference_on_200_random_configs():
+    """Forward output and both backward gradients of every kernel the conv
+    dispatch can select, in f64 and f32, against one f64 oracle per config."""
     t0 = time.time()
     rng = np.random.default_rng(0)
-    worst = 0.0
+    worst = {"f64": [0.0, 0.0, 0.0], "f32": [0.0, 0.0, 0.0]}
+    kernels = set()
     for case in range(200):
         groups = int(rng.choice([1, 1, 2, 3, 4]))
         cin = groups * int(rng.integers(1, 4))
@@ -56,18 +77,31 @@ def test_convolution_matches_a_nested_loop_reference_on_200_random_configs():
         w = kw + int(rng.integers(0, 7)) - min(2 * padding, kw - 1)
         h, w = max(h, max(1, kh - 2 * padding)), max(w, max(1, kw - 2 * padding))
         n = int(rng.integers(1, 3))
-        x = rng.standard_normal((n, cin, h, w))
-        wgt = rng.standard_normal((cout, cin // groups, kh, kw))
-        bias = rng.standard_normal(cout) if case % 2 == 0 else None
+        # values exact in f32, so one f64 oracle run serves both precisions
+        x = _f32_exact(rng.standard_normal((n, cin, h, w)))
+        wgt = _f32_exact(rng.standard_normal((cout, cin // groups, kh, kw)))
+        bias = _f32_exact(rng.standard_normal(cout)) if case % 2 == 0 else None
         spec = nnops.Conv2dSpec(cin, cout, kh, kw, stride=stride,
                                 padding=padding, groups=groups)
-        out, _ = nnops.conv2d_forward(
-            Tensor(x), Tensor(wgt), None if bias is None else Tensor(bias), spec
-        )
-        ref = conv2d_reference(x, wgt, bias, stride, padding, groups)
-        worst = max(worst, float(np.max(np.abs(out.array - ref))))
+        kernels.add(nnops.conv_kernel(spec))
+        ref = conv2d_reference(x, wgt, None, stride, padding, groups)
+        up = _f32_exact(rng.standard_normal(ref.shape))
+        for name, dt in (("f64", np.float64), ("f32", np.float32)):
+            xd, wd = x.astype(dt), wgt.astype(dt)
+            out, _ = nnops.conv2d_forward(
+                Tensor(xd), Tensor(wd), None if bias is None else Tensor(bias.astype(dt)), spec
+            )
+            full = ref if bias is None else ref + bias[None, :, None, None]
+            worst[name][0] = max(worst[name][0], float(np.max(np.abs(out.array - full))))
+            gaps = _adjoint_gaps(xd, wd, spec, up.astype(dt), ref)
+            worst[name][1] = max(worst[name][1], gaps[0])
+            worst[name][2] = max(worst[name][2], gaps[1])
     elapsed = time.time() - t0
-    assert worst < 1e-12, f"max deviation {worst:.3e} (tolerance 1e-12)"
+    assert kernels == {"depthwise", "taps", "im2col"}, kernels
+    assert worst["f64"][0] < 1e-12, f"f64 max deviation {worst['f64'][0]:.3e} (tolerance 1e-12)"
+    assert max(worst["f64"][1:]) < 1e-12, f"f64 adjoint gaps {worst['f64'][1:]}"
+    assert worst["f32"][0] < 1e-4, f"f32 max deviation {worst['f32'][0]:.3e} (tolerance 1e-4)"
+    assert max(worst["f32"][1:]) < 1e-5, f"f32 adjoint gaps {worst['f32'][1:]}"
     assert elapsed < 60.0, f"oracle comparison took {elapsed:.1f}s (budget 60s)"
 
 

@@ -1,6 +1,8 @@
 """Command-line interface: every subcommand, its file outputs, determinism,
 and the exit-code contract (0 ok, 1 usage, 2 data/format, 3 numeric)."""
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -351,6 +353,13 @@ def test_dump_features_unknown_stage_exits_2(tmp_path, small_rng, capsys):
                     "--image", str(tmp_path / "img.pgm"),
                     "--stage", "logits", "--out", str(tmp_path / "f")]) == 2
     assert "block4" in capsys.readouterr().err  # error lists the valid stages
+
+
+def test_readme_lists_exactly_the_dump_features_stages():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [line for line in readme.splitlines() if line.startswith("Stages:")]
+    assert len(lines) == 1, lines
+    assert tuple(re.findall(r"`([^`]+)`", lines[0])) == zhunet.STAGES
 
 
 # ---------------------------------------------------------------------------

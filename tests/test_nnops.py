@@ -170,6 +170,31 @@ def test_avg_pool_padded_matches_window_oracle():
     assert out.shape[2] == 5  # ceil(9 / 2)
 
 
+def test_avg_pool_and_backward_match_the_window_oracle_on_random_configs():
+    """Forward against the oracle and the backward through the adjoint
+    identity sum(up * pool(x)) = sum(grad_x * x), on random windows and on
+    the network's window 5 / stride 2 / pad 2 at odd sizes."""
+    rng = np.random.Generator(np.random.PCG64(12))
+    configs = [(5, 2, 2, 17), (5, 2, 2, 33), (5, 2, 2, 16)]
+    while len(configs) < 40:
+        win, stride, pad = int(rng.integers(1, 6)), int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        size = int(rng.integers(max(1, win - 2 * pad), 12))
+        configs.append((win, stride, pad, size))
+    for dt, tol in ((np.float64, 1e-12), (np.float32, 1e-5)):
+        for win, stride, pad, size in configs:
+            x = rng.standard_normal((2, 3, size, size + 1))
+            out, ctx = nnops.avg_pool(Tensor(x.astype(dt)), win, stride, pad)
+            ref = avg_pool_reference(x, win, stride, padding=pad)
+            assert out.shape == ref.shape
+            assert np.max(np.abs(out.array - ref)) < tol, (win, stride, pad, size)
+            up = rng.standard_normal(ref.shape)
+            gx = nnops.avg_pool_backward(Tensor(up.astype(dt)), ctx)
+            assert gx.shape == x.shape
+            target = float(np.sum(up * ref))
+            gap = abs(float(np.sum(gx.array.astype(np.float64) * x)) - target)
+            assert gap <= tol * (float(np.sum(np.abs(up * ref))) + 1.0), (win, stride, pad, size)
+
+
 def test_avg_pool_window_too_large_rejected():
     with pytest.raises(SpecError):
         nnops.avg_pool(Tensor(np.zeros((1, 1, 4, 4))), win=5, stride=1)

@@ -218,6 +218,16 @@ def test_backward_without_forward_is_a_contract_violation():
         build().backward(Tensor(np.zeros((2, 2), dtype=np.float32)))
 
 
+def test_backward_after_an_eval_forward_is_a_contract_violation():
+    model = build()
+    rng = np.random.default_rng(5)
+    x = rand_images(rng, 2, 32)
+    model.forward(x, mode="train")
+    logits = model.forward(x, mode="eval")
+    with pytest.raises(ContractError):
+        model.backward(Tensor(np.zeros(logits.shape, dtype=np.float32)))
+
+
 def test_backward_rejects_mismatched_grad_logits_shape():
     model = build()
     rng = np.random.default_rng(5)
