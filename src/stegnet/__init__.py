@@ -21,18 +21,10 @@ _EXPORTS = {
     "DivergenceError": ".errors",
     # tensor
     "Tensor": ".tensor",
-    "zeros": ".tensor",
-    "from_data": ".tensor",
-    "elementwise": ".tensor",
-    "add": ".tensor",
-    "sub": ".tensor",
-    "mul": ".tensor",
-    "scale": ".tensor",
     # model
     "ModelConfig": ".zhunet",
     "ZhuNetModel": ".zhunet",
     "build_model": ".zhunet",
-    "dump_feature_maps": ".zhunet",
     "serialize_model": ".zhunet",
     "deserialize_model": ".zhunet",
     "save_checkpoint": ".zhunet",

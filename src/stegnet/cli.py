@@ -29,24 +29,6 @@ _THREAD_ENV_VARS = (
     "VECLIB_MAXIMUM_THREADS",
 )
 
-TRAIN_CONFIG_KEYS = (
-    "manifest",
-    "out_dir",
-    "lr0",
-    "lr_decay_epochs",
-    "lr_decay_factor",
-    "momentum",
-    "weight_decay",
-    "batch_size",
-    "max_epochs",
-    "seed",
-    "freeze_srm",
-    "activation_mode",
-    "patience",
-    "augment",
-)
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract here is exit 1."""
 
@@ -86,7 +68,7 @@ class _UsageError(Exception):
 # config files: `key = value` lines, # comments, unknown keys rejected
 # ---------------------------------------------------------------------------
 
-def parse_config_text(text: str, allowed_keys=TRAIN_CONFIG_KEYS) -> dict[str, str]:
+def parse_config_text(text: str, allowed_keys) -> dict[str, str]:
     from .errors import SpecError
 
     values: dict[str, str] = {}
@@ -107,85 +89,78 @@ def parse_config_text(text: str, allowed_keys=TRAIN_CONFIG_KEYS) -> dict[str, st
     return values
 
 
-def _parse_bool(key: str, value: str) -> bool:
+def run_config_schema() -> list[tuple[str, object]]:
+    """(key, default) of every run-config key, in resolved.cfg order: the
+    run's paths, the TrainConfig fields, then augment. A None default marks
+    a required key; every other value parses and formats by the type of its
+    default."""
+    from dataclasses import fields
+
+    from .train import TrainConfig
+
+    return ([("manifest", None), ("out_dir", None)]
+            + [(f.name, f.default) for f in fields(TrainConfig)]
+            + [("augment", "none")])
+
+
+def _parse_value(key: str, value: str, default):
     from .errors import SpecError
 
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise SpecError(f"config key {key!r} expects a boolean, got {value!r}")
+    if isinstance(default, bool):
+        lowered = value.lower()
+        if lowered in ("true", "1", "yes", "false", "0", "no"):
+            return lowered in ("true", "1", "yes")
+        raise SpecError(f"config key {key!r} expects a boolean, got {value!r}")
+    if isinstance(default, tuple):
+        # comma-separated epochs; the word 'none' spells the empty schedule
+        if value.strip().lower() == "none":
+            return ()
+        return tuple(int(tok) for tok in value.split(",") if tok.strip())
+    return value if default is None else type(default)(value)
 
 
-def _parse_epoch_list(value: str) -> tuple[int, ...]:
-    """Comma-separated epochs; the word 'none' spells the empty schedule."""
-    if value.strip().lower() == "none":
-        return ()
-    return tuple(int(tok) for tok in value.split(",") if tok.strip())
+def _format_value(value, default) -> str:
+    if isinstance(default, bool):
+        return str(value).lower()
+    if isinstance(default, float):
+        return f"{value:.10g}"
+    if isinstance(default, tuple):
+        return ",".join(str(e) for e in value) or "none"
+    return str(value)
 
 
 def load_run_config(path):
     """Parse a training run config; returns (TrainConfig, manifest, out_dir,
-    augment). Numeric fields fall back to the TrainConfig defaults."""
+    augment). Keys left out take their TrainConfig defaults."""
     from .errors import SpecError
     from .train import TrainConfig
 
+    schema = run_config_schema()
     with open(path, "r", encoding="utf-8") as fh:
-        raw = parse_config_text(fh.read())
-    for required in ("manifest", "out_dir"):
-        if required not in raw:
-            raise SpecError(f"config is missing the required key {required!r}")
-
-    defaults = TrainConfig()
+        raw = parse_config_text(fh.read(), [key for key, _ in schema])
+    for key, default in schema:
+        if default is None and key not in raw:
+            raise SpecError(f"config is missing the required key {key!r}")
     try:
-        cfg = TrainConfig(
-            lr0=float(raw.get("lr0", defaults.lr0)),
-            lr_decay_epochs=_parse_epoch_list(raw["lr_decay_epochs"])
-            if "lr_decay_epochs" in raw
-            else defaults.lr_decay_epochs,
-            lr_decay_factor=float(raw.get("lr_decay_factor", defaults.lr_decay_factor)),
-            momentum=float(raw.get("momentum", defaults.momentum)),
-            weight_decay=float(raw.get("weight_decay", defaults.weight_decay)),
-            batch_size=int(raw.get("batch_size", defaults.batch_size)),
-            max_epochs=int(raw.get("max_epochs", defaults.max_epochs)),
-            seed=int(raw.get("seed", defaults.seed)),
-            freeze_srm=_parse_bool("freeze_srm", raw["freeze_srm"])
-            if "freeze_srm" in raw
-            else defaults.freeze_srm,
-            activation_mode=raw.get("activation_mode", defaults.activation_mode),
-            patience=int(raw.get("patience", defaults.patience)),
-        )
+        values = {key: _parse_value(key, raw[key], default) if key in raw else default
+                  for key, default in schema}
     except ValueError as exc:
         raise SpecError(f"bad config value: {exc}") from exc
+    manifest, out_dir, augment = (values.pop(k) for k in ("manifest", "out_dir", "augment"))
+    cfg = TrainConfig(**values)
     cfg.validate()
-    augment = raw.get("augment", "none")
     if augment not in ("none", "dihedral8"):
         raise SpecError(f"config key 'augment' must be none or dihedral8, got {augment!r}")
-    manifest = raw["manifest"]
     if not os.path.isabs(manifest):
         manifest = os.path.join(os.path.dirname(os.path.abspath(path)), manifest)
-    return cfg, manifest, raw["out_dir"], augment
+    return cfg, manifest, out_dir, augment
 
 
 def _resolved_config_text(cfg, manifest: str, out_dir: str, augment: str) -> str:
-    lines = [
-        "# resolved run configuration",
-        f"manifest = {manifest}",
-        f"out_dir = {out_dir}",
-        f"lr0 = {cfg.lr0:.10g}",
-        "lr_decay_epochs = "
-        + (",".join(str(e) for e in cfg.lr_decay_epochs) or "none"),
-        f"lr_decay_factor = {cfg.lr_decay_factor:.10g}",
-        f"momentum = {cfg.momentum:.10g}",
-        f"weight_decay = {cfg.weight_decay:.10g}",
-        f"batch_size = {cfg.batch_size}",
-        f"max_epochs = {cfg.max_epochs}",
-        f"seed = {cfg.seed}",
-        f"freeze_srm = {str(cfg.freeze_srm).lower()}",
-        f"activation_mode = {cfg.activation_mode}",
-        f"patience = {cfg.patience}",
-        f"augment = {augment}",
+    run = {"manifest": manifest, "out_dir": out_dir, "augment": augment}
+    lines = ["# resolved run configuration"] + [
+        f"{key} = {_format_value(run[key] if key in run else getattr(cfg, key), default)}"
+        for key, default in run_config_schema()
     ]
     return "\n".join(lines) + "\n"
 

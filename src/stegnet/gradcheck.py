@@ -305,7 +305,7 @@ def check_softmax_xent(seed: int) -> CheckResult:
 
 def check_preprocess(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.PCG64([seed, 7]))
-    layer = srm.PreprocessingLayer.build(dtype="f64", trainable=True)
+    layer = srm.PreprocessingLayer.build(dtype="f64")
     x = _probe(rng, (1, 1, 8, 8)) * 10.0
     out, ctx = srm.preprocess_forward(Tensor(x), layer)
     up = _probe(rng, out.shape)
@@ -319,7 +319,7 @@ def check_preprocess(seed: int) -> CheckResult:
 
     def loss_k3(v):
         lay = srm.PreprocessingLayer(
-            kernels3=Tensor(v), kernels5=layer.kernels5, trainable=True,
+            kernels3=Tensor(v), kernels5=layer.kernels5,
             channel_names=layer.channel_names,
         )
         o, _ = srm.preprocess_forward(Tensor(x), lay)
@@ -329,7 +329,7 @@ def check_preprocess(seed: int) -> CheckResult:
 
     def loss_k5(v):
         lay = srm.PreprocessingLayer(
-            kernels3=layer.kernels3, kernels5=Tensor(v), trainable=True,
+            kernels3=layer.kernels3, kernels5=Tensor(v),
             channel_names=layer.channel_names,
         )
         o, _ = srm.preprocess_forward(Tensor(x), lay)

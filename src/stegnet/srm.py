@@ -166,18 +166,16 @@ class PreprocessingLayer:
 
     kernels3 is [25, 1, 3, 3] (applied with padding 1), kernels5 is
     [5, 1, 5, 5] (padding 2); their outputs are stacked to 30 channels in
-    bank order. ``trainable`` gates plain-gradient updates; a frozen layer
-    keeps its kernels bitwise intact through training.
+    bank order. Whether training updates the kernels is the model's
+    business (see the state table in zhunet.py).
     """
 
     kernels3: Tensor
     kernels5: Tensor
-    trainable: bool
     channel_names: tuple[str, ...]
 
     @classmethod
-    def build(cls, dtype: str = "f32", trainable: bool = True,
-              bank: list[SrmFilter] | None = None) -> "PreprocessingLayer":
+    def build(cls, dtype: str = "f32", bank: list[SrmFilter] | None = None) -> "PreprocessingLayer":
         if dtype not in DTYPES:
             raise SpecError(f"unknown dtype {dtype!r}")
         if bank is None:
@@ -191,7 +189,6 @@ class PreprocessingLayer:
         return cls(
             kernels3=Tensor(k3.astype(dt)),
             kernels5=Tensor(k5.astype(dt)),
-            trainable=trainable,
             channel_names=names,
         )
 
@@ -279,24 +276,3 @@ def preprocess_backward(
         return None, gk3, gk5
     gx = _fold_edge_padding(gx3.array, 1) + _fold_edge_padding(gx5.array, 2)
     return Tensor(gx), gk3, gk5
-
-
-def preprocess_update(
-    layer: PreprocessingLayer, grads: tuple[Tensor, Tensor], lr: float
-) -> PreprocessingLayer:
-    """Plain gradient step K <- K - lr * dK on both kernel stacks (no
-    momentum, no weight decay). The layer must be trainable."""
-    if not layer.trainable:
-        raise ContractError("preprocessing layer is frozen; updates are a contract violation")
-    g3, g5 = grads
-    if g3.shape != layer.kernels3.shape or g5.shape != layer.kernels5.shape:
-        raise ShapeError(
-            f"preprocessing gradient shapes {g3.shape}/{g5.shape} do not match kernels "
-            f"{layer.kernels3.shape}/{layer.kernels5.shape}"
-        )
-    if g3.dtype != layer.kernels3.dtype or g5.dtype != layer.kernels5.dtype:
-        raise ShapeError("preprocessing gradient dtypes do not match the kernels")
-    dt = layer.kernels3.array.dtype.type
-    layer.kernels3.array -= dt(lr) * g3.array
-    layer.kernels5.array -= dt(lr) * g5.array
-    return layer

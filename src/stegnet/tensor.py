@@ -4,16 +4,14 @@ A Tensor wraps a C-contiguous numpy array in one of two precisions: f32 for
 training and inference, f64 for gradient-check work where finite-difference
 noise at f32 would mask real defects. Layout is row-major (last dimension
 fastest), so image rows stream contiguously through convolution inner loops.
-There is no broadcasting beyond tensor-scalar; mismatched shapes raise
-instead of silently bending.
+Arithmetic happens on ``Tensor.array`` with numpy; the operators in nnops
+check shapes and raise instead of broadcasting.
 
 Tensors are thin: shape is fixed at construction and the only mutation the
 rest of the package performs is in-place parameter updates through
 ``Tensor.array`` inside the single-threaded trainer step.
 """
 from __future__ import annotations
-
-from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -22,26 +20,12 @@ from .errors import ShapeError
 DTYPES = {"f32": np.float32, "f64": np.float64}
 _DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
-Scalar = Union[int, float]
-
-
-def _checked_shape(shape: Iterable[int]) -> tuple[int, ...]:
-    dims = tuple(shape)
-    if len(dims) == 0:
-        raise ShapeError("shape must have at least one dimension")
-    out = []
-    for d in dims:
-        if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
-            raise ShapeError(f"shape dimensions must be positive integers, got {dims!r}")
-        out.append(int(d))
-    return tuple(out)
-
 
 class Tensor:
-    """Shape-checked wrapper over a row-major (C-contiguous) numpy array.
+    """Wrapper over a row-major (C-contiguous) f32 or f64 numpy array.
 
-    Construct from an existing f32/f64 ndarray; use :func:`zeros` or
-    :func:`from_data` to build one from plain Python values.
+    A contiguous input is wrapped without a copy, so writes through
+    ``array`` reach the array it was built from.
     """
 
     __slots__ = ("array",)
@@ -50,8 +34,7 @@ class Tensor:
         arr = np.asarray(array)
         if np.dtype(arr.dtype) not in _DTYPE_NAMES:
             raise ShapeError(
-                f"unsupported dtype {arr.dtype}; Tensors hold f32 or f64 "
-                "(use from_data to convert other inputs)"
+                f"unsupported dtype {arr.dtype}; Tensors hold f32 or f64"
             )
         if arr.ndim == 0:
             arr = arr.reshape(1)
@@ -69,110 +52,6 @@ class Tensor:
     def size(self) -> int:
         return self.array.size
 
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the underlying values (last axis fastest)."""
-        return self.array.reshape(-1)
-
-    def reshape(self, shape: Sequence[int]) -> "Tensor":
-        dims = _checked_shape(shape)
-        n = 1
-        for d in dims:
-            n *= d
-        if n != self.array.size:
-            raise ShapeError(
-                f"cannot reshape {self.shape} ({self.array.size} values) to {dims}"
-            )
-        return Tensor(self.array.reshape(dims))
-
-    def astype(self, dtype: str) -> "Tensor":
-        if dtype not in DTYPES:
-            raise ShapeError(f"unknown dtype {dtype!r}; expected one of {sorted(DTYPES)}")
-        return Tensor(self.array.astype(DTYPES[dtype], copy=True))
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.array.copy())
-
-    def tolist(self):
-        return self.array.tolist()
-
-    def item(self) -> float:
-        if self.array.size != 1:
-            raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
-        return float(self.array.reshape(-1)[0])
-
     def __repr__(self) -> str:
         return f"Tensor(shape={list(self.shape)}, dtype={self.dtype})"
 
-
-def zeros(shape: Sequence[int], dtype: str = "f32") -> Tensor:
-    """All-zero tensor of the given shape; dims must be positive integers."""
-    dims = _checked_shape(shape)
-    if dtype not in DTYPES:
-        raise ShapeError(f"unknown dtype {dtype!r}; expected one of {sorted(DTYPES)}")
-    return Tensor(np.zeros(dims, dtype=DTYPES[dtype]))
-
-
-def from_data(shape: Sequence[int], values, dtype: str = "f32") -> Tensor:
-    """Tensor from a flat row-major sequence; length must equal prod(shape)."""
-    dims = _checked_shape(shape)
-    if dtype not in DTYPES:
-        raise ShapeError(f"unknown dtype {dtype!r}; expected one of {sorted(DTYPES)}")
-    flat = np.asarray(values, dtype=DTYPES[dtype]).reshape(-1)
-    n = 1
-    for d in dims:
-        n *= d
-    if flat.size != n:
-        raise ShapeError(f"got {flat.size} values for shape {dims} ({n} expected)")
-    return Tensor(flat.reshape(dims))
-
-
-_ELEMENTWISE_OPS = ("add", "sub", "mul", "scale")
-
-
-def elementwise(op: str, a: Tensor, b: Union[Tensor, Scalar]) -> Tensor:
-    """Pointwise arithmetic.
-
-    ``op`` is one of add/sub/mul/scale. For tensor-tensor operands the shapes
-    and dtypes must match exactly; ``scale`` requires a scalar ``b``. The
-    result carries ``a``'s dtype.
-    """
-    if op not in _ELEMENTWISE_OPS:
-        raise ShapeError(f"unknown elementwise op {op!r}; expected one of {_ELEMENTWISE_OPS}")
-    if not isinstance(a, Tensor):
-        raise ShapeError("elementwise expects a Tensor first operand")
-    if isinstance(b, Tensor):
-        if op == "scale":
-            raise ShapeError("scale takes a scalar second operand")
-        if b.shape != a.shape:
-            raise ShapeError(f"operand shapes differ: {a.shape} vs {b.shape}")
-        if b.dtype != a.dtype:
-            raise ShapeError(f"operand dtypes differ: {a.dtype} vs {b.dtype}")
-        rhs = b.array
-    elif isinstance(b, (int, float, np.integer, np.floating)) and not isinstance(b, bool):
-        rhs = a.array.dtype.type(b)
-    else:
-        raise ShapeError(f"second operand must be a Tensor or scalar, got {type(b).__name__}")
-
-    if op == "add":
-        return Tensor(a.array + rhs)
-    if op == "sub":
-        return Tensor(a.array - rhs)
-    # mul and scale are both pointwise products; scale just insists on a scalar
-    return Tensor(a.array * rhs)
-
-
-def add(a: Tensor, b: Union[Tensor, Scalar]) -> Tensor:
-    return elementwise("add", a, b)
-
-
-def sub(a: Tensor, b: Union[Tensor, Scalar]) -> Tensor:
-    return elementwise("sub", a, b)
-
-
-def mul(a: Tensor, b: Union[Tensor, Scalar]) -> Tensor:
-    return elementwise("mul", a, b)
-
-
-def scale(a: Tensor, s: Scalar) -> Tensor:
-    return elementwise("scale", a, s)

@@ -2,10 +2,11 @@
 schedule, pair-aware batching, best-on-validation snapshots, and early
 stopping.
 
-Update rule per parameter: v <- momentum*v + (grad + weight_decay*param);
-param <- param - lr*v. The preprocessing kernels are the one exception: when
-trainable they take a plain gradient step (no momentum, no weight decay),
-and when frozen they receive no update at all.
+Update rule per parameter, as the model's state table names it: momentum
+entries take v <- momentum*v + (grad + weight_decay*param); param <- param -
+lr*v. The preprocessing kernels are the one exception: when trainable they
+take a plain gradient step (no momentum, no weight decay), and when frozen
+they receive no update at all.
 
 The learning rate starts at lr0 and is divided by lr_decay_factor at the
 start of each epoch listed in lr_decay_epochs (0-based). Loss is reported as
@@ -46,10 +47,12 @@ class TrainConfig:
     patience: int = 40
 
     def validate(self) -> None:
-        if not (self.lr0 > 0):
-            raise SpecError(f"lr0 must be positive, got {self.lr0!r}")
-        if not (self.lr_decay_factor > 0):
-            raise SpecError(f"lr_decay_factor must be positive, got {self.lr_decay_factor!r}")
+        if not (0 < self.lr0 < math.inf):
+            raise SpecError(f"lr0 must be positive and finite, got {self.lr0!r}")
+        if not (0 < self.lr_decay_factor < math.inf):
+            raise SpecError(
+                f"lr_decay_factor must be positive and finite, got {self.lr_decay_factor!r}"
+            )
         epochs = tuple(self.lr_decay_epochs)
         if any(not isinstance(e, int) or e < 0 for e in epochs):
             raise SpecError(f"lr_decay_epochs must be non-negative integers, got {epochs!r}")
@@ -63,8 +66,10 @@ class TrainConfig:
             )
         if not (0 <= self.momentum < 1):
             raise SpecError(f"momentum must be in [0, 1), got {self.momentum!r}")
-        if self.weight_decay < 0:
-            raise SpecError(f"weight_decay must be non-negative, got {self.weight_decay!r}")
+        if not (0 <= self.weight_decay < math.inf):
+            raise SpecError(
+                f"weight_decay must be non-negative and finite, got {self.weight_decay!r}"
+            )
         if not isinstance(self.batch_size, int) or self.batch_size < 2 or self.batch_size % 2:
             raise SpecError(f"batch_size must be a positive even integer, got {self.batch_size!r}")
         if not isinstance(self.patience, int) or self.patience < 1:
@@ -97,43 +102,45 @@ def lr_at(epoch: int, cfg: TrainConfig) -> float:
 
 
 def sgd_step(
-    params: Mapping[str, Tensor],
+    table: Mapping[str, zhunet.Entry],
     grads: Mapping[str, Tensor],
     state: TrainState,
     lr: float,
     cfg: TrainConfig,
 ) -> None:
-    """One in-place update over all parameters.
+    """One in-place update of every table entry that is not frozen, by the
+    entry's rule.
 
-    Preprocessing kernels (names under ``pre.``) take the plain step
-    p -= lr*g; everything else uses momentum + weight decay through the
-    velocity buffers in ``state``. Missing or mismatched gradients are a
-    contract violation.
+    MOMENTUM entries use momentum + weight decay through the velocity
+    buffers in ``state``; PLAIN entries take p -= lr*g. Gradients must come
+    for exactly the entries that are updated, in their shapes; anything else
+    is a contract violation.
     """
-    if set(params.keys()) != set(grads.keys()):
-        missing = sorted(set(params) ^ set(grads))
+    live = {name: e for name, e in table.items() if e.rule != zhunet.FROZEN}
+    if live.keys() != grads.keys():
+        missing = sorted(set(live) ^ set(grads))
         raise ContractError(f"parameter/gradient name mismatch: {missing}")
-    for name, p in params.items():
-        g = grads[name]
+    for name, entry in live.items():
+        p, g = entry.tensor.array, grads[name].array
         if g.shape != p.shape:
             raise ContractError(
                 f"gradient shape {g.shape} does not match parameter {name!r} {p.shape}"
             )
-        dt = p.array.dtype.type
-        if name.startswith("pre."):
-            p.array -= dt(lr) * g.array
+        dt = p.dtype.type
+        if entry.rule == zhunet.PLAIN:
+            p -= dt(lr) * g
             continue
         v = state.velocity.get(name)
         if v is None:
-            v = np.zeros_like(p.array)
+            v = np.zeros_like(p)
             state.velocity[name] = v
-        elif v.shape != p.array.shape:
+        elif v.shape != p.shape:
             raise ContractError(
                 f"velocity shape {v.shape} does not match parameter {name!r} {p.shape}"
             )
         v *= dt(cfg.momentum)
-        v += g.array + dt(cfg.weight_decay) * p.array
-        p.array -= dt(lr) * v
+        v += g + dt(cfg.weight_decay) * p
+        p -= dt(lr) * v
 
 
 def evaluate(model, dataset: PairedDataset, batch_size: int = 16) -> float:
@@ -180,8 +187,13 @@ def train_loop(
             f"train split has {len(train_ds.pairs)} pairs; at least "
             f"{cfg.batch_size // 2} are needed for one batch of {cfg.batch_size}"
         )
+    if cfg.activation_mode != model.config.activation_mode:
+        raise SpecError(
+            f"config activation_mode {cfg.activation_mode!r} does not match the "
+            f"model's {model.config.activation_mode!r}"
+        )
     if cfg.freeze_srm:
-        model.pre.trainable = False
+        model.freeze_srm()
 
     state = TrainState()
     since_best = 0
@@ -198,7 +210,7 @@ def train_loop(
                     f"non-finite loss at epoch {epoch}, batch {batch_index}"
                 )
             grads = model.backward(grad_logits)
-            sgd_step(model.parameters(), grads, state, lr, cfg)
+            sgd_step(model.table, grads, state, lr, cfg)
             losses.append(loss)
         train_loss = float(np.mean(losses))
         val_error = evaluate(model, val_ds, cfg.batch_size)

@@ -19,16 +19,18 @@ Architecture (input: [N, 1, H, W] single-channel images, square, H >= 25):
 four basic-block activations. Convolutions carry no bias (batchnorm follows
 every one); the linear layers carry bias.
 
-Checkpoints are a single binary table: magic "ZNET", format version, and
-every named tensor (weights, batchnorm affine + running statistics, and the
-config scalars such as the activation mode) with explicit dtype and shape,
-little-endian. A round trip restores bit-identical behaviour.
+``ZhuNetModel.table`` is the one state table: every named tensor (weights,
+batchnorm affine + running statistics, and the config scalars such as the
+activation mode) with its kind and SGD update rule. Checkpoints write it in
+order as a single binary table: magic "ZNET", format version, and each
+tensor with explicit dtype and shape, little-endian. A round trip restores
+bit-identical behaviour.
 """
 from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -190,11 +192,31 @@ class _ForwardContext:
     logits_shape: tuple[int, ...]
 
 
+PARAM, BUFFER, CONFIG = "param", "buffer", "config"
+MOMENTUM, PLAIN, FROZEN = "momentum", "plain", "frozen"
+
+
+@dataclass(frozen=True)
+class Entry:
+    """One row of the model's state table.
+
+    ``kind`` is PARAM (learned), BUFFER (batchnorm running statistics) or
+    CONFIG (a hyperparameter scalar that rides along in checkpoints).
+    ``rule`` is how SGD updates the tensor: MOMENTUM (momentum plus weight
+    decay), PLAIN (p -= lr*g) or FROZEN (never; every buffer and config).
+    """
+
+    tensor: Tensor
+    kind: str
+    rule: str = FROZEN
+
+
 @dataclass
 class ZhuNetModel:
-    """The assembled network. Parameters live in the layer objects; the
-    named views returned by :meth:`parameters` / :meth:`state_tensors` share
-    their storage, so in-place updates through them stick."""
+    """The assembled network. The layers hold the tensors; ``table`` names
+    every one of them, in checkpoint order, with its kind and update rule.
+    The table shares the layers' storage, so in-place updates through it
+    stick."""
 
     config: ModelConfig
     pre: srm.PreprocessingLayer
@@ -206,44 +228,68 @@ class ZhuNetModel:
     fc1_b: Tensor
     fc2_w: Tensor
     fc2_b: Tensor
+    table: "OrderedDict[str, Entry]" = field(init=False, repr=False)
     _ctx: Optional[_ForwardContext] = field(default=None, repr=False)
 
-    # -- parameter tables ---------------------------------------------------
+    def __post_init__(self) -> None:
+        self.table = self._state_table()
 
-    def _bn_states(self) -> list[tuple[str, nnops.BatchNormState]]:
-        named = [
-            ("sep1.bn_pw", self.sep1.bn_pw),
-            ("sep1.bn_dw", self.sep1.bn_dw),
-            ("sep2.bn_pw", self.sep2.bn_pw),
-            ("sep2.bn_dw", self.sep2.bn_dw),
-        ]
+    # -- the state table ------------------------------------------------------
+
+    def _convs(self) -> list[tuple[str, Tensor, str, nnops.BatchNormState]]:
+        """(conv name, weight, batchnorm name, batchnorm) for every
+        convolution after the preprocessing, in table order."""
+        convs = []
+        for name, sep in (("sep1", self.sep1), ("sep2", self.sep2)):
+            convs.append((f"{name}.pw", sep.pw_w, f"{name}.bn_pw", sep.bn_pw))
+            convs.append((f"{name}.dw", sep.dw_w, f"{name}.bn_dw", sep.bn_dw))
         for i, blk in enumerate(self.blocks, start=1):
-            named.append((f"block{i}.bn", blk.bn))
-        return named
+            convs.append((f"block{i}.conv", blk.conv_w, f"block{i}.bn", blk.bn))
+        return convs
+
+    def _state_table(self) -> "OrderedDict[str, Entry]":
+        """The table, derived from the layers and the config: the
+        preprocessing kernels take the plain step unless the config freezes
+        them, every other parameter takes momentum and weight decay."""
+        pre_rule = PLAIN if self.config.srm_trainable else FROZEN
+        table: "OrderedDict[str, Entry]" = OrderedDict()
+        table["pre.kernels3"] = Entry(self.pre.kernels3, PARAM, pre_rule)
+        table["pre.kernels5"] = Entry(self.pre.kernels5, PARAM, pre_rule)
+        convs = self._convs()
+        for conv, weight, bn_name, bn in convs:
+            table[f"{conv}.w"] = Entry(weight, PARAM, MOMENTUM)
+            table[f"{bn_name}.gamma"] = Entry(Tensor(bn.gamma), PARAM, MOMENTUM)
+            table[f"{bn_name}.beta"] = Entry(Tensor(bn.beta), PARAM, MOMENTUM)
+        for name in ("fc1.w", "fc1.b", "fc2.w", "fc2.b"):
+            table[name] = Entry(getattr(self, name.replace(".", "_")), PARAM, MOMENTUM)
+        for _, _, bn_name, bn in convs:
+            table[f"{bn_name}.running_mean"] = Entry(Tensor(bn.running_mean), BUFFER)
+            table[f"{bn_name}.running_var"] = Entry(Tensor(bn.running_var), BUFFER)
+        first_bn = self.sep1.bn_pw  # every batchnorm shares momentum and eps
+        for name, values in (
+            ("activation_mode", [ACTIVATION_MODES.index(self.config.activation_mode)]),
+            ("srm_trainable", [self.config.srm_trainable]),
+            ("spp_levels", self.spp.levels),
+            ("bn_momentum", [first_bn.momentum]),
+            ("bn_eps", [first_bn.eps]),
+        ):
+            table[f"config.{name}"] = Entry(Tensor(np.array(values, dtype=np.float64)), CONFIG)
+        return table
+
+    def freeze_srm(self) -> None:
+        """Stop training the preprocessing kernels. The config is the one
+        value that changes; the kernels' rule and the checkpoint's
+        ``config.srm_trainable`` scalar are derived from it."""
+        self.config = replace(self.config, srm_trainable=False)
+        self.table = self._state_table()
 
     def parameters(self) -> "OrderedDict[str, Tensor]":
-        """Trainable parameters by name. The preprocessing kernels appear
-        only while the preprocessing layer is trainable."""
-        params: "OrderedDict[str, Tensor]" = OrderedDict()
-        if self.pre.trainable:
-            params["pre.kernels3"] = self.pre.kernels3
-            params["pre.kernels5"] = self.pre.kernels5
-        for name, sep in (("sep1", self.sep1), ("sep2", self.sep2)):
-            params[f"{name}.pw.w"] = sep.pw_w
-            params[f"{name}.bn_pw.gamma"] = Tensor(sep.bn_pw.gamma)
-            params[f"{name}.bn_pw.beta"] = Tensor(sep.bn_pw.beta)
-            params[f"{name}.dw.w"] = sep.dw_w
-            params[f"{name}.bn_dw.gamma"] = Tensor(sep.bn_dw.gamma)
-            params[f"{name}.bn_dw.beta"] = Tensor(sep.bn_dw.beta)
-        for i, blk in enumerate(self.blocks, start=1):
-            params[f"block{i}.conv.w"] = blk.conv_w
-            params[f"block{i}.bn.gamma"] = Tensor(blk.bn.gamma)
-            params[f"block{i}.bn.beta"] = Tensor(blk.bn.beta)
-        params["fc1.w"] = self.fc1_w
-        params["fc1.b"] = self.fc1_b
-        params["fc2.w"] = self.fc2_w
-        params["fc2.b"] = self.fc2_b
-        return params
+        """Parameters that SGD updates, by name, in table order: frozen
+        preprocessing kernels are left out."""
+        return OrderedDict(
+            (name, e.tensor) for name, e in self.table.items()
+            if e.kind == PARAM and e.rule != FROZEN
+        )
 
     def num_parameters(self) -> int:
         """Total trainable scalar count (includes the 350 preprocessing
@@ -251,29 +297,10 @@ class ZhuNetModel:
         return sum(t.size for t in self.parameters().values())
 
     def state_tensors(self) -> "OrderedDict[str, Tensor]":
-        """Everything a checkpoint stores: all parameters (frozen or not),
-        the batchnorm running statistics, and the config scalars."""
-        state: "OrderedDict[str, Tensor]" = OrderedDict()
-        state["pre.kernels3"] = self.pre.kernels3
-        state["pre.kernels5"] = self.pre.kernels5
-        was_trainable = self.pre.trainable
-        try:
-            self.pre.trainable = False  # avoid duplicating the two entries above
-            for name, t in self.parameters().items():
-                state[name] = t
-        finally:
-            self.pre.trainable = was_trainable
-        for name, bn in self._bn_states():
-            state[f"{name}.running_mean"] = Tensor(bn.running_mean)
-            state[f"{name}.running_var"] = Tensor(bn.running_var)
-        state["config.activation_mode"] = Tensor(
-            np.array([float(ACTIVATION_MODES.index(self.config.activation_mode))])
-        )
-        state["config.srm_trainable"] = Tensor(np.array([float(self.pre.trainable)]))
-        state["config.spp_levels"] = Tensor(np.array([float(n) for n in self.spp.levels]))
-        state["config.bn_momentum"] = Tensor(np.array([float(self.sep1.bn_pw.momentum)]))
-        state["config.bn_eps"] = Tensor(np.array([float(self.sep1.bn_pw.eps)]))
-        return state
+        """Everything a checkpoint stores, in table order: all parameters
+        (frozen or not), the batchnorm running statistics, and the config
+        scalars."""
+        return OrderedDict((name, e.tensor) for name, e in self.table.items())
 
     # -- running the network --------------------------------------------------
 
@@ -304,7 +331,7 @@ class ZhuNetModel:
         return a
 
     def _set_bn_mode(self, mode: str) -> None:
-        for _, bn in self._bn_states():
+        for *_, bn in self._convs():
             bn.mode = mode
 
     def _run(self, images: Tensor, mode: str, record: bool) -> tuple[Tensor, dict]:
@@ -359,9 +386,9 @@ class ZhuNetModel:
         return logits
 
     def backward(self, grad_logits: Tensor) -> "OrderedDict[str, Tensor]":
-        """Parameter gradients keyed like :meth:`parameters`, from the saved
-        forward context. The preprocessing kernel gradients are present only
-        while the preprocessing layer is trainable."""
+        """Parameter gradients keyed and ordered like :meth:`parameters`,
+        from the saved forward context. The preprocessing kernel gradients
+        are computed only while the kernels are trainable."""
         ctx = self._ctx
         if ctx is None:
             raise ContractError(
@@ -388,19 +415,15 @@ class ZhuNetModel:
         g, s1grads = self.sep1.backward(g, ctx.sep1)
         for k, v in s1grads.items():
             grads[f"sep1.{k}"] = v
-        _, gk3, gk5 = srm.preprocess_backward(g, ctx.pre, image_grad=False)
-        if self.pre.trainable:
-            grads["pre.kernels3"] = gk3
-            grads["pre.kernels5"] = gk5
+        if self.config.srm_trainable:
+            _, grads["pre.kernels3"], grads["pre.kernels5"] = srm.preprocess_backward(
+                g, ctx.pre, image_grad=False
+            )
         grads["fc1.w"] = gw1
         grads["fc1.b"] = gb1
         grads["fc2.w"] = gw2
         grads["fc2.b"] = gb2
-
-        ordered = OrderedDict()
-        for name in self.parameters():
-            ordered[name] = grads[name]
-        return ordered
+        return OrderedDict((name, grads[name]) for name in self.parameters())
 
     def dump_feature_maps(self, images: Tensor, stage: str) -> Tensor:
         """Eval-mode intermediate activation for one named stage."""
@@ -408,11 +431,6 @@ class ZhuNetModel:
             raise SpecError(f"unknown stage {stage!r}; valid stages: {', '.join(STAGES)}")
         _, stages = self._run(images, "eval", record=True)
         return stages[stage]
-
-
-def dump_feature_maps(model: ZhuNetModel, images: Tensor, stage: str) -> Tensor:
-    """Eval-mode intermediate activation of ``stage`` for a batch of images."""
-    return model.dump_feature_maps(images, stage)
 
 
 def _xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
@@ -430,7 +448,7 @@ def build_model(config: ModelConfig = ModelConfig()) -> ZhuNetModel:
     dt = DTYPES[config.dtype]
     rng = np.random.Generator(np.random.PCG64(config.seed))
 
-    pre = srm.PreprocessingLayer.build(dtype=config.dtype, trainable=config.srm_trainable)
+    pre = srm.PreprocessingLayer.build(dtype=config.dtype)
     c0 = pre.out_channels
 
     def sepconv(has_abs: bool) -> SepconvBlock:
@@ -600,24 +618,19 @@ def deserialize_model(data: bytes) -> ZhuNetModel:
     except SpecError as exc:
         raise FormatError(f"checkpoint config is invalid: {exc}") from exc
     model = build_model(config)
-    for name, bn in model._bn_states():
+    for name in table:
+        if name not in model.table:
+            raise FormatError(f"checkpoint has an unexpected tensor {name!r}")
+    for name, entry in model.table.items():
+        value, dest = need(name), entry.tensor.array
+        if value.shape != dest.shape:
+            raise FormatError(
+                f"checkpoint tensor {name!r} has shape {value.shape}, expected {dest.shape}"
+            )
+        np.copyto(dest, value.astype(dest.dtype, copy=False))
+    for *_, bn in model._convs():
         bn.momentum = momentum
         bn.eps = eps
-
-    expected = model.state_tensors()
-    for name in table:
-        if name not in expected:
-            raise FormatError(f"checkpoint has an unexpected tensor {name!r}")
-    for name, tensor in expected.items():
-        if name.startswith("config."):
-            continue
-        value = need(name)
-        if value.shape != tensor.array.shape:
-            raise FormatError(
-                f"checkpoint tensor {name!r} has shape {value.shape}, "
-                f"expected {tensor.array.shape}"
-            )
-        np.copyto(tensor.array, value.astype(tensor.array.dtype, copy=False))
     return model
 
 

@@ -198,10 +198,10 @@ def test_training_protocol_schedule_batching_and_update_rule(small_rng):
     (images, labels), = make_batches(ds, 16, seed=0)
     assert images.shape[0] == 16 and labels == [0, 1] * 8  # 8 interleaved pairs
 
-    params = {"fc1.w": Tensor(np.array([1.0]))}
+    params = {"fc1.w": zhunet.Entry(Tensor(np.array([1.0])), zhunet.PARAM, zhunet.MOMENTUM)}
     sgd_step(params, {"fc1.w": Tensor(np.array([0.1]))}, TrainState(), 0.005,
              TrainConfig())
-    assert params["fc1.w"].array[0] == pytest.approx(0.9994975, rel=1e-12)
+    assert params["fc1.w"].tensor.array[0] == pytest.approx(0.9994975, rel=1e-12)
 
 
 def test_the_network_can_overfit_16_pairs_within_budget(tmp_path, small_rng):

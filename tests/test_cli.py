@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from stegnet import cli, data, nnops, zhunet
+from stegnet.errors import SpecError
 from stegnet.tensor import Tensor
 
 from conftest import noisy_split, run_cli, textured_cover
@@ -193,6 +194,76 @@ def test_train_rejects_bad_values_and_missing_manifest(tmp_path, small_rng):
     assert cli.run(["train", "--config", str(bad_value)]) == 2
     gone = write_config(tmp_path / "b.cfg", tmp_path / "missing.txt", tmp_path / "run")
     assert cli.run(["train", "--config", str(gone)]) == 2
+
+
+# resolved.cfg as written before the run-config keys were derived from
+# TrainConfig: the defaults, and a config that sets every key
+RESOLVED_DEFAULTS = """\
+# resolved run configuration
+manifest = /data/manifest.txt
+out_dir = runs/a
+lr0 = 0.005
+lr_decay_epochs = 50,150,250
+lr_decay_factor = 5
+momentum = 0.9
+weight_decay = 0.0005
+batch_size = 16
+max_epochs = 400
+seed = 0
+freeze_srm = false
+activation_mode = relu
+patience = 40
+augment = none
+"""
+RESOLVED_EVERY_KEY = """\
+# resolved run configuration
+manifest = /data/manifest.txt
+out_dir = runs/b
+lr0 = 0.001
+lr_decay_epochs = none
+lr_decay_factor = 2.5
+momentum = 0.5
+weight_decay = 0
+batch_size = 8
+max_epochs = 7
+seed = 11
+freeze_srm = true
+activation_mode = tlu3
+patience = 3
+augment = dihedral8
+"""
+
+
+def test_resolved_config_text_is_pinned_and_loads_back(tmp_path):
+    from stegnet.train import TrainConfig
+
+    every_key = TrainConfig(lr0=1e-3, lr_decay_epochs=(), lr_decay_factor=2.5, momentum=0.5,
+                            weight_decay=0.0, batch_size=8, max_epochs=7, seed=11,
+                            freeze_srm=True, activation_mode="tlu3", patience=3)
+    cases = [(TrainConfig(), "runs/a", "none", RESOLVED_DEFAULTS),
+             (every_key, "runs/b", "dihedral8", RESOLVED_EVERY_KEY)]
+    for cfg, out_dir, augment, text in cases:
+        assert cli._resolved_config_text(cfg, "/data/manifest.txt", out_dir, augment) == text
+        path = tmp_path / "resolved.cfg"
+        path.write_text(text)
+        assert cli.load_run_config(path) == (cfg, "/data/manifest.txt", out_dir, augment)
+
+
+def test_run_config_rejects_non_finite_values(tmp_path):
+    for key in ("weight_decay", "lr0", "lr_decay_factor"):
+        for value in ("nan", "inf"):
+            path = write_config(tmp_path / "run.cfg", "/data/manifest.txt", "runs/x",
+                                **{key: value})
+            with pytest.raises(SpecError, match=key):
+                cli.load_run_config(path)
+
+
+def test_readme_run_config_block_lists_exactly_the_schema_keys():
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1, blocks
+    keys = [line.split("=")[0].strip() for line in blocks[0].splitlines() if "=" in line]
+    assert keys == [key for key, _ in cli.run_config_schema()]
 
 
 def test_train_requires_train_and_validation_splits(tmp_path, small_rng):

@@ -5,7 +5,7 @@ import pytest
 
 from stegnet import nnops
 from stegnet.errors import DataError, ShapeError, SpecError
-from stegnet.tensor import Tensor, from_data
+from stegnet.tensor import Tensor
 
 from oracles import (
     avg_pool_reference,
@@ -218,19 +218,23 @@ def test_avg_pool_backward_matches_finite_differences():
 # activations
 # ---------------------------------------------------------------------------
 
+def vec(values):
+    return Tensor(np.array(values, dtype=np.float64))
+
+
 def test_tlu_clamps_to_threshold():
-    x = from_data((3,), [-5.0, 1.0, 5.0], dtype="f64")
-    assert nnops.tlu(x, 3.0).tolist() == [-3.0, 1.0, 3.0]
+    x = vec([-5.0, 1.0, 5.0])
+    assert nnops.tlu(x, 3.0).array.tolist() == [-3.0, 1.0, 3.0]
 
 
 def test_abs_act_values():
-    x = from_data((3,), [-2.0, 0.0, 2.0], dtype="f64")
-    assert nnops.abs_act(x).tolist() == [2.0, 0.0, 2.0]
+    x = vec([-2.0, 0.0, 2.0])
+    assert nnops.abs_act(x).array.tolist() == [2.0, 0.0, 2.0]
 
 
 def test_relu_values():
-    x = from_data((4,), [-1.0, 0.0, 0.5, 3.0], dtype="f64")
-    assert nnops.relu(x).tolist() == [0.0, 0.0, 0.5, 3.0]
+    x = vec([-1.0, 0.0, 0.5, 3.0])
+    assert nnops.relu(x).array.tolist() == [0.0, 0.0, 0.5, 3.0]
 
 
 def test_tlu_with_huge_threshold_is_identity():
@@ -241,12 +245,12 @@ def test_tlu_with_huge_threshold_is_identity():
 
 
 def test_activation_subgradients_at_kinks():
-    up = from_data((3,), [1.0, 1.0, 1.0], dtype="f64")
-    x = from_data((3,), [-1.0, 0.0, 1.0], dtype="f64")
-    assert nnops.relu_backward(up, x).tolist() == [0.0, 0.0, 1.0]
-    assert nnops.abs_backward(up, x).tolist() == [-1.0, 0.0, 1.0]
-    edges = from_data((3,), [-3.0, 0.0, 3.0], dtype="f64")
-    assert nnops.tlu_backward(up, edges, 3.0).tolist() == [0.0, 1.0, 0.0]
+    up = vec([1.0, 1.0, 1.0])
+    x = vec([-1.0, 0.0, 1.0])
+    assert nnops.relu_backward(up, x).array.tolist() == [0.0, 0.0, 1.0]
+    assert nnops.abs_backward(up, x).array.tolist() == [-1.0, 0.0, 1.0]
+    edges = vec([-3.0, 0.0, 3.0])
+    assert nnops.tlu_backward(up, edges, 3.0).array.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_relu_gradient_matches_finite_differences_away_from_kink():
@@ -264,7 +268,7 @@ def test_relu_gradient_matches_finite_differences_away_from_kink():
 
 def test_tlu_rejects_non_positive_threshold():
     with pytest.raises(SpecError):
-        nnops.tlu(from_data((1,), [0.0]), 0.0)
+        nnops.tlu(Tensor(np.zeros(1, dtype=np.float32)), 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
-from stegnet import srm
+from stegnet import srm, zhunet
 from stegnet.errors import ContractError, DataError, SpecError
 from stegnet.tensor import Tensor
+from stegnet.train import TrainConfig, TrainState, sgd_step
 
 from oracles import conv2d_reference
 
@@ -231,20 +232,31 @@ def test_preprocess_rejects_tiny_images():
         srm.preprocess_forward(Tensor(np.zeros((1, 1, 4, 4))), layer)
 
 
+def kernel_entries(layer, rule=zhunet.PLAIN):
+    """The preprocessing rows of a state table, over the layer's kernels."""
+    return {
+        "pre.kernels3": zhunet.Entry(layer.kernels3, zhunet.PARAM, rule),
+        "pre.kernels5": zhunet.Entry(layer.kernels5, zhunet.PARAM, rule),
+    }
+
+
+def update(layer, g3, g5, lr, rule=zhunet.PLAIN):
+    grads = {"pre.kernels3": Tensor(g3), "pre.kernels5": Tensor(g5)}
+    sgd_step(kernel_entries(layer, rule), grads, TrainState(), lr, TrainConfig())
+
+
 def test_update_with_zero_lr_is_bitwise_noop():
     layer = srm.PreprocessingLayer.build(dtype="f64")
     before3 = layer.kernels3.array.copy()
     before5 = layer.kernels5.array.copy()
-    grads = (Tensor(np.ones_like(before3)), Tensor(np.ones_like(before5)))
-    srm.preprocess_update(layer, grads, lr=0.0)
+    update(layer, np.ones_like(before3), np.ones_like(before5), lr=0.0)
     assert np.array_equal(layer.kernels3.array, before3)
     assert np.array_equal(layer.kernels5.array, before5)
 
 
 def test_update_with_unit_lr_and_self_gradient_zeroes_kernels():
     layer = srm.PreprocessingLayer.build(dtype="f64")
-    grads = (layer.kernels3.copy(), layer.kernels5.copy())
-    srm.preprocess_update(layer, grads, lr=1.0)
+    update(layer, layer.kernels3.array.copy(), layer.kernels5.array.copy(), lr=1.0)
     assert not layer.kernels3.array.any()
     assert not layer.kernels5.array.any()
 
@@ -254,16 +266,17 @@ def test_update_scalar_arithmetic():
     layer.kernels3.array[0, 0, 0, 0] = 2.0
     g3 = np.zeros_like(layer.kernels3.array)
     g3[0, 0, 0, 0] = 0.5
-    srm.preprocess_update(layer, (Tensor(g3), Tensor(np.zeros_like(layer.kernels5.array))),
-                          lr=0.1)
+    update(layer, g3, np.zeros_like(layer.kernels5.array), lr=0.1)
+    # the plain step: no momentum and no weight decay on the kernels
     assert layer.kernels3.array[0, 0, 0, 0] == pytest.approx(1.95, abs=1e-15)
 
 
 def test_update_on_frozen_layer_is_a_contract_violation():
-    layer = srm.PreprocessingLayer.build(dtype="f64", trainable=False)
-    grads = (layer.kernels3.copy(), layer.kernels5.copy())
+    layer = srm.PreprocessingLayer.build(dtype="f64")
+    before3 = layer.kernels3.array.copy()
     with pytest.raises(ContractError):
-        srm.preprocess_update(layer, grads, lr=0.1)
+        update(layer, before3, layer.kernels5.array.copy(), lr=0.1, rule=zhunet.FROZEN)
+    assert np.array_equal(layer.kernels3.array, before3)
 
 
 def test_preprocess_backward_matches_finite_differences():
@@ -284,7 +297,7 @@ def test_preprocess_backward_matches_finite_differences():
 
     def loss_k3(v):
         lay = srm.PreprocessingLayer(kernels3=Tensor(v), kernels5=layer.kernels5,
-                                     trainable=True, channel_names=layer.channel_names)
+                                     channel_names=layer.channel_names)
         o, _ = srm.preprocess_forward(Tensor(x), lay)
         return float(np.sum(up * o.array))
 

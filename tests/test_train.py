@@ -67,6 +67,13 @@ def test_config_rejects_bad_hyperparameters():
         dict(momentum=1.0),
         dict(momentum=-0.1),
         dict(weight_decay=-1e-4),
+        dict(weight_decay=float("nan")),
+        dict(weight_decay=float("inf")),
+        dict(lr0=float("inf")),
+        dict(lr0=float("nan")),
+        dict(lr_decay_factor=float("inf")),
+        dict(lr_decay_factor=float("nan")),
+        dict(momentum=float("nan")),
         dict(batch_size=15),
         dict(batch_size=0),
         dict(patience=0),
@@ -84,8 +91,9 @@ def test_config_rejects_bad_hyperparameters():
 # SGD update rule
 # ---------------------------------------------------------------------------
 
-def scalar_param(value):
-    return {"fc1.w": Tensor(np.array([value]))}
+def scalar_param(value, dtype=np.float64, rule=zhunet.MOMENTUM, name="fc1.w"):
+    """A one-row state table holding one scalar parameter."""
+    return {name: zhunet.Entry(Tensor(np.array([value], dtype=dtype)), zhunet.PARAM, rule)}
 
 
 def scalar_grad(value):
@@ -99,7 +107,7 @@ def test_single_step_momentum_update_matches_hand_computation():
     sgd_step(params, scalar_grad(0.1), state, lr=0.005, cfg=cfg)
     # v = 0.9*0 + (0.1 + 0.0005*1.0) = 0.1005 ; p = 1 - 0.005*0.1005
     assert state.velocity["fc1.w"][0] == pytest.approx(0.1005, rel=1e-15)
-    assert params["fc1.w"].array[0] == pytest.approx(0.9994975, rel=1e-15)
+    assert params["fc1.w"].tensor.array[0] == pytest.approx(0.9994975, rel=1e-15)
 
 
 def test_two_zero_gradient_steps_coast_on_momentum():
@@ -112,7 +120,7 @@ def test_two_zero_gradient_steps_coast_on_momentum():
     sgd_step(params, scalar_grad(0.0), state, lr, cfg)
     # v decays geometrically: total movement lr*v0*m*(1+m)
     want = 1.0 - lr * 0.1 * 0.9 * (1.0 + 0.9)
-    assert params["fc1.w"].array[0] == pytest.approx(want, rel=1e-15)
+    assert params["fc1.w"].tensor.array[0] == pytest.approx(want, rel=1e-15)
 
 
 def test_weight_decay_alone_shrinks_the_parameter():
@@ -121,19 +129,30 @@ def test_weight_decay_alone_shrinks_the_parameter():
     state = TrainState()
     sgd_step(params, scalar_grad(0.0), state, lr=0.01, cfg=cfg)
     # v = wd*p = 0.001 ; p = 2 - 0.01*0.001
-    assert params["fc1.w"].array[0] == pytest.approx(2.0 - 0.01 * 0.0005 * 2.0, rel=1e-15)
+    assert params["fc1.w"].tensor.array[0] == pytest.approx(2.0 - 0.01 * 0.0005 * 2.0, rel=1e-15)
 
 
 def test_preprocessing_kernels_take_the_plain_step():
     cfg = TrainConfig()
-    params = {"pre.kernels3": Tensor(np.array([1.0]))}
+    params = scalar_param(1.0, rule=zhunet.PLAIN, name="pre.kernels3")
     grads = {"pre.kernels3": Tensor(np.array([0.1]))}
     state = TrainState()
     sgd_step(params, grads, state, lr=0.005, cfg=cfg)
     sgd_step(params, grads, state, lr=0.005, cfg=cfg)
     # two identical plain steps, no momentum accumulation, no decay
-    assert params["pre.kernels3"].array[0] == pytest.approx(1.0 - 2 * 0.005 * 0.1, rel=1e-15)
+    assert params["pre.kernels3"].tensor.array[0] == pytest.approx(1.0 - 2 * 0.005 * 0.1, rel=1e-15)
     assert "pre.kernels3" not in state.velocity
+
+
+def test_the_entry_rule_not_the_name_picks_the_update():
+    cfg = TrainConfig()
+    table = {**scalar_param(1.0, rule=zhunet.PLAIN),
+             **scalar_param(5.0, rule=zhunet.FROZEN, name="pre.kernels3")}
+    state = TrainState()
+    sgd_step(table, scalar_grad(0.1), state, lr=0.005, cfg=cfg)  # no gradient for the frozen row
+    assert table["fc1.w"].tensor.array[0] == pytest.approx(1.0 - 0.005 * 0.1, rel=1e-15)
+    assert table["pre.kernels3"].tensor.array[0] == 5.0
+    assert state.velocity == {}
 
 
 def test_mismatched_names_or_shapes_are_contract_violations():
@@ -155,10 +174,10 @@ def test_velocity_shape_mismatch_is_a_contract_violation():
 
 def test_sgd_respects_parameter_dtype():
     cfg = TrainConfig()
-    params = {"fc1.w": Tensor(np.array([1.0], dtype=np.float32))}
+    params = scalar_param(1.0, dtype=np.float32)
     state = TrainState()
     sgd_step(params, {"fc1.w": Tensor(np.array([0.1], dtype=np.float32))}, state, 0.005, cfg)
-    assert params["fc1.w"].array.dtype == np.float32
+    assert params["fc1.w"].tensor.array.dtype == np.float32
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +265,7 @@ def test_single_small_step_reduces_the_loss_on_the_same_batch(small_rng):
     logits = model.forward(images, mode="train")
     loss0, grad_logits = softmax_xent(logits, labels)
     grads = model.backward(grad_logits)
-    sgd_step(model.parameters(), grads, TrainState(), lr=1e-6, cfg=short_cfg())
+    sgd_step(model.table, grads, TrainState(), lr=1e-6, cfg=short_cfg())
     loss1, _ = softmax_xent(model.forward(images, mode="train"), labels)
     assert loss1 < loss0
 
@@ -331,7 +350,15 @@ def test_train_loop_freeze_flag_freezes_a_trainable_model(small_rng):
     k3 = model.pre.kernels3.array.copy()
     train_loop(model, train, val, short_cfg(freeze_srm=True, max_epochs=1))
     assert np.array_equal(model.pre.kernels3.array, k3)
-    assert model.pre.trainable is False
+    assert model.config.srm_trainable is False
+    assert "pre.kernels3" not in model.parameters()
+
+
+def test_train_loop_rejects_an_activation_mode_the_model_was_not_built_with(small_rng):
+    train, val = tiny_splits(small_rng)
+    model = zhunet.build_model(zhunet.ModelConfig(seed=0))  # relu
+    with pytest.raises(SpecError, match="activation_mode"):
+        train_loop(model, train, val, short_cfg(activation_mode="tlu3"))
 
 
 def test_training_rejects_empty_or_undersized_splits(small_rng):

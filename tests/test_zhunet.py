@@ -1,5 +1,7 @@
 """Network assembly: architecture audit, determinism, gradients wiring,
 checkpoint persistence, feature dumps, admissibility rules."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,31 @@ def test_smallest_admissible_square_runs():
     assert logits.shape == (1, 2)
 
 
+def test_spp_bins_cover_the_map_except_the_documented_4x4_remainder():
+    """win = ceil(a/n), stride = floor(a/n): the bins of level n reach row
+    (n-1)*stride + win of the a-by-a map. Levels 2 and 1 reach the end; the
+    4x4 level leaves the last (a mod 4) - 1 rows and columns unpooled when
+    a mod 4 is 2 or 3."""
+    gaps = {}
+    for size in range(zhunet.MIN_INPUT_SIZE - 1, 513):
+        a = size
+        for _ in range(3):  # three pools of win 5 / stride 2 / pad 2
+            a = -(-a // 2)
+        if size < zhunet.MIN_INPUT_SIZE:
+            assert a < 4  # inadmissible: the 4x4 level would not fit
+            continue
+        assert a >= 4
+        for n in (4, 2, 1):
+            win, stride = nnops.spp_windows(a, n)
+            gap = a - ((n - 1) * stride + win)
+            assert gap == (max(a % 4 - 1, 0) if n == 4 else 0), (size, n)
+        gaps[size] = a - (3 * (a // 4) + -(-a // 4))
+    assert len(gaps) == 488
+    assert sum(1 for g in gaps.values() if g) == 240
+    assert gaps[64] == 0 and gaps[256] == 0 and gaps[224] == 0
+    assert gaps[49] == 2  # a 7x7 map: the 4x4 bins cover rows 0-4
+
+
 def test_rejects_multichannel_and_wrong_dtype_inputs():
     model = build()
     with pytest.raises(ShapeError):
@@ -357,15 +384,6 @@ def test_unknown_stage_is_rejected_with_the_valid_names():
         model.dump_feature_maps(rand_images(rng, 1, 32), "logits")
 
 
-def test_module_level_dump_helper_matches_the_method():
-    model = build()
-    rng = np.random.default_rng(15)
-    x = rand_images(rng, 1, 32)
-    a = zhunet.dump_feature_maps(model, x, "sep2")
-    b = model.dump_feature_maps(x, "sep2")
-    assert np.array_equal(a.array, b.array)
-
-
 # ---------------------------------------------------------------------------
 # checkpoint persistence
 # ---------------------------------------------------------------------------
@@ -390,8 +408,63 @@ def test_checkpoint_preserves_config_flags(tmp_path):
     zhunet.save_checkpoint(model, path)
     loaded = zhunet.load_checkpoint(path)
     assert loaded.config.activation_mode == "tlu3"
-    assert loaded.pre.trainable is False
+    assert loaded.config.srm_trainable is False
     assert loaded.num_parameters() == TOTAL_TRAINABLE - 350
+
+
+# sha256 and length of serialize_model(build_model(config)), pinned from the
+# checkpoint writer before the model's parameters moved into one state table
+PINNED_CHECKPOINTS = [
+    (zhunet.ModelConfig(),
+     "52352731c148f728f36b8b3b2df1aeaf557cb7e42462adbf2b5045e5707f7c3d", 11_480_602),
+    (zhunet.ModelConfig(activation_mode="tlu3", srm_trainable=False, dtype="f64", seed=7),
+     "62d81118c619ea7598364be83a9e22cf0ae035499f097e80eb2356c17ec8840b", 22_959_786),
+    (zhunet.ModelConfig(channels=(4, 4, 8, 8), spp_levels=(2, 1), fc_hidden=16, seed=3),
+     "8d3b2877b77e7801a81015f61d64f750c70669fd6137fdac53a7c4b26e5c70f3", 25_586),
+]
+
+
+@pytest.mark.parametrize("config,digest,length", PINNED_CHECKPOINTS)
+def test_fresh_checkpoint_bytes_are_pinned(config, digest, length):
+    blob = zhunet.serialize_model(zhunet.build_model(config))
+    assert len(blob) == length
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_freezing_in_train_loop_reaches_the_checkpoint(tmp_path):
+    from stegnet.train import TrainConfig, train_loop
+
+    from conftest import noisy_split
+
+    rng = np.random.default_rng(18)
+    train = noisy_split(rng, 4, "train", size=32)
+    val = noisy_split(rng, 2, "validation", size=32)
+    model = build()  # built trainable
+    cfg = TrainConfig(max_epochs=1, lr_decay_epochs=(), batch_size=4, freeze_srm=True)
+    train_loop(model, train, val, cfg)
+    assert model.config.srm_trainable is False
+    assert model.table["pre.kernels3"].rule == zhunet.FROZEN
+    path = tmp_path / "frozen.znet"
+    zhunet.save_checkpoint(model, path)
+    loaded = zhunet.load_checkpoint(path)
+    assert float(loaded.state_tensors()["config.srm_trainable"].array[0]) == 0.0
+    assert loaded.config.srm_trainable is False
+    assert "pre.kernels3" not in loaded.parameters()
+    assert zhunet.serialize_model(loaded) == path.read_bytes()
+
+
+def test_state_table_kinds_rules_and_order():
+    table = build().table
+    assert list(table)[:2] == ["pre.kernels3", "pre.kernels5"]
+    kinds = [e.kind for e in table.values()]
+    # parameters, then the batchnorm running statistics, then the config scalars
+    assert kinds == sorted(kinds, key=[zhunet.PARAM, zhunet.BUFFER, zhunet.CONFIG].index)
+    assert kinds.count(zhunet.BUFFER) == 16 and kinds.count(zhunet.CONFIG) == 5
+    for name, e in table.items():
+        if e.kind != zhunet.PARAM:
+            assert e.rule == zhunet.FROZEN, name
+        else:
+            assert e.rule == (zhunet.PLAIN if name.startswith("pre.") else zhunet.MOMENTUM), name
 
 
 def test_checkpoint_survives_training_statistics(tmp_path):
