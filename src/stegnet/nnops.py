@@ -19,24 +19,24 @@ Conventions
 
 Convolution kernels
 -------------------
-``conv2d_forward`` and ``conv2d_backward`` pick one of three kernels from
+``conv2d_forward`` and ``conv2d_backward`` pick one of two kernels from
 the ``Conv2dSpec`` alone (see :func:`conv_kernel`):
 
-* ``depthwise`` -- stride 1, groups == in_channels == out_channels (the 3x3
-  depthwise convs of the separable blocks): per image and block of channels,
-  one multiply-add of a shifted slice per kernel tap. The weight gradient is
-  one per-channel dot product per tap; the input gradient runs the same
-  kernel on the framed upstream with the flipped kernel.
-* ``taps`` -- stride 1 with more than one input channel per group (the 1x1
-  pointwise and the dense 3x3 convs): one matmul per image and kernel tap
-  over the flattened padded map, where tap (u, v) is the contiguous slice at
-  offset u*wp+v. The weight gradient is one matmul per tap against the same
-  slices; the input gradient runs the same kernel with the flipped,
-  transposed weights.
-* ``im2col`` -- everything else: stride > 1, and one input channel per group
-  feeding several outputs (the preprocessing filter bank). Patches are a
-  strided view regrouped for one batched matmul; the input gradient is
-  scattered back tap by tap.
+* ``band`` -- every stride-1 conv: the preprocessing filter bank, the 1x1
+  pointwise, the 3x3 depthwise and the dense 3x3 convs. The padded map is
+  walked per image and band of output rows, each band as many rows as keep
+  its buffers in cache. A band's kh*kw shifted slices of the flattened
+  padded map (tap (u, v) at offset u*wp+v) are copied into one
+  [groups, cg*kh*kw, rows*wp] column buffer, multiplied by the
+  [groups, og, cg*kh*kw] weights in one batched matmul, and written into
+  the output with the kw-1 wrapped columns of each row cropped. The weight
+  gradient gathers the same bands and multiplies each by the band's
+  upstream rows, zero-filled to the padded width. The input gradient is
+  the band forward of the framed upstream with the flipped kernel, input
+  and output channels swapped within each group.
+* ``im2col`` -- stride > 1: patches are a strided view of the whole padded
+  map regrouped for one batched matmul; the input gradient is scattered
+  back tap by tap. No layer of the model uses it.
 
 Average pooling sums its window separably (rows, then columns) and its
 backward spreads in the reverse order.
@@ -121,12 +121,14 @@ class Conv2dSpec:
 class Conv2dContext:
     """What conv2d_backward needs from the forward call.
 
-    ``x_padded`` is the zero-padded input, which every kernel reads again
-    for the weight gradient. ``input_grad`` is False when the caller needs
-    only the weight and bias gradients; conv2d_backward then returns None
-    for the input gradient instead of computing it. The kernel that serves
-    the backward is chosen from ``spec`` by :func:`conv_kernel`, the same
-    way as in the forward call.
+    ``x_padded`` is the zero-padded input, which both kernels read again
+    for the weight gradient: the band kernel gathers its bands from it a
+    second time, im2col takes the same strided patch view. ``input_grad``
+    is False when the caller needs only the weight and bias gradients;
+    conv2d_backward then returns None for the input gradient instead of
+    computing it. The kernel that serves the backward is chosen from
+    ``spec`` by :func:`conv_kernel`, the same way as in the forward call.
+    ``spec`` and ``out_shape`` also let a caller count the work of a call.
     """
 
     spec: Conv2dSpec
@@ -139,17 +141,9 @@ class Conv2dContext:
 
 
 def conv_kernel(spec: Conv2dSpec) -> str:
-    """The kernel that serves ``spec``: "depthwise" for a stride-1 conv with
-    one input and one output channel per group, "taps" for a stride-1 conv
-    with more than one input channel per group, "im2col" for the rest
-    (stride > 1, or one input channel per group feeding several outputs)."""
-    if spec.stride != 1:
-        return "im2col"
-    if spec.groups == spec.in_channels == spec.out_channels:
-        return "depthwise"
-    if spec.in_channels > spec.groups:
-        return "taps"
-    return "im2col"
+    """The kernel that serves ``spec``: "band" for every stride-1 conv,
+    "im2col" for stride > 1."""
+    return "band" if spec.stride == 1 else "im2col"
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
@@ -190,68 +184,56 @@ def _full_upstream(up: np.ndarray, spec: Conv2dSpec, h: int, w: int) -> np.ndarr
     return out
 
 
-# Channel planes a depthwise tap handles per call, sized so that one block
-# of the output and of the product buffer stays in cache.
-_DW_BLOCK_ELEMS = 1 << 16
+# Elements of the padded input that one band of output rows reads. A band's
+# column buffer holds kh*kw times that and its output about as much, so the
+# GEMM's operands stay in cache; sizes from 2**14 to 2**16 measure the same.
+_BAND_ELEMS = 1 << 15
 
 
-def _depthwise_taps(xp: np.ndarray, k: np.ndarray, oh: int, ow: int) -> np.ndarray:
-    """Stride-1 depthwise correlation of a padded [N, C, oh+kh-1, ow+kw-1]
-    map with per-channel kernels k [C, kh, kw]: for each image and block of
-    channels, one multiply-add of a shifted slice per kernel tap."""
-    n, c = xp.shape[:2]
-    kh, kw = k.shape[1], k.shape[2]
-    out = np.empty((n, c, oh, ow), dtype=xp.dtype)
-    block = max(1, _DW_BLOCK_ELEMS // (oh * ow))
-    prod = np.empty((min(block, c), oh, ow), dtype=xp.dtype)
-    for i in range(n):
-        for c0 in range(0, c, block):
-            c1 = min(c, c0 + block)
-            acc, tmp, src = out[i, c0:c1], prod[: c1 - c0], xp[i, c0:c1]
-            for u in range(kh):
-                for v in range(kw):
-                    tap = k[c0:c1, u, v, None, None]
-                    if u == 0 and v == 0:
-                        np.multiply(src[:, u : u + oh, v : v + ow], tap, out=acc)
-                    else:
-                        np.multiply(src[:, u : u + oh, v : v + ow], tap, out=tmp)
-                        acc += tmp
-    return out
+def _bands(cin: int, wp: int, oh: int) -> tuple[int, list[tuple[int, int]]]:
+    """Rows per band, and the (first, last+1) output rows of each band: as
+    many rows as keep cin*rows*wp within _BAND_ELEMS, and at least one."""
+    rows = max(1, min(oh, _BAND_ELEMS // (cin * wp)))
+    return rows, [(r0, min(oh, r0 + rows)) for r0 in range(0, oh, rows)]
 
 
-def _matmul_taps(xp: np.ndarray, wt: np.ndarray, kh: int, kw: int,
-                 oh: int, ow: int) -> np.ndarray:
+def _band_cols(xf: np.ndarray, cols: np.ndarray, r0: int, r1: int,
+               kh: int, kw: int, wp: int) -> np.ndarray:
+    """Gathers the band of output rows [r0, r1) from one flattened padded
+    image xf [g, cg, hp*wp] into cols [g, cg, kh*kw, >= span]: tap (u, v)
+    is the contiguous slice at offset u*wp+v. Returns the [g, cg*kh*kw,
+    span] view; in every output row but the last, its last kw-1 columns
+    wrap into the next row, and the caller discards them."""
+    span = (r1 - r0 - 1) * wp + (wp - kw + 1)
+    base = r0 * wp
+    for u in range(kh):
+        for v in range(kw):
+            off = base + u * wp + v
+            cols[:, :, u * kw + v, :span] = xf[:, :, off : off + span]
+    g, cg = cols.shape[:2]
+    return cols[:, :, :, :span].reshape(g, cg * kh * kw, span)
+
+
+def _band_conv(xp: np.ndarray, wmat: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Stride-1 grouped correlation of a padded, C-contiguous [N, Cin, hp, wp]
-    map with per-tap weight matrices wt [kh*kw, groups, og, cg]: one matmul
-    per image and tap. Each tap reads the flattened padded map at offset
-    u*wp+v, so the output comes out on the padded width wp; the last kw-1
-    columns of every row are discarded."""
-    n, _, hp, wp = xp.shape
-    _, g, og, cg = wt.shape
-    span = (oh - 1) * wp + ow
+    map with weights wmat [groups, og, cg*kh*kw]: per image and band of
+    output rows, one gather of the kh*kw shifted slices and one batched
+    matmul, written straight into the cropped [N, groups*og, oh, ow] output."""
+    n, cin, hp, wp = xp.shape
+    g, og, _ = wmat.shape
+    cg = cin // g
+    oh, ow = hp - kh + 1, wp - kw + 1
+    rows, bands = _bands(cin, wp, oh)
     xf = xp.reshape(n, g, cg, hp * wp)
-    wide = np.empty((n, g, og, oh * wp), dtype=xp.dtype)
-    tmp = np.empty((g, og, span), dtype=xp.dtype)
+    out = np.empty((n, g, og, oh, ow), dtype=xp.dtype)
+    cols = np.empty((g, cg, kh * kw, rows * wp), dtype=xp.dtype)
+    res = np.empty((g, og, rows * wp), dtype=xp.dtype)
     for i in range(n):
-        acc = wide[i, :, :, :span]
-        for u in range(kh):
-            for v in range(kw):
-                off = u * wp + v
-                if u == 0 and v == 0:
-                    np.matmul(wt[0], xf[i, :, :, off : off + span], out=acc)
-                else:
-                    np.matmul(wt[u * kw + v], xf[i, :, :, off : off + span], out=tmp)
-                    acc += tmp
-    out = wide.reshape(n, g * og, oh, wp)
-    return out if wp == ow else np.ascontiguousarray(out[:, :, :, :ow])
-
-
-def _tap_weights(w: np.ndarray, groups: int) -> np.ndarray:
-    """[Cout, cg, kh, kw] weights as per-tap matrices [kh*kw, groups, og, cg]."""
-    cout, cg, kh, kw = w.shape
-    return np.ascontiguousarray(
-        w.reshape(groups, cout // groups, cg, kh * kw).transpose(3, 0, 1, 2)
-    )
+        for r0, r1 in bands:
+            band = _band_cols(xf[i], cols, r0, r1, kh, kw, wp)
+            np.matmul(wmat, band, out=res[:, :, : band.shape[2]])
+            out[i, :, :, r0:r1] = res[:, :, : (r1 - r0) * wp].reshape(g, og, r1 - r0, wp)[..., :ow]
+    return out.reshape(n, g * og, oh, ow)
 
 
 def conv2d_forward(
@@ -294,15 +276,11 @@ def conv2d_forward(
     else:
         xp = x
 
-    kernel = conv_kernel(spec)
-    if kernel == "depthwise":
-        out = _depthwise_taps(xp, w[:, 0], oh, ow)
-    elif kernel == "taps":
-        out = _matmul_taps(xp, _tap_weights(w, spec.groups), spec.kernel_h, spec.kernel_w, oh, ow)
+    wmat = w.reshape(spec.groups, spec.out_channels // spec.groups, -1)
+    if conv_kernel(spec) == "band":
+        out = _band_conv(xp, wmat, spec.kernel_h, spec.kernel_w)
     else:
-        g = spec.groups
         cols = _conv_cols(xp, spec, oh, ow)
-        wmat = w.reshape(g, spec.out_channels // g, -1)
         out = np.matmul(wmat[None], cols)  # [N, g, og, oh*ow]
         out = out.reshape(n, spec.out_channels, oh, ow)
     if b is not None:
@@ -318,52 +296,39 @@ def conv2d_forward(
     return Tensor(out), ctx
 
 
-def _depthwise_backward(up: np.ndarray, ctx: Conv2dContext) -> tuple[Optional[np.ndarray], np.ndarray]:
-    spec, xp, w = ctx.spec, ctx.x_padded, ctx.weights
-    kh, kw = spec.kernel_h, spec.kernel_w
-    oh, ow = up.shape[2], up.shape[3]
-    grad_w = np.zeros_like(w)
-    for i in range(up.shape[0]):
-        for u in range(kh):
-            for v in range(kw):
-                grad_w[:, 0, u, v] += np.einsum("chw,chw->c", up[i], xp[i, :, u : u + oh, v : v + ow])
-    grad_x = None
-    if ctx.input_grad:
-        h, w_in = ctx.in_shape[2], ctx.in_shape[3]
-        grad_x = _depthwise_taps(_full_upstream(up, spec, h, w_in), w[:, 0, ::-1, ::-1], h, w_in)
-    return grad_x, grad_w
-
-
-def _matmul_taps_backward(up: np.ndarray, ctx: Conv2dContext) -> tuple[Optional[np.ndarray], np.ndarray]:
+def _band_backward(up: np.ndarray, ctx: Conv2dContext) -> tuple[Optional[np.ndarray], np.ndarray]:
     spec, xp = ctx.spec, ctx.x_padded
     kh, kw, g = spec.kernel_h, spec.kernel_w, spec.groups
     n, cin, hp, wp = xp.shape
     oh, ow = up.shape[2], up.shape[3]
     og, cg = spec.out_channels // g, cin // g
-    span = (oh - 1) * wp + ow
-    # the upstream on the padded width, zero in the discarded columns, so
-    # each tap's weight gradient is one matmul against a flat input slice
-    if wp == ow:
-        up_wide = up
-    else:
-        up_wide = np.zeros((n, spec.out_channels, oh, wp), dtype=up.dtype)
-        up_wide[:, :, :, :ow] = up
-    upf = up_wide.reshape(n, g, og, oh * wp)[:, :, :, :span]
+    rows, bands = _bands(cin, wp, oh)
+    # per band, the upstream rows sit on the padded width with zeros in the
+    # wrapped columns, so the weight gradient is one matmul against the
+    # column buffer the forward gathers; it is accumulated transposed,
+    # cols @ up_bandᵀ, since that GEMM runs faster than up_band @ colsᵀ
     xf = xp.reshape(n, g, cg, hp * wp)
-    grad_wt = np.empty((kh * kw, g, og, cg), dtype=up.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            off = u * wp + v
-            per_image = np.matmul(upf, xf[:, :, :, off : off + span].swapaxes(2, 3))
-            grad_wt[u * kw + v] = per_image.sum(axis=0)
-    grad_w = grad_wt.transpose(1, 2, 3, 0).reshape(ctx.weights.shape)
+    upg = up.reshape(n, g, og, oh, ow)
+    cols = np.empty((g, cg, kh * kw, rows * wp), dtype=up.dtype)
+    up_band = np.zeros((g, og, rows, wp), dtype=up.dtype)
+    up_flat = up_band.reshape(g, og, -1)
+    grad_wt = np.zeros((g, cg * kh * kw, og), dtype=up.dtype)
+    part = np.empty_like(grad_wt)
+    for i in range(n):
+        for r0, r1 in bands:
+            band = _band_cols(xf[i], cols, r0, r1, kh, kw, wp)
+            up_band[:, :, : r1 - r0, :ow] = upg[i, :, :, r0:r1]
+            np.matmul(band, up_flat[:, :, : band.shape[2]].swapaxes(1, 2), out=part)
+            grad_wt += part
+    grad_w = np.ascontiguousarray(grad_wt.swapaxes(1, 2)).reshape(ctx.weights.shape)
     grad_x = None
     if ctx.input_grad:
-        # the input gradient is the upstream correlated with the flipped,
-        # transposed kernel: reversing the tap order flips both axes
+        # the input gradient is the upstream correlated with the flipped
+        # kernel, input and output channels swapped within each group
         h, w_in = ctx.in_shape[2], ctx.in_shape[3]
-        wt_flip = np.ascontiguousarray(_tap_weights(ctx.weights, g)[::-1].swapaxes(2, 3))
-        grad_x = _matmul_taps(_full_upstream(up, spec, h, w_in), wt_flip, kh, kw, h, w_in)
+        w_flip = ctx.weights.reshape(g, og, cg, kh, kw)[:, :, :, ::-1, ::-1]
+        wmat = np.ascontiguousarray(w_flip.transpose(0, 2, 1, 3, 4)).reshape(g, cg, og * kh * kw)
+        grad_x = _band_conv(_full_upstream(up, spec, h, w_in), wmat, kh, kw)
     return grad_x, grad_w
 
 
@@ -395,11 +360,7 @@ def _im2col_backward(up: np.ndarray, ctx: Conv2dContext) -> tuple[Optional[np.nd
     return grad_xp, grad_w
 
 
-_CONV_BACKWARD = {
-    "depthwise": _depthwise_backward,
-    "taps": _matmul_taps_backward,
-    "im2col": _im2col_backward,
-}
+_CONV_BACKWARD = {"band": _band_backward, "im2col": _im2col_backward}
 
 
 def conv2d_backward(

@@ -439,40 +439,52 @@ def _xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-limit, limit, size=shape).astype(dt)
 
 
-def build_model(config: ModelConfig = ModelConfig()) -> ZhuNetModel:
-    """Deterministic construction: same config (seed included) gives
-    bit-identical parameters. Conv/linear weights are Xavier-uniform with
-    fan averaging; linear biases start at zero, batchnorm at gamma=1,
-    beta=0; the preprocessing kernels start at the filter-bank values."""
-    config.validate()
+def _assemble(config: ModelConfig, value, momentum: float = 0.1, eps: float = 1e-5) -> ZhuNetModel:
+    """The one construction routine. ``value(name, shape, init)`` gives the
+    array of each state-table tensor: build_model returns ``init()``,
+    deserialize_model the checkpoint's array. The tensors are asked for in a
+    fixed order, so build_model's random draws are too."""
     dt = DTYPES[config.dtype]
     rng = np.random.Generator(np.random.PCG64(config.seed))
 
+    def xavier(name: str, shape: tuple[int, ...], fan_in: int, fan_out: int) -> Tensor:
+        return Tensor(value(name, shape, lambda: _xavier_uniform(rng, shape, fan_in, fan_out, dt)))
+
+    def batchnorm(name: str, c: int) -> nnops.BatchNormState:
+        def stat(key: str, fill: float) -> np.ndarray:
+            return value(f"{name}.{key}", (c,), lambda: np.full(c, fill, dtype=dt))
+
+        return nnops.BatchNormState(
+            gamma=stat("gamma", 1), beta=stat("beta", 0),
+            running_mean=stat("running_mean", 0), running_var=stat("running_var", 1),
+            momentum=momentum, eps=eps,
+        )
+
     pre = srm.PreprocessingLayer.build(dtype=config.dtype)
+    k3, k5 = pre.kernels3.array, pre.kernels5.array
+    pre.kernels3 = Tensor(value("pre.kernels3", k3.shape, lambda: k3))
+    pre.kernels5 = Tensor(value("pre.kernels5", k5.shape, lambda: k5))
     c0 = pre.out_channels
 
-    def sepconv(has_abs: bool) -> SepconvBlock:
-        pw = _xavier_uniform(rng, (c0, c0, 1, 1), c0, c0, dt)
-        dw = _xavier_uniform(rng, (c0, 1, 3, 3), 9, c0 * 9, dt)
+    def sepconv(name: str, has_abs: bool) -> SepconvBlock:
         return SepconvBlock(
-            pw_w=Tensor(pw),
-            bn_pw=nnops.BatchNormState.create(c0, config.dtype),
-            dw_w=Tensor(dw),
-            bn_dw=nnops.BatchNormState.create(c0, config.dtype),
+            pw_w=xavier(f"{name}.pw.w", (c0, c0, 1, 1), c0, c0),
+            bn_pw=batchnorm(f"{name}.bn_pw", c0),
+            dw_w=xavier(f"{name}.dw.w", (c0, 1, 3, 3), 9, c0 * 9),
+            bn_dw=batchnorm(f"{name}.bn_dw", c0),
             has_abs=has_abs,
         )
 
-    sep1 = sepconv(has_abs=True)
-    sep2 = sepconv(has_abs=False)
+    sep1 = sepconv("sep1", has_abs=True)
+    sep2 = sepconv("sep2", has_abs=False)
 
     blocks = []
     cin = c0
     for i, cout in enumerate(config.channels):
-        w = _xavier_uniform(rng, (cout, cin, 3, 3), cin * 9, cout * 9, dt)
         blocks.append(
             BasicBlock(
-                conv_w=Tensor(w),
-                bn=nnops.BatchNormState.create(cout, config.dtype),
+                conv_w=xavier(f"block{i + 1}.conv.w", (cout, cin, 3, 3), cin * 9, cout * 9),
+                bn=batchnorm(f"block{i + 1}.bn", cout),
                 pool=(i < 3),
             )
         )
@@ -480,8 +492,9 @@ def build_model(config: ModelConfig = ModelConfig()) -> ZhuNetModel:
 
     spp_cfg = nnops.SppConfig(tuple(config.spp_levels))
     feat_dim = config.channels[-1] * spp_cfg.bins
-    fc1_w = _xavier_uniform(rng, (feat_dim, config.fc_hidden), feat_dim, config.fc_hidden, dt)
-    fc2_w = _xavier_uniform(rng, (config.fc_hidden, 2), config.fc_hidden, 2, dt)
+    hidden = config.fc_hidden
+    fc1_w = xavier("fc1.w", (feat_dim, hidden), feat_dim, hidden)
+    fc2_w = xavier("fc2.w", (hidden, 2), hidden, 2)
 
     return ZhuNetModel(
         config=config,
@@ -490,11 +503,20 @@ def build_model(config: ModelConfig = ModelConfig()) -> ZhuNetModel:
         sep2=sep2,
         blocks=blocks,
         spp=spp_cfg,
-        fc1_w=Tensor(fc1_w),
-        fc1_b=Tensor(np.zeros(config.fc_hidden, dtype=dt)),
-        fc2_w=Tensor(fc2_w),
-        fc2_b=Tensor(np.zeros(2, dtype=dt)),
+        fc1_w=fc1_w,
+        fc1_b=Tensor(value("fc1.b", (hidden,), lambda: np.zeros(hidden, dtype=dt))),
+        fc2_w=fc2_w,
+        fc2_b=Tensor(value("fc2.b", (2,), lambda: np.zeros(2, dtype=dt))),
     )
+
+
+def build_model(config: ModelConfig = ModelConfig()) -> ZhuNetModel:
+    """Deterministic construction: same config (seed included) gives
+    bit-identical parameters. Conv/linear weights are Xavier-uniform with
+    fan averaging; linear biases start at zero, batchnorm at gamma=1,
+    beta=0; the preprocessing kernels start at the filter-bank values."""
+    config.validate()
+    return _assemble(config, lambda name, shape, init: init())
 
 
 # ---------------------------------------------------------------------------
@@ -617,20 +639,26 @@ def deserialize_model(data: bytes) -> ZhuNetModel:
         config.validate()
     except SpecError as exc:
         raise FormatError(f"checkpoint config is invalid: {exc}") from exc
-    model = build_model(config)
+    dt = DTYPES[dtype]
+
+    def value(name: str, shape: tuple[int, ...], init) -> np.ndarray:
+        array = need(name)
+        if array.shape != shape:
+            raise FormatError(
+                f"checkpoint tensor {name!r} has shape {array.shape}, expected {shape}"
+            )
+        return array.astype(dt, copy=False)
+
+    model = _assemble(config, value, momentum, eps)
     for name in table:
         if name not in model.table:
             raise FormatError(f"checkpoint has an unexpected tensor {name!r}")
     for name, entry in model.table.items():
-        value, dest = need(name), entry.tensor.array
-        if value.shape != dest.shape:
+        if entry.kind == CONFIG and need(name).shape != entry.tensor.shape:
             raise FormatError(
-                f"checkpoint tensor {name!r} has shape {value.shape}, expected {dest.shape}"
+                f"checkpoint tensor {name!r} has shape {need(name).shape}, "
+                f"expected {entry.tensor.shape}"
             )
-        np.copyto(dest, value.astype(dest.dtype, copy=False))
-    for *_, bn in model._convs():
-        bn.momentum = momentum
-        bn.eps = eps
     return model
 
 

@@ -97,7 +97,7 @@ def test_convolution_matches_a_nested_loop_reference_on_200_random_configs():
             worst[name][1] = max(worst[name][1], gaps[0])
             worst[name][2] = max(worst[name][2], gaps[1])
     elapsed = time.time() - t0
-    assert kernels == {"depthwise", "taps", "im2col"}, kernels
+    assert kernels == {"band", "im2col"}, kernels
     assert worst["f64"][0] < 1e-12, f"f64 max deviation {worst['f64'][0]:.3e} (tolerance 1e-12)"
     assert max(worst["f64"][1:]) < 1e-12, f"f64 adjoint gaps {worst['f64'][1:]}"
     assert worst["f32"][0] < 1e-4, f"f32 max deviation {worst['f32'][0]:.3e} (tolerance 1e-4)"

@@ -254,8 +254,14 @@ def test_batching_is_deterministic_per_seed_and_reshuffles_across_seeds(small_rn
     assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
 
-def test_every_pair_appears_at_most_once_per_epoch(small_rng):
-    ds = pair_dataset(small_rng, 9)
+def test_every_pair_appears_at_most_once_per_epoch():
+    # covers that differ by construction (pair i is the constant 20*i + 10),
+    # so the bytes of a cover tell its pair apart whatever ran before
+    pairs = []
+    for i in range(9):
+        cover = GrayImage.from_array(np.full((8, 8), 20 * i + 10, dtype=np.uint8))
+        pairs.append(Pair(cover, embed_simulate(cover, 1.0, seed=i), f"p{i}"))
+    ds = PairedDataset(pairs=pairs)
     seen = []
     for images, _ in make_batches(ds, 4, seed=1):
         for i in range(0, images.shape[0], 2):

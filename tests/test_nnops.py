@@ -117,6 +117,50 @@ def test_conv2d_backward_matches_finite_differences():
     assert max_rel_err(gb.array, numeric_gradient(lambda v: loss_of(bv=v), b)) < 1e-6
 
 
+def test_band_kernel_matches_the_reference_across_band_boundaries(monkeypatch):
+    """Forward and both adjoint identities of the band kernel against the
+    nested-loop oracle, in f64 and f32, with the band size cut so the maps
+    split into several bands, with a partial last band, and into one-row
+    bands (cin*wp above the band size)."""
+    monkeypatch.setattr(nnops, "_BAND_ELEMS", 64)
+    rng = np.random.Generator(np.random.PCG64(11))
+    cases = [
+        (nnops.Conv2dSpec(2, 3, 3, 3, padding=1), 13, 9),            # dense
+        (nnops.Conv2dSpec(4, 4, 3, 3, padding=1, groups=4), 10, 7),  # depthwise
+        (nnops.Conv2dSpec(3, 5, 1, 1), 11, 6),                       # pointwise
+        (nnops.Conv2dSpec(1, 4, 5, 5), 14, 8),                       # one input channel
+        (nnops.Conv2dSpec(4, 6, 2, 3, padding=2, groups=2), 9, 5),   # grouped, asymmetric
+        (nnops.Conv2dSpec(20, 2, 3, 3, padding=1), 5, 6),            # wide rows
+    ]
+    seen = set()
+    for spec, h, w in cases:
+        assert nnops.conv_kernel(spec) == "band"
+        oh, _ = spec.output_size(h, w)
+        rows, bands = nnops._bands(spec.in_channels, w + 2 * spec.padding, oh)
+        if len(bands) > 1:
+            seen.add("several")
+        if bands[-1][1] - bands[-1][0] < rows:
+            seen.add("partial last")
+        if spec.in_channels * (w + 2 * spec.padding) > nnops._BAND_ELEMS:
+            seen.add("one row")
+            assert rows == 1
+        # values exact in f32, so one f64 oracle run serves both precisions
+        x = rng.standard_normal((2, spec.in_channels, h, w)).astype(np.float32).astype(np.float64)
+        wgt = rng.standard_normal(spec.weight_shape()).astype(np.float32).astype(np.float64)
+        ref = conv2d_reference(x, wgt, None, 1, spec.padding, spec.groups)
+        up = rng.standard_normal(ref.shape).astype(np.float32).astype(np.float64)
+        target = float(np.sum(up * ref))
+        scale = float(np.sum(np.abs(up * ref)))
+        for dt, fwd_tol, adj_tol in ((np.float64, 1e-12, 1e-12), (np.float32, 1e-4, 1e-5)):
+            out, ctx = nnops.conv2d_forward(Tensor(x.astype(dt)), Tensor(wgt.astype(dt)), None, spec)
+            assert np.max(np.abs(out.array - ref)) < fwd_tol, (spec, dt)
+            gx, gw, _ = nnops.conv2d_backward(Tensor(up.astype(dt)), ctx)
+            for grad, val in ((gx.array, x), (gw.array, wgt)):
+                gap = abs(float(np.sum(grad.astype(np.float64) * val)) - target) / scale
+                assert gap < adj_tol, (spec, dt, gap)
+    assert seen == {"several", "partial last", "one row"}
+
+
 def test_conv2d_spec_validation_errors():
     with pytest.raises(SpecError):
         nnops.Conv2dSpec(3, 4, 3, 3, stride=1, padding=0, groups=2).validate()  # 3 % 2

@@ -505,6 +505,29 @@ def test_trailing_garbage_is_a_format_error():
         zhunet.deserialize_model(blob + b"\x00\x01\x02")
 
 
+def test_loading_draws_no_init_and_keeps_the_arrays_it_read(monkeypatch):
+    blob = zhunet.serialize_model(build(seed=3))
+    read = zhunet._read_tensor_table(blob)
+    monkeypatch.setattr(zhunet, "_read_tensor_table", lambda data: read)
+
+    def no_init(*args):
+        raise AssertionError("deserialize_model drew an initial weight")
+
+    monkeypatch.setattr(zhunet, "_xavier_uniform", no_init)
+    loaded = zhunet.deserialize_model(blob)
+    assert zhunet.serialize_model(loaded) == blob
+    for name, entry in loaded.table.items():
+        if entry.kind != zhunet.CONFIG:
+            assert np.shares_memory(entry.tensor.array, read[name]), name
+
+
+def test_a_tensor_of_the_wrong_shape_is_a_format_error():
+    model = build()
+    model.table["fc2.b"] = zhunet.Entry(Tensor(np.zeros(3, dtype=np.float32)), zhunet.PARAM)
+    with pytest.raises(FormatError, match="'fc2.b' has shape"):
+        zhunet.deserialize_model(zhunet.serialize_model(model))
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
