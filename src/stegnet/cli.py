@@ -188,6 +188,10 @@ def cmd_embed(args) -> int:
         print("embed: --val-fraction/--test-fraction must be >= 0 and sum below 1",
               file=sys.stderr)
         return EXIT_USAGE
+    if not 0.0 < args.payload <= 1.0:
+        print(f"embed: --payload must be in (0, 1] bits per pixel, got {args.payload!r}",
+              file=sys.stderr)
+        return EXIT_USAGE
     os.makedirs(out_dir, exist_ok=True)
 
     # deterministic split assignment: shuffle indices once with the run seed
@@ -294,15 +298,12 @@ def cmd_eval(args) -> int:
 def cmd_infer(args) -> int:
     import numpy as np
 
-    from .data import load_pgm
+    from .data import _image_batch, load_pgm
     from .nnops import softmax
-    from .tensor import Tensor
     from .zhunet import load_checkpoint
 
     model = load_checkpoint(args.checkpoint)
-    img = load_pgm(args.image)
-    batch = Tensor(img.as_array().astype(np.float32)[None, None, :, :])
-    logits = model.forward(batch, mode="eval")
+    logits = model.forward(_image_batch([load_pgm(args.image)]), mode="eval")
     probs = softmax(logits).array[0]
     label = "cover" if int(np.argmax(probs)) == 0 else "stego"
     print(f"{label} p_cover={probs[0]:.6f} p_stego={probs[1]:.6f}")
@@ -325,13 +326,11 @@ def cmd_gradcheck(args) -> int:
 def cmd_dump_features(args) -> int:
     import numpy as np
 
-    from .data import GrayImage, load_pgm, save_pgm
-    from .tensor import Tensor
+    from .data import GrayImage, _image_batch, load_pgm, save_pgm
     from .zhunet import load_checkpoint
 
     model = load_checkpoint(args.checkpoint)
-    img = load_pgm(args.image)
-    batch = Tensor(img.as_array().astype(np.float32)[None, None, :, :])
+    batch = _image_batch([load_pgm(args.image)])
     maps = model.dump_feature_maps(batch, args.stage).array[0]  # [C, H, W]
     os.makedirs(args.out_dir, exist_ok=True)
     raw_path = os.path.join(args.out_dir, f"{args.stage}.f32")

@@ -257,6 +257,33 @@ def _image_batch(images: list[GrayImage]) -> Tensor:
     return Tensor(stack[:, None, :, :])
 
 
+def _pair_batches(
+    ds: PairedDataset, batch_size: int, seed: int | None
+) -> Iterator[tuple[Tensor, list[int]]]:
+    """Batches of batch_size/2 pairs, each cover (label 0) followed by its
+    stego (label 1). With a seed, the pairs come in a seeded permutation and
+    trailing pairs that do not fill a batch are dropped; without one, they
+    come in dataset order and the last batch may be smaller."""
+    if not isinstance(batch_size, int) or batch_size < 2 or batch_size % 2 != 0:
+        raise SpecError(f"batch_size must be a positive even integer, got {batch_size!r}")
+    if len(ds.pairs) == 0:
+        raise DataError(f"dataset split {ds.split!r} is empty")
+    per_batch = batch_size // 2
+    if seed is None:
+        order, stop = range(len(ds.pairs)), len(ds.pairs)
+    else:
+        order = np.random.Generator(np.random.PCG64(seed)).permutation(len(ds.pairs))
+        stop = len(order) - per_batch + 1
+    for start in range(0, stop, per_batch):
+        images: list[GrayImage] = []
+        labels: list[int] = []
+        for idx in order[start : start + per_batch]:
+            pair = ds.pairs[idx]
+            images += (pair.cover, pair.stego)
+            labels += (0, 1)
+        yield _image_batch(images), labels
+
+
 def make_batches(
     ds: PairedDataset, batch_size: int, seed: int
 ) -> Iterator[tuple[Tensor, list[int]]]:
@@ -267,24 +294,7 @@ def make_batches(
     half zeros and half ones. The pair order is a seeded permutation;
     trailing pairs that do not fill a batch are dropped.
     """
-    if not isinstance(batch_size, int) or batch_size < 2 or batch_size % 2 != 0:
-        raise SpecError(f"batch_size must be a positive even integer, got {batch_size!r}")
-    if len(ds.pairs) == 0:
-        raise DataError(f"dataset split {ds.split!r} is empty")
-    per_batch = batch_size // 2
-    rng = np.random.Generator(np.random.PCG64(seed))
-    order = rng.permutation(len(ds.pairs))
-    for start in range(0, len(order) - per_batch + 1, per_batch):
-        chosen = order[start : start + per_batch]
-        images: list[GrayImage] = []
-        labels: list[int] = []
-        for idx in chosen:
-            pair = ds.pairs[idx]
-            images.append(pair.cover)
-            labels.append(0)
-            images.append(pair.stego)
-            labels.append(1)
-        yield _image_batch(images), labels
+    return _pair_batches(ds, batch_size, seed)
 
 
 def eval_batches(
@@ -292,21 +302,7 @@ def eval_batches(
 ) -> Iterator[tuple[Tensor, list[int]]]:
     """Deterministic unshuffled batches covering every image exactly once
     (the last batch may be smaller). Pairs stay interleaved cover/stego."""
-    if not isinstance(batch_size, int) or batch_size < 2 or batch_size % 2 != 0:
-        raise SpecError(f"batch_size must be a positive even integer, got {batch_size!r}")
-    if len(ds.pairs) == 0:
-        raise DataError(f"dataset split {ds.split!r} is empty")
-    per_batch = batch_size // 2
-    for start in range(0, len(ds.pairs), per_batch):
-        chunk = ds.pairs[start : start + per_batch]
-        images: list[GrayImage] = []
-        labels: list[int] = []
-        for pair in chunk:
-            images.append(pair.cover)
-            labels.append(0)
-            images.append(pair.stego)
-            labels.append(1)
-        yield _image_batch(images), labels
+    return _pair_batches(ds, batch_size, None)
 
 
 def write_manifest(path, entries: list[tuple[str, str, str, str]]) -> None:

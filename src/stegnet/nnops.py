@@ -17,26 +17,25 @@ Conventions
   the only mutation is the running-statistics update inside
   ``batchnorm_forward`` in train mode.
 
-Convolution kernels
--------------------
-``conv2d_forward`` and ``conv2d_backward`` pick one of two kernels from
-the ``Conv2dSpec`` alone (see :func:`conv_kernel`):
+Convolution kernel
+------------------
+``conv2d_forward`` and ``conv2d_backward`` run every conv -- the
+preprocessing filter bank, the 1x1 pointwise, the 3x3 depthwise and the
+dense 3x3 convs -- through one band kernel. The padded map is walked per
+image and band of output rows, each band as many rows as keep its buffers
+in cache. A band's kh*kw shifted slices of the flattened padded map (tap
+(u, v) at offset u*wp+v) are copied into one [groups, cg*kh*kw, rows*wp]
+column buffer, multiplied by the [groups, og, cg*kh*kw] weights in one
+batched matmul, and written into the output with the kw-1 wrapped columns
+of each row cropped. The weight gradient gathers the same bands and
+multiplies each by the band's upstream rows, zero-filled to the padded
+width. The input gradient is the band forward of the framed upstream with
+the flipped kernel, input and output channels swapped within each group.
 
-* ``band`` -- every stride-1 conv: the preprocessing filter bank, the 1x1
-  pointwise, the 3x3 depthwise and the dense 3x3 convs. The padded map is
-  walked per image and band of output rows, each band as many rows as keep
-  its buffers in cache. A band's kh*kw shifted slices of the flattened
-  padded map (tap (u, v) at offset u*wp+v) are copied into one
-  [groups, cg*kh*kw, rows*wp] column buffer, multiplied by the
-  [groups, og, cg*kh*kw] weights in one batched matmul, and written into
-  the output with the kw-1 wrapped columns of each row cropped. The weight
-  gradient gathers the same bands and multiplies each by the band's
-  upstream rows, zero-filled to the padded width. The input gradient is
-  the band forward of the framed upstream with the flipped kernel, input
-  and output channels swapped within each group.
-* ``im2col`` -- stride > 1: patches are a strided view of the whole padded
-  map regrouped for one batched matmul; the input gradient is scattered
-  back tap by tap. No layer of the model uses it.
+A stride-s conv is the stride-1 conv sampled at every s-th row and column;
+its backward places the upstream on the stride-1 output grid, zeros
+elsewhere, and runs the stride-1 backward. No layer of the model uses a
+stride above 1, so only tests and gradcheck pay its s*s extra work.
 
 Average pooling sums its window separably (rows, then columns) and its
 backward spreads in the reverse order.
@@ -121,14 +120,12 @@ class Conv2dSpec:
 class Conv2dContext:
     """What conv2d_backward needs from the forward call.
 
-    ``x_padded`` is the zero-padded input, which both kernels read again
-    for the weight gradient: the band kernel gathers its bands from it a
-    second time, im2col takes the same strided patch view. ``input_grad``
-    is False when the caller needs only the weight and bias gradients;
-    conv2d_backward then returns None for the input gradient instead of
-    computing it. The kernel that serves the backward is chosen from
-    ``spec`` by :func:`conv_kernel`, the same way as in the forward call.
-    ``spec`` and ``out_shape`` also let a caller count the work of a call.
+    ``x_padded`` is the zero-padded input, from which the backward gathers
+    the band kernel's bands a second time for the weight gradient.
+    ``input_grad`` is False when the caller needs only the weight and bias
+    gradients; conv2d_backward then returns None for the input gradient
+    instead of computing it. ``spec`` and ``out_shape`` also let a caller
+    count the work of a call.
     """
 
     spec: Conv2dSpec
@@ -138,33 +135,6 @@ class Conv2dContext:
     in_shape: tuple[int, ...]
     out_shape: tuple[int, ...]
     input_grad: bool = True
-
-
-def conv_kernel(spec: Conv2dSpec) -> str:
-    """The kernel that serves ``spec``: "band" for every stride-1 conv,
-    "im2col" for stride > 1."""
-    return "band" if spec.stride == 1 else "im2col"
-
-
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """Strided view of all kernel-sized patches: [N, C, kh, kw, oh, ow]."""
-    n, c, _, _ = xp.shape
-    sn, sc, sh, sw = xp.strides
-    return np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, kh, kw, oh, ow),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
-
-
-def _conv_cols(xp: np.ndarray, spec: Conv2dSpec, oh: int, ow: int) -> np.ndarray:
-    """Patches regrouped for batched matmul: [N, groups, Cg*kh*kw, oh*ow]."""
-    n = xp.shape[0]
-    g = spec.groups
-    cg = spec.in_channels // g
-    view = _im2col(xp, spec.kernel_h, spec.kernel_w, spec.stride, oh, ow)
-    return view.reshape(n, g, cg * spec.kernel_h * spec.kernel_w, oh * ow)
 
 
 def _full_upstream(up: np.ndarray, spec: Conv2dSpec, h: int, w: int) -> np.ndarray:
@@ -268,8 +238,7 @@ def conv2d_forward(
             raise ShapeError(f"conv2d bias dtype {bias.dtype} differs from input {inp.dtype}")
         b = bias.array
 
-    n, _, h, wdt = x.shape
-    oh, ow = spec.output_size(h, wdt)
+    spec.output_size(x.shape[2], x.shape[3])  # rejects an empty output
     p = spec.padding
     if p:
         xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
@@ -277,12 +246,10 @@ def conv2d_forward(
         xp = x
 
     wmat = w.reshape(spec.groups, spec.out_channels // spec.groups, -1)
-    if conv_kernel(spec) == "band":
-        out = _band_conv(xp, wmat, spec.kernel_h, spec.kernel_w)
-    else:
-        cols = _conv_cols(xp, spec, oh, ow)
-        out = np.matmul(wmat[None], cols)  # [N, g, og, oh*ow]
-        out = out.reshape(n, spec.out_channels, oh, ow)
+    out = _band_conv(xp, wmat, spec.kernel_h, spec.kernel_w)
+    s = spec.stride
+    if s > 1:  # every s-th row and column of the stride-1 output
+        out = np.ascontiguousarray(out[:, :, ::s, ::s])
     if b is not None:
         out += b[None, :, None, None]
     ctx = Conv2dContext(
@@ -332,37 +299,6 @@ def _band_backward(up: np.ndarray, ctx: Conv2dContext) -> tuple[Optional[np.ndar
     return grad_x, grad_w
 
 
-def _im2col_backward(up: np.ndarray, ctx: Conv2dContext) -> tuple[Optional[np.ndarray], np.ndarray]:
-    spec = ctx.spec
-    n, _, oh, ow = up.shape
-    g = spec.groups
-    og = spec.out_channels // g
-    kh, kw, s, p = spec.kernel_h, spec.kernel_w, spec.stride, spec.padding
-
-    gy = up.reshape(n, g, og, oh * ow)
-    # patches are recomputed from the saved padded input rather than stored
-    cols = _conv_cols(ctx.x_padded, spec, oh, ow)
-    grad_w = np.matmul(gy, cols.transpose(0, 1, 3, 2)).sum(axis=0)
-    grad_w = grad_w.reshape(ctx.weights.shape)
-    if not ctx.input_grad:
-        return None, grad_w
-
-    wmat = ctx.weights.reshape(g, og, -1)
-    grad_cols = np.matmul(wmat.transpose(0, 2, 1)[None], gy)  # [N, g, Cg*kh*kw, oh*ow]
-    grad_cols = grad_cols.reshape(n, spec.in_channels, kh, kw, oh, ow)
-    grad_xp = np.zeros_like(ctx.x_padded)
-    for u in range(kh):
-        for v in range(kw):
-            grad_xp[:, :, u : u + s * oh : s, v : v + s * ow : s] += grad_cols[:, :, u, v]
-    if p:
-        h, w_in = ctx.in_shape[2], ctx.in_shape[3]
-        return grad_xp[:, :, p : p + h, p : p + w_in], grad_w
-    return grad_xp, grad_w
-
-
-_CONV_BACKWARD = {"band": _band_backward, "im2col": _im2col_backward}
-
-
 def conv2d_backward(
     upstream: Tensor, ctx: Conv2dContext
 ) -> tuple[Optional[Tensor], Tensor, Optional[Tensor]]:
@@ -380,8 +316,17 @@ def conv2d_backward(
     if up.dtype != ctx.x_padded.dtype:
         raise ShapeError("conv2d upstream dtype differs from forward input")
 
-    grad_x, grad_w = _CONV_BACKWARD[conv_kernel(ctx.spec)](up, ctx)
     grad_b = Tensor(up.sum(axis=(0, 2, 3))) if ctx.has_bias else None
+    s = ctx.spec.stride
+    if s > 1:
+        # the adjoint of the forward's sampling: the upstream on the
+        # stride-1 output grid, zeros where the forward dropped a position
+        hp, wp = ctx.x_padded.shape[2:]
+        grid = (hp - ctx.spec.kernel_h + 1, wp - ctx.spec.kernel_w + 1)
+        full = np.zeros(up.shape[:2] + grid, dtype=up.dtype)
+        full[:, :, ::s, ::s] = up
+        up = full
+    grad_x, grad_w = _band_backward(up, ctx)
     return (None if grad_x is None else Tensor(grad_x)), Tensor(grad_w), grad_b
 
 

@@ -599,36 +599,57 @@ def _read_tensor_table(data: bytes) -> "OrderedDict[str, np.ndarray]":
     return table
 
 
-def _config_scalar(table, name: str) -> float:
+def _need(table, name: str) -> np.ndarray:
     if name not in table:
         raise FormatError(f"checkpoint is missing the {name!r} entry")
-    return float(table[name].reshape(-1)[0])
+    return table[name]
+
+
+def _config_entry(table, name: str, scalar: bool = True) -> np.ndarray:
+    """The values of ``config.<name>``: rank 1 and finite, and of shape (1,)
+    for a scalar entry."""
+    key = f"config.{name}"
+    v = _need(table, key)
+    if v.ndim != 1 or (scalar and v.shape != (1,)):
+        raise FormatError(f"checkpoint tensor {key!r} has shape {v.shape}, expected "
+                          + ("(1,)" if scalar else "rank 1"))
+    if not np.all(np.isfinite(v)):
+        raise FormatError(f"checkpoint tensor {key!r} is not finite: {v.tolist()}")
+    return v
+
+
+def _read_config(table) -> tuple[str, bool, tuple[int, ...], float, float]:
+    """Activation mode, srm_trainable, pyramid levels, batchnorm momentum and
+    eps from the checkpoint's config entries; a value outside its domain is
+    a FormatError."""
+    mode = float(_config_entry(table, "activation_mode")[0])
+    if mode != int(mode) or not 0 <= mode < len(ACTIVATION_MODES):
+        raise FormatError(f"config.activation_mode must index {ACTIVATION_MODES}, got {mode:g}")
+    trainable = float(_config_entry(table, "srm_trainable")[0])
+    if trainable not in (0.0, 1.0):
+        raise FormatError(f"config.srm_trainable must be 0 or 1, got {trainable:g}")
+    levels = _config_entry(table, "spp_levels", scalar=False)
+    if np.any(levels != np.floor(levels)):
+        raise FormatError(f"config.spp_levels must be whole numbers, got {levels.tolist()}")
+    momentum = float(_config_entry(table, "bn_momentum")[0])
+    if not 0 <= momentum <= 1:
+        raise FormatError(f"config.bn_momentum must be in [0, 1], got {momentum:g}")
+    eps = float(_config_entry(table, "bn_eps")[0])
+    if not eps > 0:
+        raise FormatError(f"config.bn_eps must be positive, got {eps:g}")
+    return (ACTIVATION_MODES[int(mode)], bool(trainable), tuple(int(v) for v in levels),
+            momentum, eps)
 
 
 def deserialize_model(data: bytes) -> ZhuNetModel:
     """Rebuild a model from checkpoint bytes (see serialize_model)."""
     table = _read_tensor_table(data)
-
-    mode_idx = int(_config_scalar(table, "config.activation_mode"))
-    if mode_idx not in range(len(ACTIVATION_MODES)):
-        raise FormatError(f"invalid activation-mode flag {mode_idx}")
-    srm_trainable = bool(_config_scalar(table, "config.srm_trainable"))
-    if "config.spp_levels" not in table:
-        raise FormatError("checkpoint is missing the 'config.spp_levels' entry")
-    levels = tuple(int(v) for v in table["config.spp_levels"].reshape(-1))
-    momentum = _config_scalar(table, "config.bn_momentum")
-    eps = _config_scalar(table, "config.bn_eps")
-
-    def need(name: str) -> np.ndarray:
-        if name not in table:
-            raise FormatError(f"checkpoint is missing the {name!r} entry")
-        return table[name]
-
-    fc1_w = need("fc1.w")
+    mode, srm_trainable, levels, momentum, eps = _read_config(table)
+    fc1_w = _need(table, "fc1.w")
     dtype = "f32" if fc1_w.dtype == np.float32 else "f64"
-    channels = tuple(int(need(f"block{i}.conv.w").shape[0]) for i in range(1, 5))
+    channels = tuple(int(_need(table, f"block{i}.conv.w").shape[0]) for i in range(1, 5))
     config = ModelConfig(
-        activation_mode=ACTIVATION_MODES[mode_idx],
+        activation_mode=mode,
         srm_trainable=srm_trainable,
         channels=channels,  # type: ignore[arg-type]
         spp_levels=levels,
@@ -642,7 +663,7 @@ def deserialize_model(data: bytes) -> ZhuNetModel:
     dt = DTYPES[dtype]
 
     def value(name: str, shape: tuple[int, ...], init) -> np.ndarray:
-        array = need(name)
+        array = _need(table, name)
         if array.shape != shape:
             raise FormatError(
                 f"checkpoint tensor {name!r} has shape {array.shape}, expected {shape}"
@@ -653,12 +674,6 @@ def deserialize_model(data: bytes) -> ZhuNetModel:
     for name in table:
         if name not in model.table:
             raise FormatError(f"checkpoint has an unexpected tensor {name!r}")
-    for name, entry in model.table.items():
-        if entry.kind == CONFIG and need(name).shape != entry.tensor.shape:
-            raise FormatError(
-                f"checkpoint tensor {name!r} has shape {need(name).shape}, "
-                f"expected {entry.tensor.shape}"
-            )
     return model
 
 

@@ -60,12 +60,11 @@ def _adjoint_gaps(x, wgt, spec, up, ref):
 
 
 def test_convolution_matches_a_nested_loop_reference_on_200_random_configs():
-    """Forward output and both backward gradients of every kernel the conv
-    dispatch can select, in f64 and f32, against one f64 oracle per config."""
+    """Forward output and both backward gradients of the band kernel at
+    strides 1 to 3, in f64 and f32, against one f64 oracle per config."""
     t0 = time.time()
     rng = np.random.default_rng(0)
     worst = {"f64": [0.0, 0.0, 0.0], "f32": [0.0, 0.0, 0.0]}
-    kernels = set()
     for case in range(200):
         groups = int(rng.choice([1, 1, 2, 3, 4]))
         cin = groups * int(rng.integers(1, 4))
@@ -83,7 +82,6 @@ def test_convolution_matches_a_nested_loop_reference_on_200_random_configs():
         bias = _f32_exact(rng.standard_normal(cout)) if case % 2 == 0 else None
         spec = nnops.Conv2dSpec(cin, cout, kh, kw, stride=stride,
                                 padding=padding, groups=groups)
-        kernels.add(nnops.conv_kernel(spec))
         ref = conv2d_reference(x, wgt, None, stride, padding, groups)
         up = _f32_exact(rng.standard_normal(ref.shape))
         for name, dt in (("f64", np.float64), ("f32", np.float32)):
@@ -97,7 +95,6 @@ def test_convolution_matches_a_nested_loop_reference_on_200_random_configs():
             worst[name][1] = max(worst[name][1], gaps[0])
             worst[name][2] = max(worst[name][2], gaps[1])
     elapsed = time.time() - t0
-    assert kernels == {"band", "im2col"}, kernels
     assert worst["f64"][0] < 1e-12, f"f64 max deviation {worst['f64'][0]:.3e} (tolerance 1e-12)"
     assert max(worst["f64"][1:]) < 1e-12, f"f64 adjoint gaps {worst['f64'][1:]}"
     assert worst["f32"][0] < 1e-4, f"f32 max deviation {worst['f32'][0]:.3e} (tolerance 1e-4)"

@@ -138,6 +138,10 @@ def test_embed_usage_errors(tmp_path, small_rng):
     assert cli.run(["embed", "--in", str(tmp_path / "covers"),
                     "--out", str(tmp_path / "out"), "--payload", "0.5",
                     "--val-fraction", "0.6", "--test-fraction", "0.6"]) == 1
+    for payload in ("1.5", "0", "nan"):
+        assert cli.run(["embed", "--in", str(tmp_path / "covers"),
+                        "--out", str(tmp_path / "out"), "--payload", payload]) == 1
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +313,12 @@ def test_eval_prints_the_error_rate(tmp_path, small_rng, capsys):
     assert 0.0 <= float(out.split("=")[1]) <= 1.0
 
 
-def test_eval_error_paths(tmp_path, small_rng):
+def test_eval_error_paths(tmp_path, small_rng, capsys):
     manifest = write_dataset(tmp_path / "data", small_rng, n_test=0)
     ckpt = tmp_path / "model.znet"
     save_random_checkpoint(ckpt)
-    # missing split, missing checkpoint file, corrupt checkpoint
+    # missing split, missing checkpoint file, corrupt checkpoint, malformed
+    # config entry
     assert cli.run(["eval", "--checkpoint", str(ckpt),
                     "--manifest", str(manifest), "--split", "test"]) == 2
     assert cli.run(["eval", "--checkpoint", str(tmp_path / "gone.znet"),
@@ -321,6 +326,12 @@ def test_eval_error_paths(tmp_path, small_rng):
     (tmp_path / "junk.znet").write_bytes(b"not a checkpoint")
     assert cli.run(["eval", "--checkpoint", str(tmp_path / "junk.znet"),
                     "--manifest", str(manifest)]) == 2
+    model = zhunet.build_model(zhunet.ModelConfig())
+    model.table["config.activation_mode"] = zhunet.Entry(Tensor(np.zeros(0)), zhunet.CONFIG)
+    zhunet.save_checkpoint(model, tmp_path / "empty_mode.znet")
+    assert cli.run(["eval", "--checkpoint", str(tmp_path / "empty_mode.znet"),
+                    "--manifest", str(manifest), "--split", "validation"]) == 2
+    assert "config.activation_mode" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,8 @@ def test_band_kernel_matches_the_reference_across_band_boundaries(monkeypatch):
     """Forward and both adjoint identities of the band kernel against the
     nested-loop oracle, in f64 and f32, with the band size cut so the maps
     split into several bands, with a partial last band, and into one-row
-    bands (cin*wp above the band size)."""
+    bands (cin*wp above the band size); at stride 1 and at strides 2 and 3,
+    which sample the stride-1 rows the kernel walks."""
     monkeypatch.setattr(nnops, "_BAND_ELEMS", 64)
     rng = np.random.Generator(np.random.PCG64(11))
     cases = [
@@ -131,11 +132,12 @@ def test_band_kernel_matches_the_reference_across_band_boundaries(monkeypatch):
         (nnops.Conv2dSpec(1, 4, 5, 5), 14, 8),                       # one input channel
         (nnops.Conv2dSpec(4, 6, 2, 3, padding=2, groups=2), 9, 5),   # grouped, asymmetric
         (nnops.Conv2dSpec(20, 2, 3, 3, padding=1), 5, 6),            # wide rows
+        (nnops.Conv2dSpec(2, 3, 3, 3, stride=2, padding=1), 13, 9),  # strided
+        (nnops.Conv2dSpec(4, 6, 3, 2, stride=3, padding=2, groups=2), 11, 8),  # strided, grouped
     ]
     seen = set()
     for spec, h, w in cases:
-        assert nnops.conv_kernel(spec) == "band"
-        oh, _ = spec.output_size(h, w)
+        oh = h + 2 * spec.padding - spec.kernel_h + 1  # stride-1 rows
         rows, bands = nnops._bands(spec.in_channels, w + 2 * spec.padding, oh)
         if len(bands) > 1:
             seen.add("several")
@@ -147,7 +149,7 @@ def test_band_kernel_matches_the_reference_across_band_boundaries(monkeypatch):
         # values exact in f32, so one f64 oracle run serves both precisions
         x = rng.standard_normal((2, spec.in_channels, h, w)).astype(np.float32).astype(np.float64)
         wgt = rng.standard_normal(spec.weight_shape()).astype(np.float32).astype(np.float64)
-        ref = conv2d_reference(x, wgt, None, 1, spec.padding, spec.groups)
+        ref = conv2d_reference(x, wgt, None, spec.stride, spec.padding, spec.groups)
         up = rng.standard_normal(ref.shape).astype(np.float32).astype(np.float64)
         target = float(np.sum(up * ref))
         scale = float(np.sum(np.abs(up * ref)))

@@ -528,6 +528,31 @@ def test_a_tensor_of_the_wrong_shape_is_a_format_error():
         zhunet.deserialize_model(zhunet.serialize_model(model))
 
 
+@pytest.mark.parametrize("name, values", [
+    ("activation_mode", []),
+    ("activation_mode", [np.nan]),
+    ("activation_mode", [0.5]),
+    ("activation_mode", [2.0]),
+    ("activation_mode", [[0.0]]),
+    ("srm_trainable", [np.nan]),
+    ("srm_trainable", [0.5]),
+    ("srm_trainable", [1.0, 1.0]),
+    ("spp_levels", [np.inf, 2.0, 1.0]),
+    ("spp_levels", [4.0, 2.5, 1.0]),
+    ("spp_levels", [[4.0, 2.0, 1.0]]),
+    ("bn_momentum", [-5.0]),
+    ("bn_momentum", [1.5]),
+    ("bn_eps", [np.nan]),
+    ("bn_eps", [0.0]),
+    ("bn_eps", [[1e-5]]),
+])
+def test_a_malformed_config_entry_is_a_format_error(name, values):
+    model = build()
+    model.table[f"config.{name}"] = zhunet.Entry(Tensor(np.array(values)), zhunet.CONFIG)
+    with pytest.raises(FormatError, match=f"config.{name}"):
+        zhunet.deserialize_model(zhunet.serialize_model(model))
+
+
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
