@@ -230,31 +230,29 @@ def cmd_embed(args) -> int:
     return EXIT_DATA if failures else EXIT_OK
 
 
-def _load_split(manifest_path: str, split: str):
+def _load_splits(manifest_path: str, *splits: str) -> list:
+    """The named splits of a manifest, read once; a missing split is a
+    DataError that names the splits the manifest has."""
     from .data import load_manifest
     from .errors import DataError
 
     datasets = load_manifest(manifest_path)
-    if split not in datasets:
-        raise DataError(
-            f"manifest {manifest_path!r} has no {split!r} split "
-            f"(found: {', '.join(sorted(datasets)) or 'none'})"
-        )
-    return datasets[split]
+    for split in splits:
+        if split not in datasets:
+            raise DataError(
+                f"manifest {manifest_path!r} has no {split!r} split "
+                f"(found: {', '.join(sorted(datasets)) or 'none'})"
+            )
+    return [datasets[split] for split in splits]
 
 
 def cmd_train(args) -> int:
     from . import zhunet
-    from .data import apply_dihedral8, load_manifest
-    from .errors import DataError
+    from .data import apply_dihedral8
     from .train import train_loop
 
     cfg, manifest, out_dir, augment = load_run_config(args.config)
-    datasets = load_manifest(manifest)
-    for split in ("train", "validation"):
-        if split not in datasets:
-            raise DataError(f"manifest {manifest!r} has no {split!r} split")
-    train_ds = datasets["train"]
+    train_ds, val_ds = _load_splits(manifest, "train", "validation")
     if augment == "dihedral8":
         train_ds = apply_dihedral8(train_ds)
 
@@ -272,7 +270,7 @@ def cmd_train(args) -> int:
             seed=cfg.seed,
         )
     )
-    state = train_loop(model, train_ds, datasets["validation"], cfg,
+    state = train_loop(model, train_ds, val_ds, cfg,
                        metrics_path=metrics_path)
     ckpt_path = os.path.join(out_dir, "best.znet")
     with open(ckpt_path, "wb") as fh:
@@ -289,7 +287,7 @@ def cmd_eval(args) -> int:
     from .zhunet import load_checkpoint
 
     model = load_checkpoint(args.checkpoint)
-    dataset = _load_split(args.manifest, args.split)
+    (dataset,) = _load_splits(args.manifest, args.split)
     error = evaluate(model, dataset)
     print(f"error_rate={error:.6f}")
     return EXIT_OK

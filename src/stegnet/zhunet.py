@@ -11,19 +11,30 @@ Architecture (input: [N, 1, H, W] single-channel images, square, H >= 25):
 3. four basic blocks (3x3 conv -> batchnorm -> activation), channels
    32/32/64/128; the first three end in average pooling win 5 / stride 2 /
    pad 2, the last keeps its spatial size;
-4. spatial pyramid pooling over levels (4, 2, 1): 21 bins x 128 channels =
-   a fixed 2688-length descriptor regardless of input size;
-5. fully connected head 2688 -> 1024 -> 2 (ReLU between), softmax scores.
+4. the head: spatial pyramid pooling over levels (4, 2, 1), 21 bins x 128
+   channels = a fixed 2688-length descriptor regardless of input size, then
+   fully connected 2688 -> 1024 -> 2 (ReLU between), softmax scores.
 
 ``activation_mode`` selects ReLU (default) or TLU with threshold 3 for the
 four basic-block activations. Convolutions carry no bias (batchnorm follows
 every one); the linear layers carry bias.
 
-``ZhuNetModel.table`` is the one state table: every named tensor (weights,
-batchnorm affine + running statistics, and the config scalars such as the
-activation mode) with its kind and SGD update rule. Checkpoints write it in
-order as a single binary table: magic "ZNET", format version, and each
-tensor with explicit dtype and shape, little-endian. A round trip restores
+``ZhuNetModel.stages`` is the one ordered ``(name, layer)`` list, built once
+by ``_assemble``: preprocessing, sep1, sep2, block1-4, head. Every layer
+exposes ``forward(x) -> (out, ctx)``, ``backward(up, ctx) -> (grad_x,
+{key: grad})`` and ``tensors() -> [(key, tensor, kind)]``. The forward pass
+runs the list in order, a train forward keeps each stage's ctx, backward
+runs the list in reverse, and ``dump_feature_maps`` runs it up to the stage
+asked for. A tensor's table name is its stage name and its key, except that
+the preprocessing kernels are ``pre.*`` and the head's tensors ``fc1.*`` and
+``fc2.*``.
+
+``ZhuNetModel.table`` is the one state table, derived from the list and the
+config: every parameter in stage order, then every buffer (batchnorm
+running statistics), then the config scalars such as the activation mode,
+each with its kind and SGD update rule. Checkpoints write it in order as a
+single binary table: magic "ZNET", format version, and each tensor with
+explicit dtype and shape, little-endian. A round trip restores
 bit-identical behaviour.
 """
 from __future__ import annotations
@@ -49,6 +60,16 @@ _DTYPE_CODES = {"f32": 0, "f64": 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 MIN_INPUT_SIZE = 25  # smallest square input whose pyramid stage still gets a 4x4 map
+
+PARAM, BUFFER, CONFIG = "param", "buffer", "config"
+MOMENTUM, PLAIN, FROZEN = "momentum", "plain", "frozen"
+
+# Checkpoint names predate the stage names.
+_TABLE_PREFIX = {"preprocessing": "pre.", "head": ""}
+
+
+def _table_name(stage: str, key: str) -> str:
+    return _TABLE_PREFIX.get(stage, f"{stage}.") + key
 
 
 @dataclass(frozen=True)
@@ -79,14 +100,28 @@ class ModelConfig:
             raise SpecError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-def _act(x: Tensor, mode: str) -> Tensor:
-    return nnops.relu(x) if mode == "relu" else nnops.tlu(x, TLU_THRESHOLD)
+def _bn_tensors(key: str, bn: nnops.BatchNormState) -> list:
+    return [(f"{key}.gamma", Tensor(bn.gamma), PARAM), (f"{key}.beta", Tensor(bn.beta), PARAM),
+            (f"{key}.running_mean", Tensor(bn.running_mean), BUFFER),
+            (f"{key}.running_var", Tensor(bn.running_var), BUFFER)]
 
 
-def _act_backward(up: Tensor, x: Tensor, mode: str) -> Tensor:
-    if mode == "relu":
-        return nnops.relu_backward(up, x)
-    return nnops.tlu_backward(up, x, TLU_THRESHOLD)
+@dataclass
+class Preprocessing:
+    """The SRM bank as a stage. The network's input takes no gradient, so
+    backward returns the kernel gradients only."""
+
+    layer: srm.PreprocessingLayer
+
+    def forward(self, x: Tensor) -> tuple[Tensor, srm.PreprocessContext]:
+        return srm.preprocess_forward(x, self.layer)
+
+    def backward(self, up: Tensor, ctx: srm.PreprocessContext) -> tuple[None, dict]:
+        _, g3, g5 = srm.preprocess_backward(up, ctx, image_grad=False)
+        return None, {"kernels3": g3, "kernels5": g5}
+
+    def tensors(self) -> list:
+        return [("kernels3", self.layer.kernels3, PARAM), ("kernels5", self.layer.kernels5, PARAM)]
 
 
 @dataclass
@@ -131,69 +166,85 @@ class SepconvBlock:
         if self.has_abs:
             g = nnops.abs_backward(g, ctx["abs_in"])
         g, g_pw, _ = nnops.conv2d_backward(g, ctx["pw"])
-        grad_x = Tensor(g.array + up.array)  # skip path
-        grads = {
-            "pw.w": g_pw,
-            "bn_pw.gamma": g_gamma1,
-            "bn_pw.beta": g_beta1,
-            "dw.w": g_dw,
-            "bn_dw.gamma": g_gamma2,
-            "bn_dw.beta": g_beta2,
-        }
-        return grad_x, grads
+        grads = {"pw.w": g_pw, "bn_pw.gamma": g_gamma1, "bn_pw.beta": g_beta1,
+                 "dw.w": g_dw, "bn_dw.gamma": g_gamma2, "bn_dw.beta": g_beta2}
+        return Tensor(g.array + up.array), grads  # skip path
+
+    def tensors(self) -> list:
+        return [("pw.w", self.pw_w, PARAM), *_bn_tensors("bn_pw", self.bn_pw),
+                ("dw.w", self.dw_w, PARAM), *_bn_tensors("bn_dw", self.bn_dw)]
 
 
 @dataclass
 class BasicBlock:
-    """3x3 conv -> batchnorm -> activation (-> average pool for the first
-    three blocks: win 5, stride 2, pad 2, pad zeros count in the mean)."""
+    """3x3 conv -> batchnorm -> activation (ReLU, or TLU at threshold 3 when
+    ``mode`` is "tlu3") -> average pool for the first three blocks: win 5,
+    stride 2, pad 2, pad zeros count in the mean."""
 
     conv_w: Tensor  # [Cout, Cin, 3, 3]
     bn: nnops.BatchNormState
     pool: bool
+    mode: str
 
     POOL_WIN = 5
     POOL_STRIDE = 2
     POOL_PAD = 2
 
-    def forward(self, x: Tensor, mode: str) -> tuple[Tensor, dict]:
+    def forward(self, x: Tensor) -> tuple[Tensor, dict]:
         cout, cin = self.conv_w.shape[0], self.conv_w.shape[1]
         spec = nnops.Conv2dSpec(cin, cout, 3, 3, padding=1)
         t, conv_ctx = nnops.conv2d_forward(x, self.conv_w, None, spec)
         t, bn_ctx = nnops.batchnorm_forward(t, self.bn)
         act_in = t
-        t = _act(t, mode)
+        t = nnops.relu(t) if self.mode == "relu" else nnops.tlu(t, TLU_THRESHOLD)
         pool_ctx = None
         if self.pool:
             t, pool_ctx = nnops.avg_pool(t, self.POOL_WIN, self.POOL_STRIDE, self.POOL_PAD)
-        ctx = {"conv": conv_ctx, "bn": bn_ctx, "act_in": act_in, "pool": pool_ctx, "mode": mode}
-        return t, ctx
+        return t, {"conv": conv_ctx, "bn": bn_ctx, "act_in": act_in, "pool": pool_ctx}
 
     def backward(self, up: Tensor, ctx: dict) -> tuple[Tensor, dict]:
         g = up
         if ctx["pool"] is not None:
             g = nnops.avg_pool_backward(g, ctx["pool"])
-        g = _act_backward(g, ctx["act_in"], ctx["mode"])
+        if self.mode == "relu":
+            g = nnops.relu_backward(g, ctx["act_in"])
+        else:
+            g = nnops.tlu_backward(g, ctx["act_in"], TLU_THRESHOLD)
         g, g_gamma, g_beta = nnops.batchnorm_backward(g, ctx["bn"])
         g, g_w, _ = nnops.conv2d_backward(g, ctx["conv"])
         return g, {"conv.w": g_w, "bn.gamma": g_gamma, "bn.beta": g_beta}
 
+    def tensors(self) -> list:
+        return [("conv.w", self.conv_w, PARAM), *_bn_tensors("bn", self.bn)]
+
 
 @dataclass
-class _ForwardContext:
-    pre: srm.PreprocessContext
-    sep1: dict
-    sep2: dict
-    blocks: list
-    spp: nnops.SppContext
-    fc1: nnops.LinearContext
-    fc1_act_in: Tensor
-    fc2: nnops.LinearContext
-    logits_shape: tuple[int, ...]
+class Head:
+    """Spatial pyramid pooling to a fixed-length descriptor, then
+    fc1 -> ReLU -> fc2 to the two class logits."""
 
+    spp: nnops.SppConfig
+    fc1_w: Tensor  # [bins * C, hidden]
+    fc1_b: Tensor
+    fc2_w: Tensor  # [hidden, 2]
+    fc2_b: Tensor
 
-PARAM, BUFFER, CONFIG = "param", "buffer", "config"
-MOMENTUM, PLAIN, FROZEN = "momentum", "plain", "frozen"
+    def forward(self, x: Tensor) -> tuple[Tensor, tuple]:
+        feat, spp_ctx = nnops.spp_forward(x, self.spp)
+        h1, fc1_ctx = nnops.linear_forward(feat, self.fc1_w, self.fc1_b)
+        logits, fc2_ctx = nnops.linear_forward(nnops.relu(h1), self.fc2_w, self.fc2_b)
+        return logits, (spp_ctx, fc1_ctx, h1, fc2_ctx)
+
+    def backward(self, up: Tensor, ctx: tuple) -> tuple[Tensor, dict]:
+        spp_ctx, fc1_ctx, h1, fc2_ctx = ctx
+        g, gw2, gb2 = nnops.linear_backward(up, fc2_ctx)
+        g, gw1, gb1 = nnops.linear_backward(nnops.relu_backward(g, h1), fc1_ctx)
+        grads = {"fc1.w": gw1, "fc1.b": gb1, "fc2.w": gw2, "fc2.b": gb2}
+        return nnops.spp_backward(g, spp_ctx), grads
+
+    def tensors(self) -> list:
+        return [("fc1.w", self.fc1_w, PARAM), ("fc1.b", self.fc1_b, PARAM),
+                ("fc2.w", self.fc2_w, PARAM), ("fc2.b", self.fc2_b, PARAM)]
 
 
 @dataclass(frozen=True)
@@ -213,68 +264,50 @@ class Entry:
 
 @dataclass
 class ZhuNetModel:
-    """The assembled network. The layers hold the tensors; ``table`` names
-    every one of them, in checkpoint order, with its kind and update rule.
-    The table shares the layers' storage, so in-place updates through it
+    """The assembled network: ``stages`` runs it, ``table`` names every
+    tensor of it in checkpoint order with its kind and update rule. The
+    table shares the layers' storage, so in-place updates through it
     stick."""
 
     config: ModelConfig
-    pre: srm.PreprocessingLayer
-    sep1: SepconvBlock
-    sep2: SepconvBlock
-    blocks: list[BasicBlock]
-    spp: nnops.SppConfig
-    fc1_w: Tensor
-    fc1_b: Tensor
-    fc2_w: Tensor
-    fc2_b: Tensor
+    stages: list  # [(name, layer)], input to logits
     table: "OrderedDict[str, Entry]" = field(init=False, repr=False)
-    _ctx: Optional[_ForwardContext] = field(default=None, repr=False)
+    _ctx: Optional[tuple] = field(default=None, repr=False)  # (per-stage ctxs, logits shape)
 
     def __post_init__(self) -> None:
         self.table = self._state_table()
 
+    def layer(self, name: str):
+        return dict(self.stages)[name]
+
+    sep1 = property(lambda self: self.layer("sep1"))
+    sep2 = property(lambda self: self.layer("sep2"))
+    blocks = property(lambda self: [lyr for _, lyr in self.stages if isinstance(lyr, BasicBlock)])
+
     # -- the state table ------------------------------------------------------
 
-    def _convs(self) -> list[tuple[str, Tensor, str, nnops.BatchNormState]]:
-        """(conv name, weight, batchnorm name, batchnorm) for every
-        convolution after the preprocessing, in table order."""
-        convs = []
-        for name, sep in (("sep1", self.sep1), ("sep2", self.sep2)):
-            convs.append((f"{name}.pw", sep.pw_w, f"{name}.bn_pw", sep.bn_pw))
-            convs.append((f"{name}.dw", sep.dw_w, f"{name}.bn_dw", sep.bn_dw))
-        for i, blk in enumerate(self.blocks, start=1):
-            convs.append((f"block{i}.conv", blk.conv_w, f"block{i}.bn", blk.bn))
-        return convs
-
     def _state_table(self) -> "OrderedDict[str, Entry]":
-        """The table, derived from the layers and the config: the
+        """The table, derived from the stages and the config: the
         preprocessing kernels take the plain step unless the config freezes
         them, every other parameter takes momentum and weight decay."""
         pre_rule = PLAIN if self.config.srm_trainable else FROZEN
-        table: "OrderedDict[str, Entry]" = OrderedDict()
-        table["pre.kernels3"] = Entry(self.pre.kernels3, PARAM, pre_rule)
-        table["pre.kernels5"] = Entry(self.pre.kernels5, PARAM, pre_rule)
-        convs = self._convs()
-        for conv, weight, bn_name, bn in convs:
-            table[f"{conv}.w"] = Entry(weight, PARAM, MOMENTUM)
-            table[f"{bn_name}.gamma"] = Entry(Tensor(bn.gamma), PARAM, MOMENTUM)
-            table[f"{bn_name}.beta"] = Entry(Tensor(bn.beta), PARAM, MOMENTUM)
-        for name in ("fc1.w", "fc1.b", "fc2.w", "fc2.b"):
-            table[name] = Entry(getattr(self, name.replace(".", "_")), PARAM, MOMENTUM)
-        for _, _, bn_name, bn in convs:
-            table[f"{bn_name}.running_mean"] = Entry(Tensor(bn.running_mean), BUFFER)
-            table[f"{bn_name}.running_var"] = Entry(Tensor(bn.running_var), BUFFER)
+        rows: dict[str, list] = {PARAM: [], BUFFER: [], CONFIG: []}
+        for stage, lyr in self.stages:
+            rule = pre_rule if stage == "preprocessing" else MOMENTUM
+            for key, tensor, kind in lyr.tensors():
+                entry = Entry(tensor, kind, rule if kind == PARAM else FROZEN)
+                rows[kind].append((_table_name(stage, key), entry))
         first_bn = self.sep1.bn_pw  # every batchnorm shares momentum and eps
         for name, values in (
             ("activation_mode", [ACTIVATION_MODES.index(self.config.activation_mode)]),
             ("srm_trainable", [self.config.srm_trainable]),
-            ("spp_levels", self.spp.levels),
+            ("spp_levels", self.layer("head").spp.levels),
             ("bn_momentum", [first_bn.momentum]),
             ("bn_eps", [first_bn.eps]),
         ):
-            table[f"config.{name}"] = Entry(Tensor(np.array(values, dtype=np.float64)), CONFIG)
-        return table
+            tensor = Tensor(np.array(values, dtype=np.float64))
+            rows[CONFIG].append((f"config.{name}", Entry(tensor, CONFIG)))
+        return OrderedDict(rows[PARAM] + rows[BUFFER] + rows[CONFIG])
 
     def freeze_srm(self) -> None:
         """Stop training the preprocessing kernels. The config is the one
@@ -304,7 +337,7 @@ class ZhuNetModel:
 
     # -- running the network --------------------------------------------------
 
-    def _check_admissible(self, images: Tensor) -> int:
+    def _check_admissible(self, images: Tensor) -> None:
         if not isinstance(images, Tensor) or len(images.shape) != 4:
             raise ShapeError("forward expects a [N, 1, H, W] tensor")
         n, c, h, w = images.shape
@@ -322,115 +355,74 @@ class ZhuNetModel:
         for blk in self.blocks:
             if blk.pool:
                 a = -(-a // 2)  # win 5 / stride 2 / pad 2 halves, rounding up
-        if a < max(self.spp.levels):
+        level = max(self.layer("head").spp.levels)
+        if a < level:
             raise DataError(
                 f"input {h}x{w} is inadmissible: the pyramid stage would get a "
-                f"{a}x{a} map, smaller than pyramid level {max(self.spp.levels)}; "
+                f"{a}x{a} map, smaller than pyramid level {level}; "
                 f"square inputs of at least {MIN_INPUT_SIZE}x{MIN_INPUT_SIZE} are required"
             )
-        return a
 
-    def _set_bn_mode(self, mode: str) -> None:
-        for *_, bn in self._convs():
-            bn.mode = mode
-
-    def _run(self, images: Tensor, mode: str, record: bool) -> tuple[Tensor, dict]:
+    def _run(self, images: Tensor, mode: str, stages: list) -> Tensor:
+        """Run ``stages``, a prefix of the stage list. Only a train forward
+        keeps the backward contexts; an eval forward drops each one as soon
+        as its stage returns, and leaves no context for a backward."""
         if mode not in ("train", "eval"):
             raise SpecError(f"forward mode must be 'train' or 'eval', got {mode!r}")
         self._check_admissible(images)
-        self._set_bn_mode(mode)
-        # Only a train forward keeps the backward contexts; an eval forward
-        # drops each one as soon as its layer returns, and leaves no context
-        # for a backward to reuse.
+        for _, lyr in self.stages:
+            for bn in vars(lyr).values():
+                if isinstance(bn, nnops.BatchNormState):
+                    bn.mode = mode
         self._ctx = None
-        keep = mode == "train"
-        saved: dict = {}
-        stages: dict[str, Tensor] = {}
-
-        def run(name: str, result: tuple) -> Tensor:
-            out, ctx = result
-            if keep:
-                saved[name] = ctx
-            if record and name in STAGES:
-                stages[name] = out
-            return out
-
-        t = run("preprocessing", srm.preprocess_forward(images, self.pre))
-        t = run("sep1", self.sep1.forward(t))
-        t = run("sep2", self.sep2.forward(t))
-        for i, blk in enumerate(self.blocks, start=1):
-            t = run(f"block{i}", blk.forward(t, self.config.activation_mode))
-
-        feat = run("spp", nnops.spp_forward(t, self.spp))
-        h1 = run("fc1", nnops.linear_forward(feat, self.fc1_w, self.fc1_b))
-        logits = run("fc2", nnops.linear_forward(nnops.relu(h1), self.fc2_w, self.fc2_b))
-
-        if keep:
-            self._ctx = _ForwardContext(
-                pre=saved["preprocessing"],
-                sep1=saved["sep1"],
-                sep2=saved["sep2"],
-                blocks=[saved[f"block{i}"] for i in range(1, len(self.blocks) + 1)],
-                spp=saved["spp"],
-                fc1=saved["fc1"],
-                fc1_act_in=h1,
-                fc2=saved["fc2"],
-                logits_shape=logits.shape,
-            )
-        return logits, stages
+        saved = []
+        t = images
+        for _, lyr in stages:
+            t, ctx = lyr.forward(t)
+            if mode == "train":
+                saved.append(ctx)
+            del ctx  # an eval context is freed before the next stage runs
+        if mode == "train":
+            self._ctx = (saved, t.shape)
+        return t
 
     def forward(self, images: Tensor, mode: str = "train") -> Tensor:
         """Class logits [N, 2]. A train forward saves the context consumed
         by backward; an eval forward saves none."""
-        logits, _ = self._run(images, mode, record=False)
-        return logits
+        return self._run(images, mode, self.stages)
 
     def backward(self, grad_logits: Tensor) -> "OrderedDict[str, Tensor]":
         """Parameter gradients keyed and ordered like :meth:`parameters`,
-        from the saved forward context. The preprocessing kernel gradients
-        are computed only while the kernels are trainable."""
-        ctx = self._ctx
-        if ctx is None:
+        from the saved forward context. The stages run in reverse until
+        every trainable parameter has its gradient, so frozen preprocessing
+        kernels cost no backward."""
+        if self._ctx is None:
             raise ContractError(
                 "backward called with no saved forward context; only a train-mode "
                 "forward saves one"
             )
-        if not isinstance(grad_logits, Tensor) or grad_logits.shape != ctx.logits_shape:
+        saved, logits_shape = self._ctx
+        if not isinstance(grad_logits, Tensor) or grad_logits.shape != logits_shape:
             raise ShapeError(
-                f"grad_logits must be a Tensor of shape {ctx.logits_shape}"
+                f"grad_logits must be a Tensor of shape {logits_shape}"
             )
-
-        grads: "OrderedDict[str, Tensor]" = OrderedDict()
-        g, gw2, gb2 = nnops.linear_backward(grad_logits, ctx.fc2)
-        g = nnops.relu_backward(g, ctx.fc1_act_in)
-        g, gw1, gb1 = nnops.linear_backward(g, ctx.fc1)
-        g = nnops.spp_backward(g, ctx.spp)
-        for i in range(len(self.blocks) - 1, -1, -1):
-            g, bgrads = self.blocks[i].backward(g, ctx.blocks[i])
-            for k, v in bgrads.items():
-                grads[f"block{i + 1}.{k}"] = v
-        g, s2grads = self.sep2.backward(g, ctx.sep2)
-        for k, v in s2grads.items():
-            grads[f"sep2.{k}"] = v
-        g, s1grads = self.sep1.backward(g, ctx.sep1)
-        for k, v in s1grads.items():
-            grads[f"sep1.{k}"] = v
-        if self.config.srm_trainable:
-            _, grads["pre.kernels3"], grads["pre.kernels5"] = srm.preprocess_backward(
-                g, ctx.pre, image_grad=False
-            )
-        grads["fc1.w"] = gw1
-        grads["fc1.b"] = gb1
-        grads["fc2.w"] = gw2
-        grads["fc2.b"] = gb2
-        return OrderedDict((name, grads[name]) for name in self.parameters())
+        params = self.parameters()
+        grads: dict[str, Tensor] = {}
+        g = grad_logits
+        for (stage, lyr), ctx in zip(reversed(self.stages), reversed(saved)):
+            if params.keys() <= grads.keys():
+                break
+            g, stage_grads = lyr.backward(g, ctx)
+            grads.update((_table_name(stage, k), v) for k, v in stage_grads.items())
+        return OrderedDict((name, grads[name]) for name in params)
 
     def dump_feature_maps(self, images: Tensor, stage: str) -> Tensor:
-        """Eval-mode intermediate activation for one named stage."""
-        if stage not in STAGES:
-            raise SpecError(f"unknown stage {stage!r}; valid stages: {', '.join(STAGES)}")
-        _, stages = self._run(images, "eval", record=True)
-        return stages[stage]
+        """Eval-mode output of one named stage; the stages after it do not
+        run. The head's output is the logits, not a feature map."""
+        names = [name for name, _ in self.stages[:-1]]
+        if stage not in names:
+            raise SpecError(f"unknown stage {stage!r}; valid stages: {', '.join(names)}")
+        return self._run(images, "eval", self.stages[: names.index(stage) + 1])
 
 
 def _xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
@@ -440,15 +432,19 @@ def _xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
 
 
 def _assemble(config: ModelConfig, value, momentum: float = 0.1, eps: float = 1e-5) -> ZhuNetModel:
-    """The one construction routine. ``value(name, shape, init)`` gives the
-    array of each state-table tensor: build_model returns ``init()``,
-    deserialize_model the checkpoint's array. The tensors are asked for in a
-    fixed order, so build_model's random draws are too."""
+    """The one construction routine, and the one place the stage order is
+    written. ``value(name, shape, init)`` gives the array of each
+    state-table tensor: build_model returns ``init()``, deserialize_model
+    the checkpoint's array. The tensors are asked for in a fixed order, so
+    build_model's random draws are too."""
     dt = DTYPES[config.dtype]
     rng = np.random.Generator(np.random.PCG64(config.seed))
 
     def xavier(name: str, shape: tuple[int, ...], fan_in: int, fan_out: int) -> Tensor:
         return Tensor(value(name, shape, lambda: _xavier_uniform(rng, shape, fan_in, fan_out, dt)))
+
+    def zeros(name: str, c: int) -> Tensor:
+        return Tensor(value(name, (c,), lambda: np.zeros(c, dtype=dt)))
 
     def batchnorm(name: str, c: int) -> nnops.BatchNormState:
         def stat(key: str, fill: float) -> np.ndarray:
@@ -466,8 +462,8 @@ def _assemble(config: ModelConfig, value, momentum: float = 0.1, eps: float = 1e
     pre.kernels5 = Tensor(value("pre.kernels5", k5.shape, lambda: k5))
     c0 = pre.out_channels
 
-    def sepconv(name: str, has_abs: bool) -> SepconvBlock:
-        return SepconvBlock(
+    def sepconv(name: str, has_abs: bool) -> tuple[str, SepconvBlock]:
+        return name, SepconvBlock(
             pw_w=xavier(f"{name}.pw.w", (c0, c0, 1, 1), c0, c0),
             bn_pw=batchnorm(f"{name}.bn_pw", c0),
             dw_w=xavier(f"{name}.dw.w", (c0, 1, 3, 3), 9, c0 * 9),
@@ -475,39 +471,27 @@ def _assemble(config: ModelConfig, value, momentum: float = 0.1, eps: float = 1e
             has_abs=has_abs,
         )
 
-    sep1 = sepconv("sep1", has_abs=True)
-    sep2 = sepconv("sep2", has_abs=False)
-
-    blocks = []
+    stages = [("preprocessing", Preprocessing(pre)), sepconv("sep1", True), sepconv("sep2", False)]
     cin = c0
-    for i, cout in enumerate(config.channels):
-        blocks.append(
-            BasicBlock(
-                conv_w=xavier(f"block{i + 1}.conv.w", (cout, cin, 3, 3), cin * 9, cout * 9),
-                bn=batchnorm(f"block{i + 1}.bn", cout),
-                pool=(i < 3),
-            )
-        )
+    for i, cout in enumerate(config.channels, start=1):
+        stages.append((f"block{i}", BasicBlock(
+            conv_w=xavier(f"block{i}.conv.w", (cout, cin, 3, 3), cin * 9, cout * 9),
+            bn=batchnorm(f"block{i}.bn", cout),
+            pool=i <= 3,
+            mode=config.activation_mode,
+        )))
         cin = cout
 
-    spp_cfg = nnops.SppConfig(tuple(config.spp_levels))
-    feat_dim = config.channels[-1] * spp_cfg.bins
-    hidden = config.fc_hidden
-    fc1_w = xavier("fc1.w", (feat_dim, hidden), feat_dim, hidden)
-    fc2_w = xavier("fc2.w", (hidden, 2), hidden, 2)
-
-    return ZhuNetModel(
-        config=config,
-        pre=pre,
-        sep1=sep1,
-        sep2=sep2,
-        blocks=blocks,
-        spp=spp_cfg,
-        fc1_w=fc1_w,
-        fc1_b=Tensor(value("fc1.b", (hidden,), lambda: np.zeros(hidden, dtype=dt))),
-        fc2_w=fc2_w,
-        fc2_b=Tensor(value("fc2.b", (2,), lambda: np.zeros(2, dtype=dt))),
-    )
+    spp = nnops.SppConfig(tuple(config.spp_levels))
+    feat_dim, hidden = config.channels[-1] * spp.bins, config.fc_hidden
+    stages.append(("head", Head(
+        spp=spp,
+        fc1_w=xavier("fc1.w", (feat_dim, hidden), feat_dim, hidden),
+        fc1_b=zeros("fc1.b", hidden),
+        fc2_w=xavier("fc2.w", (hidden, 2), hidden, 2),
+        fc2_b=zeros("fc2.b", 2),
+    )))
+    return ZhuNetModel(config=config, stages=stages)
 
 
 def build_model(config: ModelConfig = ModelConfig()) -> ZhuNetModel:

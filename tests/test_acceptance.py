@@ -104,12 +104,12 @@ def test_convolution_matches_a_nested_loop_reference_on_200_random_configs():
 
 def test_pyramid_features_have_fixed_length_2688_at_224_and_256():
     model = zhunet.build_model(zhunet.ModelConfig(seed=0))
-    assert model.fc1_w.shape[0] == 2688 == 128 * 21
+    assert model.table["fc1.w"].tensor.shape[0] == 2688 == 128 * 21
     rng = np.random.default_rng(0)
     for size in (224, 256):
         x = Tensor(rng.uniform(0, 255, size=(1, 1, size, size)).astype(np.float32))
         deep = model.dump_feature_maps(x, "block4")
-        feat, _ = nnops.spp_forward(deep, model.spp)
+        feat, _ = nnops.spp_forward(deep, model.layer("head").spp)
         assert feat.shape == (1, 2688), f"input {size}"
         logits = model.forward(x, mode="eval")
         assert logits.shape == (1, 2)
@@ -154,12 +154,13 @@ def test_filter_bank_properties_and_frozen_kernels(small_rng, tmp_path):
     train = noisy_split(small_rng, 4, "train")
     val = noisy_split(small_rng, 2, "validation")
     model = zhunet.build_model(zhunet.ModelConfig(seed=0))
-    k3, k5 = model.pre.kernels3.array.copy(), model.pre.kernels5.array.copy()
+    k3 = model.table["pre.kernels3"].tensor.array.copy()
+    k5 = model.table["pre.kernels5"].tensor.array.copy()
     cfg = TrainConfig(max_epochs=2, lr_decay_epochs=(), batch_size=4,
                       freeze_srm=True, seed=0)
     train_loop(model, train, val, cfg)
-    assert np.array_equal(model.pre.kernels3.array, k3)
-    assert np.array_equal(model.pre.kernels5.array, k5)
+    assert np.array_equal(model.table["pre.kernels3"].tensor.array, k3)
+    assert np.array_equal(model.table["pre.kernels5"].tensor.array, k5)
 
 
 def test_architecture_audit_parameter_count_and_block_structure():

@@ -270,7 +270,7 @@ def test_readme_run_config_block_lists_exactly_the_schema_keys():
     assert keys == [key for key, _ in cli.run_config_schema()]
 
 
-def test_train_requires_train_and_validation_splits(tmp_path, small_rng):
+def test_train_requires_train_and_validation_splits(tmp_path, small_rng, capsys):
     only_train = tmp_path / "data"
     only_train.mkdir()
     entries = write_split_files(only_train, small_rng, "train", 4)
@@ -278,6 +278,7 @@ def test_train_requires_train_and_validation_splits(tmp_path, small_rng):
     data.write_manifest(manifest, entries)
     cfg_path = write_config(tmp_path / "run.cfg", manifest, tmp_path / "run")
     assert cli.run(["train", "--config", str(cfg_path)]) == 2
+    assert "(found: train)" in capsys.readouterr().err
 
 
 def test_train_divergence_exits_3(tmp_path, small_rng, capsys):
@@ -442,6 +443,17 @@ def test_readme_lists_exactly_the_dump_features_stages():
     lines = [line for line in readme.splitlines() if line.startswith("Stages:")]
     assert len(lines) == 1, lines
     assert tuple(re.findall(r"`([^`]+)`", lines[0])) == zhunet.STAGES
+    # ... and they are the model's stages that dump_feature_maps accepts
+    model = zhunet.build_model(zhunet.ModelConfig(channels=(1, 1, 1, 1), fc_hidden=1))
+    image = Tensor(np.zeros((1, 1, 25, 25), dtype=np.float32))
+    accepted = []
+    for name, _ in model.stages:
+        try:
+            model.dump_feature_maps(image, name)
+        except SpecError:
+            continue
+        accepted.append(name)
+    assert tuple(accepted) == zhunet.STAGES
 
 
 # ---------------------------------------------------------------------------

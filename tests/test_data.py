@@ -233,8 +233,18 @@ def test_ten_pairs_at_batch_sixteen_yield_one_full_batch(small_rng):
     assert labels == [0, 1] * 8
 
 
-def test_batches_interleave_each_cover_with_its_own_stego(small_rng):
-    ds = pair_dataset(small_rng, 4)
+def distinct_pairs(count):
+    """Covers that differ by construction (pair i is the constant 20*i + 10),
+    so the bytes of a cover tell its pair apart whatever ran before."""
+    pairs = []
+    for i in range(count):
+        cover = GrayImage.from_array(np.full((8, 8), 20 * i + 10, dtype=np.uint8))
+        pairs.append(Pair(cover, embed_simulate(cover, 1.0, seed=i), f"p{i}"))
+    return PairedDataset(pairs=pairs)
+
+
+def test_batches_interleave_each_cover_with_its_own_stego():
+    ds = distinct_pairs(4)
     (images, labels), = make_batches(ds, 8, seed=3)
     assert labels == [0, 1, 0, 1, 0, 1, 0, 1]
     by_blob = {write_pgm(p.cover): write_pgm(p.stego) for p in ds.pairs}
@@ -255,13 +265,7 @@ def test_batching_is_deterministic_per_seed_and_reshuffles_across_seeds(small_rn
 
 
 def test_every_pair_appears_at_most_once_per_epoch():
-    # covers that differ by construction (pair i is the constant 20*i + 10),
-    # so the bytes of a cover tell its pair apart whatever ran before
-    pairs = []
-    for i in range(9):
-        cover = GrayImage.from_array(np.full((8, 8), 20 * i + 10, dtype=np.uint8))
-        pairs.append(Pair(cover, embed_simulate(cover, 1.0, seed=i), f"p{i}"))
-    ds = PairedDataset(pairs=pairs)
+    ds = distinct_pairs(9)
     seen = []
     for images, _ in make_batches(ds, 4, seed=1):
         for i in range(0, images.shape[0], 2):

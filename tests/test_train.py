@@ -329,27 +329,27 @@ def test_training_is_deterministic_end_to_end(small_rng):
 def test_frozen_preprocessing_kernels_stay_bitwise_constant(small_rng):
     train, val = tiny_splits(small_rng)
     model = zhunet.build_model(zhunet.ModelConfig(seed=0, srm_trainable=False))
-    k3 = model.pre.kernels3.array.copy()
-    k5 = model.pre.kernels5.array.copy()
+    k3 = model.table["pre.kernels3"].tensor.array.copy()
+    k5 = model.table["pre.kernels5"].tensor.array.copy()
     train_loop(model, train, val, short_cfg(freeze_srm=True))
-    assert np.array_equal(model.pre.kernels3.array, k3)
-    assert np.array_equal(model.pre.kernels5.array, k5)
+    assert np.array_equal(model.table["pre.kernels3"].tensor.array, k3)
+    assert np.array_equal(model.table["pre.kernels5"].tensor.array, k5)
 
 
 def test_trainable_preprocessing_kernels_do_move(small_rng):
     train, val = tiny_splits(small_rng)
     model = zhunet.build_model(zhunet.ModelConfig(seed=0))
-    k3 = model.pre.kernels3.array.copy()
+    k3 = model.table["pre.kernels3"].tensor.array.copy()
     train_loop(model, train, val, short_cfg(max_epochs=1))
-    assert not np.array_equal(model.pre.kernels3.array, k3)
+    assert not np.array_equal(model.table["pre.kernels3"].tensor.array, k3)
 
 
 def test_train_loop_freeze_flag_freezes_a_trainable_model(small_rng):
     train, val = tiny_splits(small_rng)
     model = zhunet.build_model(zhunet.ModelConfig(seed=0))  # built trainable
-    k3 = model.pre.kernels3.array.copy()
+    k3 = model.table["pre.kernels3"].tensor.array.copy()
     train_loop(model, train, val, short_cfg(freeze_srm=True, max_epochs=1))
-    assert np.array_equal(model.pre.kernels3.array, k3)
+    assert np.array_equal(model.table["pre.kernels3"].tensor.array, k3)
     assert model.config.srm_trainable is False
     assert "pre.kernels3" not in model.parameters()
 

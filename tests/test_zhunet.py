@@ -88,10 +88,10 @@ def test_only_first_three_basic_blocks_pool():
 
 def test_pyramid_feature_dimension_is_21_bins_of_128_channels():
     model = build()
-    assert model.spp.levels == (4, 2, 1)
-    assert model.spp.bins == 21
-    assert model.fc1_w.shape == (21 * 128, 1024)
-    assert model.fc2_w.shape == (1024, 2)
+    assert model.layer("head").spp.levels == (4, 2, 1)
+    assert model.layer("head").spp.bins == 21
+    assert model.table["fc1.w"].tensor.shape == (21 * 128, 1024)
+    assert model.table["fc2.w"].tensor.shape == (1024, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +106,11 @@ def test_same_seed_builds_bitwise_identical_models():
 
 def test_different_seeds_differ_in_learned_weights_but_not_kernels():
     a, b = build(seed=0), build(seed=1)
-    assert not np.array_equal(a.fc1_w.array, b.fc1_w.array)
-    assert np.array_equal(a.pre.kernels3.array, b.pre.kernels3.array)
-    assert np.array_equal(a.pre.kernels5.array, b.pre.kernels5.array)
+    assert not np.array_equal(a.table["fc1.w"].tensor.array, b.table["fc1.w"].tensor.array)
+    assert np.array_equal(a.table["pre.kernels3"].tensor.array,
+                          b.table["pre.kernels3"].tensor.array)
+    assert np.array_equal(a.table["pre.kernels5"].tensor.array,
+                          b.table["pre.kernels5"].tensor.array)
 
 
 def test_preprocessing_kernels_start_at_the_filter_bank_values():
@@ -116,8 +118,8 @@ def test_preprocessing_kernels_start_at_the_filter_bank_values():
 
     model = build()
     layer = srm.PreprocessingLayer.build(dtype="f32")
-    assert np.array_equal(model.pre.kernels3.array, layer.kernels3.array)
-    assert np.array_equal(model.pre.kernels5.array, layer.kernels5.array)
+    assert np.array_equal(model.table["pre.kernels3"].tensor.array, layer.kernels3.array)
+    assert np.array_equal(model.table["pre.kernels5"].tensor.array, layer.kernels5.array)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +273,25 @@ def test_frozen_model_backward_omits_preprocessing_gradients():
     grads = model.backward(grad_logits)
     assert not any(k.startswith("pre.") for k in grads)
     assert sum(g.size for g in grads.values()) == TOTAL_TRAINABLE - 350
+
+
+@pytest.mark.parametrize("trainable", [True, False])
+def test_backward_runs_the_preprocessing_stage_only_while_it_trains(trainable, monkeypatch):
+    from stegnet import srm
+
+    calls = []
+    original = srm.preprocess_backward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(srm, "preprocess_backward", counted)
+    model = build(srm_trainable=trainable)
+    logits = model.forward(rand_images(np.random.default_rng(6), 2, 32), mode="train")
+    _, grad_logits = nnops.softmax_xent(logits, [0, 1])
+    model.backward(grad_logits)
+    assert len(calls) == (1 if trainable else 0)
 
 
 # ---------------------------------------------------------------------------
