@@ -131,7 +131,10 @@ def _format_value(value, default) -> str:
 
 def load_run_config(path):
     """Parse a training run config; returns (TrainConfig, manifest, out_dir,
-    augment). Keys left out take their TrainConfig defaults."""
+    augment). Keys left out take their TrainConfig defaults, except that a
+    left-out lr_decay_epochs keeps only the default epochs below
+    max_epochs. Relative manifest and out_dir paths are resolved against
+    the config file's directory."""
     from .errors import SpecError
     from .train import TrainConfig
 
@@ -147,13 +150,15 @@ def load_run_config(path):
     except ValueError as exc:
         raise SpecError(f"bad config value: {exc}") from exc
     manifest, out_dir, augment = (values.pop(k) for k in ("manifest", "out_dir", "augment"))
+    if "lr_decay_epochs" not in raw:
+        values["lr_decay_epochs"] = tuple(e for e in values["lr_decay_epochs"]
+                                          if e < values["max_epochs"])
     cfg = TrainConfig(**values)
     cfg.validate()
     if augment not in ("none", "dihedral8"):
         raise SpecError(f"config key 'augment' must be none or dihedral8, got {augment!r}")
-    if not os.path.isabs(manifest):
-        manifest = os.path.join(os.path.dirname(os.path.abspath(path)), manifest)
-    return cfg, manifest, out_dir, augment
+    base = os.path.dirname(os.path.abspath(path))  # join keeps an absolute path as it is
+    return cfg, os.path.join(base, manifest), os.path.join(base, out_dir), augment
 
 
 def _resolved_config_text(cfg, manifest: str, out_dir: str, augment: str) -> str:

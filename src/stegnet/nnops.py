@@ -16,6 +16,13 @@ Conventions
 * Forward/backward calls are pure functions of their arguments plus context;
   the only mutation is the running-statistics update inside
   ``batchnorm_forward`` in train mode.
+* Their large outputs and temporaries -- every array of at least 32 MiB
+  (``_SLAB_MIN_BYTES``) -- live in recycled slabs of the module's
+  ``WORKSPACE``. A slab is handed out again only once nothing outside the
+  workspace references it, so an array a caller holds keeps its bytes for
+  as long as it is held; the freed slabs stay mapped for the next call.
+  Slabs belong to the module, not to a model: they outlive the model whose
+  forward filled them, and the next model reuses them.
 
 Convolution kernel
 ------------------
@@ -42,6 +49,8 @@ backward spreads in the reverse order.
 """
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -63,6 +72,74 @@ def _require_ctx(ctx, cls, op: str):
         raise ContractError(
             f"{op}_backward needs the context saved by {op}_forward; got {type(ctx).__name__}"
         )
+
+
+# ---------------------------------------------------------------------------
+# the workspace
+# ---------------------------------------------------------------------------
+
+# Arrays of at least this many bytes come from the workspace. glibc maps a
+# block above its 32 MiB ceiling afresh and unmaps it when freed, so without
+# reuse every full-resolution map is faulted in again on every step.
+_SLAB_MIN_BYTES = 32 << 20
+
+
+class Workspace:
+    """One allocator for large arrays.
+
+    Every request of at least ``_SLAB_MIN_BYTES`` gets a view of one slab.
+    All slabs have one size, that of the largest such request seen so far,
+    so any free slab fits any request; when a larger request arrives the old
+    slabs are dropped and freed with their last views. A slab is handed out
+    again only when nothing outside the workspace references it: numpy
+    points every view derived from a slab at the slab itself, so its
+    reference count shows whether any view is alive. Smaller requests go to
+    numpy's allocator.
+    """
+
+    def __init__(self):
+        self.slab_bytes = 0
+        self.slabs: list[np.ndarray] = []
+        self.made = 0  # slabs allocated so far
+
+    def empty(self, shape: tuple[int, ...], dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        if nbytes < _SLAB_MIN_BYTES:
+            return np.empty(shape, dtype)
+        if nbytes > self.slab_bytes:  # a larger size class
+            self.slab_bytes, self.slabs = nbytes, []
+        for i in range(len(self.slabs)):
+            if sys.getrefcount(self.slabs[i]) == 2:  # the list's and the call's own
+                slab = self.slabs[i]
+                break
+        else:
+            slab = np.empty(self.slab_bytes, np.uint8)
+            self.slabs.append(slab)
+            self.made += 1
+        return slab[:nbytes].view(dtype).reshape(shape)
+
+
+WORKSPACE = Workspace()
+
+
+def _like(a: np.ndarray) -> np.ndarray:
+    return WORKSPACE.empty(a.shape, a.dtype)
+
+
+def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """[N, C, H, W] ``a`` framed by ph zero rows and pw zero columns on each
+    side, in a workspace array; ``a`` itself when there is no frame."""
+    if not (ph or pw):
+        return a
+    n, c, h, w = a.shape
+    out = WORKSPACE.empty((n, c, h + 2 * ph, w + 2 * pw), a.dtype)
+    out[:, :, :ph] = 0
+    out[:, :, h + ph :] = 0
+    out[:, :, ph : h + ph, :pw] = 0
+    out[:, :, ph : h + ph, w + pw :] = 0
+    out[:, :, ph : h + ph, pw : w + pw] = a
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +220,9 @@ def _full_upstream(up: np.ndarray, spec: Conv2dSpec, h: int, w: int) -> np.ndarr
     zero rows and columns on each side, cropped where the padding exceeds
     kernel-1."""
     top, left = spec.kernel_h - 1 - spec.padding, spec.kernel_w - 1 - spec.padding
+    if top >= 0 and left >= 0:
+        return _pad(up, top, left)
     fh, fw = h + spec.kernel_h - 1, w + spec.kernel_w - 1
-    if top == left == 0 and up.shape[2:] == (fh, fw):
-        return up
     out = np.zeros(up.shape[:2] + (fh, fw), dtype=up.dtype)
     r0, c0 = max(top, 0), max(left, 0)
     src = up[:, :, r0 - top :, c0 - left :]
@@ -195,7 +272,7 @@ def _band_conv(xp: np.ndarray, wmat: np.ndarray, kh: int, kw: int) -> np.ndarray
     oh, ow = hp - kh + 1, wp - kw + 1
     rows, bands = _bands(cin, wp, oh)
     xf = xp.reshape(n, g, cg, hp * wp)
-    out = np.empty((n, g, og, oh, ow), dtype=xp.dtype)
+    out = WORKSPACE.empty((n, g, og, oh, ow), xp.dtype)
     cols = np.empty((g, cg, kh * kw, rows * wp), dtype=xp.dtype)
     res = np.empty((g, og, rows * wp), dtype=xp.dtype)
     for i in range(n):
@@ -239,11 +316,7 @@ def conv2d_forward(
         b = bias.array
 
     spec.output_size(x.shape[2], x.shape[3])  # rejects an empty output
-    p = spec.padding
-    if p:
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    else:
-        xp = x
+    xp = _pad(x, spec.padding, spec.padding)
 
     wmat = w.reshape(spec.groups, spec.out_channels // spec.groups, -1)
     out = _band_conv(xp, wmat, spec.kernel_h, spec.kernel_w)
@@ -361,7 +434,8 @@ def _box_sum(a: np.ndarray, axis: int, out_size: int, win: int, stride: int, pad
     """Windowed sums of ``a`` along ``axis`` (2 or 3) with zero padding."""
     shape = list(a.shape)
     shape[axis] = out_size
-    out = np.zeros(shape, dtype=a.dtype)
+    out = WORKSPACE.empty(tuple(shape), a.dtype)
+    out.fill(0)
     lead = (slice(None),) * axis
     for lo, hi, src in _window_taps(a.shape[axis], out_size, win, stride, pad):
         out[lead + (slice(lo, hi),)] += a[lead + (src,)]
@@ -373,7 +447,8 @@ def _box_spread(g: np.ndarray, axis: int, size: int, win: int, stride: int, pad:
     onto the ``size`` input positions its window covers."""
     shape = list(g.shape)
     shape[axis] = size
-    out = np.zeros(shape, dtype=g.dtype)
+    out = WORKSPACE.empty(tuple(shape), g.dtype)
+    out.fill(0)
     lead = (slice(None),) * axis
     for lo, hi, dst in _window_taps(size, g.shape[axis], win, stride, pad):
         out[lead + (dst,)] += g[lead + (slice(lo, hi),)]
@@ -435,12 +510,13 @@ def avg_pool_backward(upstream: Tensor, ctx: AvgPoolContext) -> Tensor:
 def relu(inp: Tensor) -> Tensor:
     """max(x, 0)."""
     _require_tensor(inp, "relu input")
-    return Tensor(np.maximum(inp.array, 0))
+    return Tensor(np.maximum(inp.array, 0, out=_like(inp.array)))
 
 
 def relu_backward(upstream: Tensor, inp: Tensor) -> Tensor:
     _require_same_shape(upstream, inp, "relu")
-    return Tensor(upstream.array * (inp.array > 0))
+    up = upstream.array
+    return Tensor(np.multiply(up, inp.array > 0, out=_like(up)))
 
 
 def tlu(inp: Tensor, threshold: float) -> Tensor:
@@ -449,27 +525,29 @@ def tlu(inp: Tensor, threshold: float) -> Tensor:
     if not (threshold > 0):
         raise SpecError(f"tlu threshold must be positive, got {threshold!r}")
     t = inp.array.dtype.type(threshold)
-    return Tensor(np.clip(inp.array, -t, t))
+    return Tensor(np.clip(inp.array, -t, t, out=_like(inp.array)))
 
 
 def tlu_backward(upstream: Tensor, inp: Tensor, threshold: float) -> Tensor:
     _require_same_shape(upstream, inp, "tlu")
     if not (threshold > 0):
         raise SpecError(f"tlu threshold must be positive, got {threshold!r}")
-    x = inp.array
+    x, up = inp.array, upstream.array
     inside = (x > -threshold) & (x < threshold)
-    return Tensor(upstream.array * inside)
+    return Tensor(np.multiply(up, inside, out=_like(up)))
 
 
 def abs_act(inp: Tensor) -> Tensor:
     """|x|; subgradient at 0 is taken as 0."""
     _require_tensor(inp, "abs input")
-    return Tensor(np.abs(inp.array))
+    return Tensor(np.abs(inp.array, out=_like(inp.array)))
 
 
 def abs_backward(upstream: Tensor, inp: Tensor) -> Tensor:
     _require_same_shape(upstream, inp, "abs")
-    return Tensor(upstream.array * np.sign(inp.array))
+    grad = np.sign(inp.array, out=_like(inp.array))
+    grad *= upstream.array
+    return Tensor(grad)
 
 
 def _require_tensor(t, what: str) -> None:
@@ -527,12 +605,12 @@ class BatchNormState:
 
 @dataclass
 class BatchNormContext:
-    """What batchnorm_backward needs. ``centred`` is x - batch mean in train
-    mode; in eval mode it is the input itself and ``offset`` holds the
-    running mean still to subtract from it (None in train mode)."""
+    """What batchnorm_backward needs: the input and the mean it was
+    normalized with, the batch mean in train mode and the running mean in
+    eval mode. No centred copy is kept; the backward centres again."""
 
-    centred: np.ndarray
-    offset: Optional[np.ndarray]
+    x: np.ndarray
+    mean: np.ndarray
     inv_std: np.ndarray  # per channel
     gamma: np.ndarray
     count: int
@@ -549,7 +627,9 @@ def batchnorm_forward(inp: Tensor, state: BatchNormState) -> tuple[Tensor, Batch
     Train mode normalizes with the biased batch statistics and folds them
     into the running averages: running = (1-momentum)*running + momentum*batch.
     Eval mode normalizes with the running statistics and mutates nothing.
-    Either way gamma*inv_std is applied as one per-channel scale.
+    Either way gamma*inv_std is applied as one per-channel scale, and the
+    output is computed in place in one workspace array: in train mode that
+    array first holds x - mean, from which the variance is taken.
     """
     _require_rank(inp, 4, "batchnorm input")
     x = inp.array
@@ -571,8 +651,8 @@ def batchnorm_forward(inp: Tensor, state: BatchNormState) -> tuple[Tensor, Batch
                 f"batchnorm train mode needs at least 2 values per channel, got {count}"
             )
         mean = np.einsum("nchw->c", x) / dt.type(count)
-        centred = x - _per_channel(mean)
-        var = np.einsum("nchw,nchw->c", centred, centred) / dt.type(count)  # biased
+        out = np.subtract(x, _per_channel(mean), out=_like(x))  # centred
+        var = np.einsum("nchw,nchw->c", out, out) / dt.type(count)  # biased
         m = dt.type(state.momentum)
         state.running_mean *= 1 - m
         state.running_mean += m * mean
@@ -580,18 +660,16 @@ def batchnorm_forward(inp: Tensor, state: BatchNormState) -> tuple[Tensor, Batch
         state.running_var += m * var
         inv_std = 1.0 / np.sqrt(var + dt.type(state.eps))
         scale = state.gamma * inv_std
-        out = centred * _per_channel(scale)
+        out *= _per_channel(scale)
         out += _per_channel(state.beta)
-        offset = None
     else:
         count = 0
-        centred = x
-        offset = state.running_mean.copy()
+        mean = state.running_mean.copy()
         inv_std = 1.0 / np.sqrt(state.running_var + dt.type(state.eps))
         scale = state.gamma * inv_std
-        out = x * _per_channel(scale)
-        out += _per_channel(state.beta - offset * scale)
-    ctx = BatchNormContext(centred=centred, offset=offset, inv_std=inv_std.astype(dt, copy=False),
+        out = np.multiply(x, _per_channel(scale), out=_like(x))
+        out += _per_channel(state.beta - mean * scale)
+    ctx = BatchNormContext(x=x, mean=mean, inv_std=inv_std.astype(dt, copy=False),
                            gamma=state.gamma.copy(), count=count, mode=state.mode)
     return Tensor(out), ctx
 
@@ -599,27 +677,39 @@ def batchnorm_forward(inp: Tensor, state: BatchNormState) -> tuple[Tensor, Batch
 def batchnorm_backward(
     upstream: Tensor, ctx: BatchNormContext
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Gradients (grad_input, grad_gamma, grad_beta)."""
+    """Gradients (grad_input, grad_gamma, grad_beta).
+
+    In train mode the sum of up * (x - mean) is taken from x - mean itself,
+    centred again into the workspace array that then becomes grad_input, so
+    it keeps full precision when |mean| is large against the spread.
+    """
     _require_ctx(ctx, BatchNormContext, "batchnorm")
     _require_rank(upstream, 4, "batchnorm upstream")
-    up = upstream.array
-    if up.shape != ctx.centred.shape:
+    up, x = upstream.array, ctx.x
+    if up.shape != x.shape:
         raise ShapeError(
-            f"batchnorm upstream shape {up.shape} does not match output {ctx.centred.shape}"
+            f"batchnorm upstream shape {up.shape} does not match output {x.shape}"
         )
     grad_beta = np.einsum("nchw->c", up)
-    dot = np.einsum("nchw,nchw->c", up, ctx.centred)  # sum of up * (x - mean) / inv_std
-    if ctx.offset is not None:
-        dot -= ctx.offset * grad_beta
-    grad_gamma = dot * ctx.inv_std
     scale = ctx.gamma * ctx.inv_std
-    grad_x = up * _per_channel(scale)
     if ctx.mode == "train":
+        grad_x = np.subtract(x, _per_channel(ctx.mean), out=_like(x))  # centred
+        dot = np.einsum("nchw,nchw->c", up, grad_x)  # sum of up * (x - mean)
         # the batch statistics depend on x: subtract the mean of the scaled
-        # upstream and its projection onto the normalized input
+        # upstream and its projection onto the normalized input; per image,
+        # so that up * scale needs only an image-sized temporary
         n = up.dtype.type(ctx.count)
-        grad_x -= ctx.centred * _per_channel(scale * ctx.inv_std * ctx.inv_std * dot / n)
-        grad_x -= _per_channel(scale * grad_beta / n)
+        proj = (scale * ctx.inv_std * ctx.inv_std * dot / n)[:, None, None]
+        shift = (scale * grad_beta / n)[:, None, None]
+        for g_i, up_i in zip(grad_x, up):
+            g_i *= proj
+            np.subtract(up_i * scale[:, None, None], g_i, out=g_i)
+            g_i -= shift
+    else:
+        dot = np.einsum("nchw,nchw->c", up, x)
+        dot -= ctx.mean * grad_beta
+        grad_x = np.multiply(up, _per_channel(scale), out=_like(up))
+    grad_gamma = dot * ctx.inv_std
     return Tensor(grad_x), Tensor(grad_gamma), Tensor(grad_beta)
 
 

@@ -155,9 +155,9 @@ class SepconvBlock:
         t, bn1_ctx = nnops.batchnorm_forward(t, self.bn_pw)
         t, dw_ctx = nnops.conv2d_forward(t, self.dw_w, None, dw_spec)
         t, bn2_ctx = nnops.batchnorm_forward(t, self.bn_dw)
-        out = Tensor(t.array + x.array)  # identity skip
+        t.array += x.array  # identity skip, into the batchnorm's fresh output
         ctx = {"pw": pw_ctx, "abs_in": abs_in, "bn1": bn1_ctx, "dw": dw_ctx, "bn2": bn2_ctx}
-        return out, ctx
+        return t, ctx
 
     def backward(self, up: Tensor, ctx: dict) -> tuple[Tensor, dict]:
         g, g_gamma2, g_beta2 = nnops.batchnorm_backward(up, ctx["bn2"])
@@ -168,7 +168,8 @@ class SepconvBlock:
         g, g_pw, _ = nnops.conv2d_backward(g, ctx["pw"])
         grads = {"pw.w": g_pw, "bn_pw.gamma": g_gamma1, "bn_pw.beta": g_beta1,
                  "dw.w": g_dw, "bn_dw.gamma": g_gamma2, "bn_dw.beta": g_beta2}
-        return Tensor(g.array + up.array), grads  # skip path
+        g.array += up.array  # skip path, into the conv's fresh input gradient
+        return g, grads
 
     def tensors(self) -> list:
         return [("pw.w", self.pw_w, PARAM), *_bn_tensors("bn_pw", self.bn_pw),

@@ -250,7 +250,40 @@ def test_resolved_config_text_is_pinned_and_loads_back(tmp_path):
         assert cli._resolved_config_text(cfg, "/data/manifest.txt", out_dir, augment) == text
         path = tmp_path / "resolved.cfg"
         path.write_text(text)
-        assert cli.load_run_config(path) == (cfg, "/data/manifest.txt", out_dir, augment)
+        assert cli.load_run_config(path) == (cfg, "/data/manifest.txt",
+                                             os.path.join(tmp_path, out_dir), augment)
+
+
+def test_relative_paths_resolve_next_to_the_config_from_any_directory(
+        tmp_path, small_rng, monkeypatch):
+    write_dataset(tmp_path / "exp" / "data", small_rng)
+    cfg_path = write_config(tmp_path / "exp" / "run.cfg", "data/manifest.txt", "run",
+                            max_epochs=1)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert cli.run(["train", "--config", str(cfg_path)]) == 0
+    assert (tmp_path / "exp" / "run" / "best.znet").is_file()
+    assert (tmp_path / "exp" / "run" / "metrics.csv").is_file()
+    assert list(elsewhere.iterdir()) == []
+
+
+def test_a_left_out_decay_schedule_keeps_the_default_epochs_below_max_epochs(tmp_path):
+    path = tmp_path / "run.cfg"
+    for max_epochs, kept in ((3, ()), (50, ()), (51, (50,)), (200, (50, 150)),
+                             (400, (50, 150, 250))):
+        path.write_text(f"manifest = m.txt\nout_dir = run\nmax_epochs = {max_epochs}\n")
+        cfg = cli.load_run_config(path)[0]
+        assert (cfg.max_epochs, cfg.lr_decay_epochs) == (max_epochs, kept)
+
+
+def test_an_explicit_decay_schedule_beyond_max_epochs_is_rejected(tmp_path, small_rng, capsys):
+    manifest = write_dataset(tmp_path / "data", small_rng)
+    cfg_path = write_config(tmp_path / "run.cfg", manifest, tmp_path / "run",
+                            max_epochs=3, lr_decay_epochs="1,3")
+    assert cli.run(["train", "--config", str(cfg_path)]) == 2
+    assert "lr_decay_epochs must all be below max_epochs (3)" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_config_rejects_non_finite_values(tmp_path):

@@ -431,6 +431,85 @@ def test_batchnorm_backward_matches_finite_differences():
     assert max_rel_err(gbeta.array, numeric_gradient(loss_beta, beta)) < 1e-6
 
 
+def test_batchnorm_f32_gradients_stay_accurate_far_from_zero_mean(workspace):
+    """With |mean| = 100 std, the f32 train backward keeps grad_gamma and
+    grad_x within 1e-5 of the f64 backward on the same values, relative to
+    the largest value: the sum of up * (x - mean) is taken from centred
+    values, not as sum(up * x) - mean * sum(up)."""
+    rng = np.random.Generator(np.random.PCG64(23))
+    x = (100.0 + rng.standard_normal((4, 3, 16, 16))).astype(np.float32)
+    up = rng.standard_normal(x.shape).astype(np.float32)
+    grads = {}
+    for dt in ("f32", "f64"):
+        state = nnops.BatchNormState.create(3, dtype=dt)
+        state.gamma[:] = [0.5, 1.0, 2.0]
+        _, ctx = nnops.batchnorm_forward(Tensor(x.astype(state.gamma.dtype)), state)
+        gx, ggamma, _ = nnops.batchnorm_backward(Tensor(up.astype(state.gamma.dtype)), ctx)
+        grads[dt] = gx.array, ggamma.array
+    for got, ref in zip(grads["f32"], grads["f64"]):
+        assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the workspace
+# ---------------------------------------------------------------------------
+
+def test_workspace_reuses_a_slab_only_once_nothing_references_it(monkeypatch):
+    monkeypatch.setattr(nnops, "_SLAB_MIN_BYTES", 1024)
+    ws = nnops.Workspace()
+    small = ws.empty((8, 8), np.float32)  # 256 bytes: numpy's own memory
+    assert ws.made == 0 and small.shape == (8, 8)
+    a = ws.empty((16, 16), np.float32)
+    b = ws.empty((4, 64), np.float32)
+    assert ws.made == 2 and not np.shares_memory(a, b)
+    view = a[3:, ::2]
+    del a
+    c = ws.empty((16, 16), np.float64)  # a view of a still holds its slab
+    assert ws.made == 3 and not np.shares_memory(c, view)
+    del view, c
+    d = ws.empty((2, 128), np.float32)
+    assert ws.made == 3 and d.dtype == np.float32 and d.shape == (2, 128)
+
+
+def test_workspace_slabs_grow_to_the_largest_request(monkeypatch):
+    monkeypatch.setattr(nnops, "_SLAB_MIN_BYTES", 1024)
+    ws = nnops.Workspace()
+    a = ws.empty((512,), np.float32)
+    a[:] = 7
+    b = ws.empty((1024,), np.float32)  # larger: the old slab leaves the pool
+    assert ws.slab_bytes == 4096 and len(ws.slabs) == 1 and np.all(a == 7)
+    del a, b
+    ws.empty((256,), np.float32)
+    assert ws.made == 2 and ws.slab_bytes == 4096
+
+
+def test_held_outputs_and_contexts_survive_later_calls_byte_for_byte(workspace):
+    rng = np.random.Generator(np.random.PCG64(29))
+    spec = nnops.Conv2dSpec(6, 6, 3, 3, padding=1, groups=6)
+    w = Tensor(rng.standard_normal((6, 1, 3, 3)).astype(np.float32))
+    state = nnops.BatchNormState.create(6)
+
+    def step(x):
+        t, conv_ctx = nnops.conv2d_forward(Tensor(x), w, None, spec)
+        t, bn_ctx = nnops.batchnorm_forward(t, state)
+        act = nnops.relu(t)
+        pooled, pool_ctx = nnops.avg_pool(act, 5, 2, 2)
+        g = nnops.avg_pool_backward(Tensor(np.ones(pooled.shape, np.float32)), pool_ctx)
+        g = nnops.relu_backward(g, t)
+        g, ggamma, _ = nnops.batchnorm_backward(g, bn_ctx)
+        gx, gw, _ = nnops.conv2d_backward(g, conv_ctx)
+        return [act.array, pooled.array, gx.array, gw.array, ggamma.array,
+                conv_ctx.x_padded, bn_ctx.x, bn_ctx.mean]
+
+    held = step(rng.standard_normal((4, 6, 32, 32)).astype(np.float32))
+    assert workspace.made > 0
+    before = [a.copy() for a in held]
+    for _ in range(2):
+        step(rng.standard_normal((4, 6, 32, 32)).astype(np.float32))
+    for a, b in zip(held, before):
+        assert a.tobytes() == b.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # spatial pyramid pooling
 # ---------------------------------------------------------------------------

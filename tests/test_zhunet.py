@@ -1,5 +1,6 @@
 """Network assembly: architecture audit, determinism, gradients wiring,
 checkpoint persistence, feature dumps, admissibility rules."""
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -472,6 +473,89 @@ def test_freezing_in_train_loop_reaches_the_checkpoint(tmp_path):
     assert loaded.config.srm_trainable is False
     assert "pre.kernels3" not in loaded.parameters()
     assert zhunet.serialize_model(loaded) == path.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the workspace
+# ---------------------------------------------------------------------------
+
+def _arrays(obj) -> list:
+    """Every ndarray reachable from a context: through Tensors, dicts,
+    lists, tuples and dataclasses."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, Tensor):
+        return [obj.array]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    elif dataclasses.is_dataclass(obj):
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    elif not isinstance(obj, (list, tuple)):
+        return []
+    return [a for v in obj for a in _arrays(v)]
+
+
+def _train_step(model, images):
+    logits = model.forward(images, mode="train")
+    _, grad_logits = nnops.softmax_xent(logits, [0, 1] * (images.shape[0] // 2))
+    return logits, model.backward(grad_logits)
+
+
+def test_train_steps_at_a_repeated_shape_allocate_no_slab(workspace):
+    """The slab size grows during the first step, up to the framed upstream
+    of block1's backward, and the second step refills the pool at that size;
+    from then on every step finds a free slab for every map."""
+    model = build(seed=1)
+    images = rand_images(np.random.default_rng(31), 4, 32)
+    for _ in range(2):
+        _train_step(model, images)
+    made = workspace.made
+    assert made > 0
+    for _ in range(2):
+        _train_step(model, images)
+    model.forward(images, mode="eval")
+    model.dump_feature_maps(images, "block1")
+    assert workspace.made == made
+
+
+def test_what_a_caller_holds_keeps_its_bytes_across_later_passes(workspace):
+    rng = np.random.default_rng(37)
+    model = build(seed=1)
+    first, later = rand_images(rng, 4, 32), rand_images(rng, 4, 32)
+    _train_step(model, later)  # the slabs reach their final size
+    logits, grads = _train_step(model, first)
+    saved = model._ctx
+    maps = model.dump_feature_maps(first, "sep2")
+    held = [logits.array, maps.array, *(g.array for g in grads.values()), *_arrays(saved)]
+    assert sum(any(np.may_share_memory(a, s) for s in workspace.slabs) for a in held) > 10
+    before = [a.copy() for a in held]
+    for _ in range(2):
+        _train_step(model, later)
+        model.dump_feature_maps(later, "block1")
+        model.forward(later, mode="eval")
+    for a, b in zip(held, before):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_train_loop_writes_the_same_bytes_with_every_map_in_a_slab(tmp_path, monkeypatch):
+    from stegnet.train import TrainConfig, train_loop
+
+    from conftest import noisy_split
+
+    rng = np.random.default_rng(41)
+    train = noisy_split(rng, 4, "train", size=32)
+    val = noisy_split(rng, 2, "validation", size=32)
+    cfg = TrainConfig(max_epochs=2, lr_decay_epochs=(), batch_size=4)
+    written = []
+    for min_bytes in (0, nnops._SLAB_MIN_BYTES):
+        monkeypatch.setattr(nnops, "_SLAB_MIN_BYTES", min_bytes)
+        ws = nnops.Workspace()
+        monkeypatch.setattr(nnops, "WORKSPACE", ws)
+        metrics = tmp_path / f"metrics-{min_bytes}.csv"
+        state = train_loop(build(), train, val, cfg, metrics_path=metrics)
+        written.append((metrics.read_bytes(), state.best_checkpoint))
+        assert (ws.made > 0) == (min_bytes == 0)
+    assert written[0] == written[1]
 
 
 def test_state_table_kinds_rules_and_order():
