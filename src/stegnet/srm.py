@@ -221,6 +221,7 @@ def _fold_edge_padding(grad: np.ndarray, pad: int) -> np.ndarray:
 
 
 def _contiguous(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``a`` in workspace memory."""
     out = nnops.WORKSPACE.empty(a.shape, a.dtype)
     np.copyto(out, a)
     return out

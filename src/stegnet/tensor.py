@@ -7,9 +7,10 @@ fastest), so image rows stream contiguously through convolution inner loops.
 Arithmetic happens on ``Tensor.array`` with numpy; the operators in nnops
 check shapes and raise instead of broadcasting.
 
-Tensors are thin: shape is fixed at construction and the only mutation the
-rest of the package performs is in-place parameter updates through
-``Tensor.array`` inside the single-threaded trainer step.
+Tensors are thin: shape is fixed at construction. The rest of the package
+mutates a Tensor's array in place only for parameter updates inside the
+single-threaded trainer step, and where a layer adds into an op's fresh
+output that nothing else references.
 """
 from __future__ import annotations
 
