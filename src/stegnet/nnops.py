@@ -16,13 +16,6 @@ Conventions
 * Forward/backward calls are pure functions of their arguments plus context;
   the only mutation is the running-statistics update inside
   ``batchnorm_forward`` in train mode.
-* Their large outputs and temporaries -- every array of at least 32 MiB
-  (``_SLAB_MIN_BYTES``) -- live in recycled slabs of the module's
-  ``WORKSPACE``. A slab is handed out again only once nothing outside the
-  workspace references it, so an array a caller holds keeps its bytes for
-  as long as it is held; the freed slabs stay mapped for the next call.
-  Slabs belong to the module, not to a model: they outlive the model whose
-  forward filled them, and the next model reuses them.
 
 Convolution kernel
 ------------------
@@ -46,11 +39,23 @@ stride above 1, so only tests and gradcheck pay its s*s extra work.
 
 Average pooling sums its window separably (rows, then columns) and its
 backward spreads in the reverse order.
+
+Memory
+------
+Importing this module sets the process's glibc allocator to serve every
+block from its heap and never to trim it (``mallopt`` M_MMAP_MAX = 0 and
+M_TRIM_THRESHOLD = -1). A full-resolution map at 256x256 and batch 8 is
+60-65 MiB, above the 32 MiB ceiling of glibc's mmap threshold, so by
+default each one is mapped afresh, unmapped when freed and faulted in again
+on the next step. With the setting a freed map stays in the heap and the
+next array of any size reuses it; the process keeps its peak heap until it
+exits or calls glibc's ``malloc_trim(0)``. ``FREED_MEMORY_KEPT`` says
+whether the setting took; where the C library has no ``mallopt`` nothing
+changes.
 """
 from __future__ import annotations
 
-import math
-import sys
+import ctypes
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -75,71 +80,23 @@ def _require_ctx(ctx, cls, op: str):
 
 
 # ---------------------------------------------------------------------------
-# the workspace
+# memory
 # ---------------------------------------------------------------------------
 
-# Arrays of at least this many bytes come from the workspace. glibc maps a
-# block above its 32 MiB ceiling afresh and unmaps it when freed, so without
-# reuse every full-resolution map is faulted in again on every step.
-_SLAB_MIN_BYTES = 32 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_MAX = -1, -4  # from glibc's malloc.h
 
 
-class Workspace:
-    """One allocator for large arrays.
-
-    Every request of at least ``_SLAB_MIN_BYTES`` gets a view of one slab.
-    All slabs have one size, that of the largest such request seen so far,
-    so any free slab fits any request; when a larger request arrives the old
-    slabs are dropped and freed with their last views. A slab is handed out
-    again only when nothing outside the workspace references it: numpy
-    points every view derived from a slab at the slab itself, so its
-    reference count shows whether any view is alive. Smaller requests go to
-    numpy's allocator.
-    """
-
-    def __init__(self):
-        self.slab_bytes = 0
-        self.slabs: list[np.ndarray] = []
-        self.made = 0  # slabs allocated so far
-
-    def empty(self, shape: tuple[int, ...], dtype) -> np.ndarray:
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        if nbytes < _SLAB_MIN_BYTES:
-            return np.empty(shape, dtype)
-        if nbytes > self.slab_bytes:  # a larger size class
-            self.slab_bytes, self.slabs = nbytes, []
-        for i in range(len(self.slabs)):
-            if sys.getrefcount(self.slabs[i]) == 2:  # the list's and the call's own
-                slab = self.slabs[i]
-                break
-        else:
-            slab = np.empty(self.slab_bytes, np.uint8)
-            self.slabs.append(slab)
-            self.made += 1
-        return slab[:nbytes].view(dtype).reshape(shape)
+def _keep_freed_memory() -> bool:
+    """Turn off glibc's mmap for large blocks and its heap trimming; True
+    when both settings took."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library symbols, or no mallopt
+        return False
+    return mallopt(_M_MMAP_MAX, 0) == 1 and mallopt(_M_TRIM_THRESHOLD, -1) == 1
 
 
-WORKSPACE = Workspace()
-
-
-def _like(a: np.ndarray) -> np.ndarray:
-    return WORKSPACE.empty(a.shape, a.dtype)
-
-
-def _pad(a: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """[N, C, H, W] ``a`` framed by ph zero rows and pw zero columns on each
-    side, in a workspace array; ``a`` itself when there is no frame."""
-    if not (ph or pw):
-        return a
-    n, c, h, w = a.shape
-    out = WORKSPACE.empty((n, c, h + 2 * ph, w + 2 * pw), a.dtype)
-    out[:, :, :ph] = 0
-    out[:, :, h + ph :] = 0
-    out[:, :, ph : h + ph, :pw] = 0
-    out[:, :, ph : h + ph, w + pw :] = 0
-    out[:, :, ph : h + ph, pw : w + pw] = a
-    return out
+FREED_MEMORY_KEPT = _keep_freed_memory()
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +177,9 @@ def _full_upstream(up: np.ndarray, spec: Conv2dSpec, h: int, w: int) -> np.ndarr
     zero rows and columns on each side, cropped where the padding exceeds
     kernel-1."""
     top, left = spec.kernel_h - 1 - spec.padding, spec.kernel_w - 1 - spec.padding
-    if top >= 0 and left >= 0:
-        return _pad(up, top, left)
     fh, fw = h + spec.kernel_h - 1, w + spec.kernel_w - 1
+    if top == left == 0 and up.shape[2:] == (fh, fw):
+        return up
     out = np.zeros(up.shape[:2] + (fh, fw), dtype=up.dtype)
     r0, c0 = max(top, 0), max(left, 0)
     src = up[:, :, r0 - top :, c0 - left :]
@@ -272,7 +229,7 @@ def _band_conv(xp: np.ndarray, wmat: np.ndarray, kh: int, kw: int) -> np.ndarray
     oh, ow = hp - kh + 1, wp - kw + 1
     rows, bands = _bands(cin, wp, oh)
     xf = xp.reshape(n, g, cg, hp * wp)
-    out = WORKSPACE.empty((n, g, og, oh, ow), xp.dtype)
+    out = np.empty((n, g, og, oh, ow), dtype=xp.dtype)
     cols = np.empty((g, cg, kh * kw, rows * wp), dtype=xp.dtype)
     res = np.empty((g, og, rows * wp), dtype=xp.dtype)
     for i in range(n):
@@ -316,7 +273,11 @@ def conv2d_forward(
         b = bias.array
 
     spec.output_size(x.shape[2], x.shape[3])  # rejects an empty output
-    xp = _pad(x, spec.padding, spec.padding)
+    p = spec.padding
+    if p:
+        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    else:
+        xp = x
 
     wmat = w.reshape(spec.groups, spec.out_channels // spec.groups, -1)
     out = _band_conv(xp, wmat, spec.kernel_h, spec.kernel_w)
@@ -434,8 +395,7 @@ def _box_sum(a: np.ndarray, axis: int, out_size: int, win: int, stride: int, pad
     """Windowed sums of ``a`` along ``axis`` (2 or 3) with zero padding."""
     shape = list(a.shape)
     shape[axis] = out_size
-    out = WORKSPACE.empty(tuple(shape), a.dtype)
-    out.fill(0)
+    out = np.zeros(shape, dtype=a.dtype)
     lead = (slice(None),) * axis
     for lo, hi, src in _window_taps(a.shape[axis], out_size, win, stride, pad):
         out[lead + (slice(lo, hi),)] += a[lead + (src,)]
@@ -447,8 +407,7 @@ def _box_spread(g: np.ndarray, axis: int, size: int, win: int, stride: int, pad:
     onto the ``size`` input positions its window covers."""
     shape = list(g.shape)
     shape[axis] = size
-    out = WORKSPACE.empty(tuple(shape), g.dtype)
-    out.fill(0)
+    out = np.zeros(shape, dtype=g.dtype)
     lead = (slice(None),) * axis
     for lo, hi, dst in _window_taps(size, g.shape[axis], win, stride, pad):
         out[lead + (dst,)] += g[lead + (slice(lo, hi),)]
@@ -510,13 +469,12 @@ def avg_pool_backward(upstream: Tensor, ctx: AvgPoolContext) -> Tensor:
 def relu(inp: Tensor) -> Tensor:
     """max(x, 0)."""
     _require_tensor(inp, "relu input")
-    return Tensor(np.maximum(inp.array, 0, out=_like(inp.array)))
+    return Tensor(np.maximum(inp.array, 0))
 
 
 def relu_backward(upstream: Tensor, inp: Tensor) -> Tensor:
     _require_same_shape(upstream, inp, "relu")
-    up = upstream.array
-    return Tensor(np.multiply(up, inp.array > 0, out=_like(up)))
+    return Tensor(upstream.array * (inp.array > 0))
 
 
 def tlu(inp: Tensor, threshold: float) -> Tensor:
@@ -525,29 +483,27 @@ def tlu(inp: Tensor, threshold: float) -> Tensor:
     if not (threshold > 0):
         raise SpecError(f"tlu threshold must be positive, got {threshold!r}")
     t = inp.array.dtype.type(threshold)
-    return Tensor(np.clip(inp.array, -t, t, out=_like(inp.array)))
+    return Tensor(np.clip(inp.array, -t, t))
 
 
 def tlu_backward(upstream: Tensor, inp: Tensor, threshold: float) -> Tensor:
     _require_same_shape(upstream, inp, "tlu")
     if not (threshold > 0):
         raise SpecError(f"tlu threshold must be positive, got {threshold!r}")
-    x, up = inp.array, upstream.array
+    x = inp.array
     inside = (x > -threshold) & (x < threshold)
-    return Tensor(np.multiply(up, inside, out=_like(up)))
+    return Tensor(upstream.array * inside)
 
 
 def abs_act(inp: Tensor) -> Tensor:
     """|x|; subgradient at 0 is taken as 0."""
     _require_tensor(inp, "abs input")
-    return Tensor(np.abs(inp.array, out=_like(inp.array)))
+    return Tensor(np.abs(inp.array))
 
 
 def abs_backward(upstream: Tensor, inp: Tensor) -> Tensor:
     _require_same_shape(upstream, inp, "abs")
-    grad = np.sign(inp.array, out=_like(inp.array))
-    grad *= upstream.array
-    return Tensor(grad)
+    return Tensor(upstream.array * np.sign(inp.array))
 
 
 def _require_tensor(t, what: str) -> None:
@@ -627,9 +583,9 @@ def batchnorm_forward(inp: Tensor, state: BatchNormState) -> tuple[Tensor, Batch
     Train mode normalizes with the biased batch statistics and folds them
     into the running averages: running = (1-momentum)*running + momentum*batch.
     Eval mode normalizes with the running statistics and mutates nothing.
-    Either way gamma*inv_std is applied as one per-channel scale, and the
-    output is computed in place in one workspace array: in train mode that
-    array first holds x - mean, from which the variance is taken.
+    Either way gamma*inv_std is applied as one per-channel scale, in place
+    in the output array; in train mode that array first holds x - mean, from
+    which the variance is taken.
     """
     _require_rank(inp, 4, "batchnorm input")
     x = inp.array
@@ -651,7 +607,7 @@ def batchnorm_forward(inp: Tensor, state: BatchNormState) -> tuple[Tensor, Batch
                 f"batchnorm train mode needs at least 2 values per channel, got {count}"
             )
         mean = np.einsum("nchw->c", x) / dt.type(count)
-        out = np.subtract(x, _per_channel(mean), out=_like(x))  # centred
+        out = x - _per_channel(mean)  # centred
         var = np.einsum("nchw,nchw->c", out, out) / dt.type(count)  # biased
         m = dt.type(state.momentum)
         state.running_mean *= 1 - m
@@ -667,7 +623,7 @@ def batchnorm_forward(inp: Tensor, state: BatchNormState) -> tuple[Tensor, Batch
         mean = state.running_mean.copy()
         inv_std = 1.0 / np.sqrt(state.running_var + dt.type(state.eps))
         scale = state.gamma * inv_std
-        out = np.multiply(x, _per_channel(scale), out=_like(x))
+        out = x * _per_channel(scale)
         out += _per_channel(state.beta - mean * scale)
     ctx = BatchNormContext(x=x, mean=mean, inv_std=inv_std.astype(dt, copy=False),
                            gamma=state.gamma.copy(), count=count, mode=state.mode)
@@ -680,8 +636,8 @@ def batchnorm_backward(
     """Gradients (grad_input, grad_gamma, grad_beta).
 
     In train mode the sum of up * (x - mean) is taken from x - mean itself,
-    centred again into the workspace array that then becomes grad_input, so
-    it keeps full precision when |mean| is large against the spread.
+    centred again into the array that then becomes grad_input, so it keeps
+    full precision when |mean| is large against the spread.
     """
     _require_ctx(ctx, BatchNormContext, "batchnorm")
     _require_rank(upstream, 4, "batchnorm upstream")
@@ -693,7 +649,7 @@ def batchnorm_backward(
     grad_beta = np.einsum("nchw->c", up)
     scale = ctx.gamma * ctx.inv_std
     if ctx.mode == "train":
-        grad_x = np.subtract(x, _per_channel(ctx.mean), out=_like(x))  # centred
+        grad_x = x - _per_channel(ctx.mean)  # centred
         dot = np.einsum("nchw,nchw->c", up, grad_x)  # sum of up * (x - mean)
         # the batch statistics depend on x: subtract the mean of the scaled
         # upstream and its projection onto the normalized input; per image,
@@ -708,7 +664,7 @@ def batchnorm_backward(
     else:
         dot = np.einsum("nchw,nchw->c", up, x)
         dot -= ctx.mean * grad_beta
-        grad_x = np.multiply(up, _per_channel(scale), out=_like(up))
+        grad_x = up * _per_channel(scale)
     grad_gamma = dot * ctx.inv_std
     return Tensor(grad_x), Tensor(grad_gamma), Tensor(grad_beta)
 

@@ -220,13 +220,6 @@ def _fold_edge_padding(grad: np.ndarray, pad: int) -> np.ndarray:
     return np.ascontiguousarray(g[:, :, :, pad:-pad])
 
 
-def _contiguous(a: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of ``a`` in workspace memory."""
-    out = nnops.WORKSPACE.empty(a.shape, a.dtype)
-    np.copyto(out, a)
-    return out
-
-
 def preprocess_forward(images: Tensor, layer: PreprocessingLayer) -> tuple[Tensor, PreprocessContext]:
     """Residual maps for a batch of single-channel images.
 
@@ -253,8 +246,7 @@ def preprocess_forward(images: Tensor, layer: PreprocessingLayer) -> tuple[Tenso
                                       layer.kernels3, None, spec3)
     out5, ctx5 = nnops.conv2d_forward(Tensor(_edge_pad(images.array, 2)),
                                       layer.kernels5, None, spec5)
-    out = nnops.WORKSPACE.empty((n, n3 + n5, h, w), out3.array.dtype)
-    np.concatenate([out3.array, out5.array], axis=1, out=out)
+    out = np.concatenate([out3.array, out5.array], axis=1)
     return Tensor(out), PreprocessContext(ctx3=ctx3, ctx5=ctx5, split=n3)
 
 
@@ -272,8 +264,8 @@ def preprocess_backward(
         )
     if not isinstance(upstream, Tensor) or len(upstream.shape) != 4:
         raise ShapeError("preprocess upstream must be a [N, 30, H, W] tensor")
-    up3 = Tensor(_contiguous(upstream.array[:, : ctx.split]))
-    up5 = Tensor(_contiguous(upstream.array[:, ctx.split :]))
+    up3 = Tensor(np.ascontiguousarray(upstream.array[:, : ctx.split]))
+    up5 = Tensor(np.ascontiguousarray(upstream.array[:, ctx.split :]))
     ctx3, ctx5 = ctx.ctx3, ctx.ctx5
     if not image_grad:
         ctx3 = replace(ctx3, input_grad=False)

@@ -6,7 +6,6 @@ import sys
 import numpy as np
 import pytest
 
-from stegnet import nnops
 from stegnet.data import GrayImage, Pair, PairedDataset, embed_simulate
 
 
@@ -65,14 +64,3 @@ def run_cli(*args, timeout=600):
 @pytest.fixture(scope="session")
 def small_rng():
     return np.random.Generator(np.random.PCG64(1234))
-
-
-@pytest.fixture
-def workspace(monkeypatch):
-    """A fresh nnops workspace with its slab threshold cut to 16 KiB, so the
-    feature maps of tier-1 sizes come from its slabs. The slabs are freed
-    with it when the test ends."""
-    monkeypatch.setattr(nnops, "_SLAB_MIN_BYTES", 16 << 10)
-    ws = nnops.Workspace()
-    monkeypatch.setattr(nnops, "WORKSPACE", ws)
-    return ws

@@ -2,6 +2,7 @@
 checkpoint persistence, feature dumps, admissibility rules."""
 import dataclasses
 import hashlib
+import resource
 
 import numpy as np
 import pytest
@@ -476,7 +477,7 @@ def test_freezing_in_train_loop_reaches_the_checkpoint(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# the workspace
+# memory across passes
 # ---------------------------------------------------------------------------
 
 def _arrays(obj) -> list:
@@ -501,33 +502,28 @@ def _train_step(model, images):
     return logits, model.backward(grad_logits)
 
 
-def test_train_steps_at_a_repeated_shape_allocate_no_slab(workspace):
-    """The slab size grows during the first step, up to the framed upstream
-    of block1's backward, and the second step refills the pool at that size;
-    from then on every step finds a free slab for every map."""
+@pytest.mark.skipif(not nnops.FREED_MEMORY_KEPT, reason="the C library has no mallopt")
+def test_train_steps_at_a_repeated_shape_fault_in_no_new_memory():
+    """A 64x64 step at batch 8 touches about 13k pages; once the heap holds
+    them, the next steps reuse them."""
     model = build(seed=1)
-    images = rand_images(np.random.default_rng(31), 4, 32)
+    images = rand_images(np.random.default_rng(31), 8, 64)
     for _ in range(2):
         _train_step(model, images)
-    made = workspace.made
-    assert made > 0
-    for _ in range(2):
-        _train_step(model, images)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _train_step(model, images)
     model.forward(images, mode="eval")
-    model.dump_feature_maps(images, "block1")
-    assert workspace.made == made
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
-def test_what_a_caller_holds_keeps_its_bytes_across_later_passes(workspace):
+def test_what_a_caller_holds_keeps_its_bytes_across_later_passes():
     rng = np.random.default_rng(37)
     model = build(seed=1)
     first, later = rand_images(rng, 4, 32), rand_images(rng, 4, 32)
-    _train_step(model, later)  # the slabs reach their final size
     logits, grads = _train_step(model, first)
     saved = model._ctx
     maps = model.dump_feature_maps(first, "sep2")
     held = [logits.array, maps.array, *(g.array for g in grads.values()), *_arrays(saved)]
-    assert sum(any(np.may_share_memory(a, s) for s in workspace.slabs) for a in held) > 10
     before = [a.copy() for a in held]
     for _ in range(2):
         _train_step(model, later)
@@ -535,27 +531,6 @@ def test_what_a_caller_holds_keeps_its_bytes_across_later_passes(workspace):
         model.forward(later, mode="eval")
     for a, b in zip(held, before):
         assert a.tobytes() == b.tobytes()
-
-
-def test_train_loop_writes_the_same_bytes_with_every_map_in_a_slab(tmp_path, monkeypatch):
-    from stegnet.train import TrainConfig, train_loop
-
-    from conftest import noisy_split
-
-    rng = np.random.default_rng(41)
-    train = noisy_split(rng, 4, "train", size=32)
-    val = noisy_split(rng, 2, "validation", size=32)
-    cfg = TrainConfig(max_epochs=2, lr_decay_epochs=(), batch_size=4)
-    written = []
-    for min_bytes in (0, nnops._SLAB_MIN_BYTES):
-        monkeypatch.setattr(nnops, "_SLAB_MIN_BYTES", min_bytes)
-        ws = nnops.Workspace()
-        monkeypatch.setattr(nnops, "WORKSPACE", ws)
-        metrics = tmp_path / f"metrics-{min_bytes}.csv"
-        state = train_loop(build(), train, val, cfg, metrics_path=metrics)
-        written.append((metrics.read_bytes(), state.best_checkpoint))
-        assert (ws.made > 0) == (min_bytes == 0)
-    assert written[0] == written[1]
 
 
 def test_state_table_kinds_rules_and_order():
