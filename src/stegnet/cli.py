@@ -5,10 +5,12 @@ command is deterministic given its flags and seed. Exit codes: 0 success,
 1 usage error, 2 data/format error, 3 numeric failure (training divergence
 or a failed gradient check).
 
-``--threads N`` (or the STEGNET_THREADS env var) caps the BLAS worker
-threads; it must take effect before numpy is first imported, so this module
-defers all heavy imports into the command bodies. N=1 gives the
-bitwise-deterministic single-core mode.
+``--threads N`` (or the STEGNET_THREADS env var) caps the cores a command
+uses. It sets the BLAS thread variables, which must take effect before
+numpy is first imported, so this module defers all heavy imports into the
+command bodies. Importing ``nnops`` then takes OpenBLAS's thread count as
+the number of eval-forward shards and sets OpenBLAS to one thread, so every
+cap gives the same bytes.
 """
 from __future__ import annotations
 
@@ -359,8 +361,9 @@ def cmd_dump_features(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stegnet", description=__doc__.split("\n\n")[0])
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS worker threads (1 = deterministic mode); "
-                             "env fallback: STEGNET_THREADS")
+                        help="cap the cores used: eval forwards split their batch "
+                             "into up to N shards, BLAS runs on one thread (every cap "
+                             "gives the same bytes); env fallback: STEGNET_THREADS")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("embed", help="simulate embedding over a directory of cover PGMs")

@@ -49,13 +49,31 @@ M_TRIM_THRESHOLD = -1). A full-resolution map at 256x256 and batch 8 is
 default each one is mapped afresh, unmapped when freed and faulted in again
 on the next step. With the setting a freed map stays in the heap and the
 next array of any size reuses it; the process keeps its peak heap until it
-exits or calls glibc's ``malloc_trim(0)``. ``FREED_MEMORY_KEPT`` says
-whether the setting took; where the C library has no ``mallopt`` nothing
+exits or calls glibc's ``malloc_trim(0)``. It also caps glibc at one
+arena (M_ARENA_MAX = 1), so a worker thread allocates from the same
+never-trimmed heap: a thread's own arena would hand its heaps back to the
+OS and fault them in again on the next call. ``FREED_MEMORY_KEPT`` says
+whether the settings took; where the C library has no ``mallopt`` nothing
 changes.
+
+Threads
+-------
+Importing this module also finds the OpenBLAS that numpy loaded (a mapped
+library whose path contains "openblas"), records its thread count as
+``WORKERS`` and sets OpenBLAS to one thread. That count is whatever the
+thread cap (``stegnet --threads``, ``OPENBLAS_NUM_THREADS`` or
+``OMP_NUM_THREADS``) or the core count gave it. The model's eval forward
+then runs up to ``WORKERS`` batch shards in Python threads, each op's
+matmul on one BLAS thread; numpy releases the interpreter lock inside its
+copies and matmuls. ``BLAS_SINGLE_THREADED`` says whether the setting
+took; where no OpenBLAS is found ``WORKERS`` is 1 and BLAS keeps its own
+thread count. Like the allocator settings, both apply to the whole
+process.
 """
 from __future__ import annotations
 
 import ctypes
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -83,21 +101,63 @@ def _require_ctx(ctx, cls, op: str):
 # memory
 # ---------------------------------------------------------------------------
 
-_M_TRIM_THRESHOLD, _M_MMAP_MAX = -1, -4  # from glibc's malloc.h
+_M_TRIM_THRESHOLD, _M_MMAP_MAX, _M_ARENA_MAX = -1, -4, -8  # from glibc's malloc.h
 
 
 def _keep_freed_memory() -> bool:
-    """Turn off glibc's mmap for large blocks and its heap trimming; True
-    when both settings took."""
+    """Turn off glibc's mmap for large blocks and its heap trimming, and
+    keep every thread on the main arena; True when all three settings
+    took."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):  # no C library symbols, or no mallopt
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return mallopt(_M_MMAP_MAX, 0) == 1 and mallopt(_M_TRIM_THRESHOLD, -1) == 1
+    return (mallopt(_M_MMAP_MAX, 0) == 1 and mallopt(_M_TRIM_THRESHOLD, -1) == 1
+            and mallopt(_M_ARENA_MAX, 1) == 1)
 
 
 FREED_MEMORY_KEPT = _keep_freed_memory()
+
+# (get, set) symbol pairs of OpenBLAS's thread count: numpy >= 2 wheels,
+# other 64-bit-integer builds, then plain builds.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _take_blas_threads() -> int:
+    """The thread count of the loaded OpenBLAS, which is then set to one
+    thread; 0 when no OpenBLAS with a thread-count pair is loaded."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = dict.fromkeys(line.split(None, 5)[-1].strip() for line in fh
+                                  if "openblas" in line.lower())
+    except OSError:  # no procfs
+        return 0
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)  # only what is already loaded
+        except (OSError, AttributeError):  # unloadable path, or no RTLD_NOLOAD
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            try:
+                get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = (), ctypes.c_int
+            set_.argtypes, set_.restype = (ctypes.c_int,), None
+            threads = get()
+            set_(1)
+            return max(1, threads)
+    return 0
+
+
+_BLAS_THREADS = _take_blas_threads()
+BLAS_SINGLE_THREADED = _BLAS_THREADS > 0
+WORKERS = max(1, _BLAS_THREADS)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -367,7 +368,16 @@ class ZhuNetModel:
     def _run(self, images: Tensor, mode: str, stages: list) -> Tensor:
         """Run ``stages``, a prefix of the stage list. Only a train forward
         keeps the backward contexts; an eval forward drops each one as soon
-        as its stage returns, and leaves no context for a backward."""
+        as its stage returns, and leaves no context for a backward.
+
+        An eval forward splits the images into up to ``nnops.WORKERS``
+        contiguous shards and runs the stages before the head on each, the
+        first on the calling thread and the others on a thread pool; every
+        eval op works image by image, so the joined result is bitwise the
+        unsplit one. The head runs once on the joined batch: a one-row
+        shard would take BLAS's matrix-vector path in the linear layers
+        and round differently. A train forward is one shard, because
+        batchnorm takes the whole batch's statistics."""
         if mode not in ("train", "eval"):
             raise SpecError(f"forward mode must be 'train' or 'eval', got {mode!r}")
         self._check_admissible(images)
@@ -376,16 +386,27 @@ class ZhuNetModel:
                 if isinstance(bn, nnops.BatchNormState):
                     bn.mode = mode
         self._ctx = None
-        saved = []
-        t = images
-        for _, lyr in stages:
-            t, ctx = lyr.forward(t)
-            if mode == "train":
-                saved.append(ctx)
-            del ctx  # an eval context is freed before the next stage runs
         if mode == "train":
+            saved = []
+            t = images
+            for _, lyr in stages:
+                t, ctx = lyr.forward(t)
+                saved.append(ctx)
             self._ctx = (saved, t.shape)
-        return t
+            return t
+        body, head = stages[: len(self.stages) - 1], stages[len(self.stages) - 1 :]
+        shards = np.array_split(images.array, min(nnops.WORKERS, images.shape[0]))
+        if len(shards) == 1:
+            t = _eval_forward(images, body)
+        else:
+            with ThreadPoolExecutor(len(shards) - 1) as pool:
+                futures = [pool.submit(_eval_forward, Tensor(a), body) for a in shards[1:]]
+                try:
+                    first = _eval_forward(Tensor(shards[0]), body)
+                finally:
+                    rest = [f.result() for f in futures]
+            t = Tensor(np.concatenate([first.array, *(r.array for r in rest)]))
+        return _eval_forward(t, head)
 
     def forward(self, images: Tensor, mode: str = "train") -> Tensor:
         """Class logits [N, 2]. A train forward saves the context consumed
@@ -424,6 +445,12 @@ class ZhuNetModel:
         if stage not in names:
             raise SpecError(f"unknown stage {stage!r}; valid stages: {', '.join(names)}")
         return self._run(images, "eval", self.stages[: names.index(stage) + 1])
+
+
+def _eval_forward(t: Tensor, stages: list) -> Tensor:
+    for _, lyr in stages:
+        t = lyr.forward(t)[0]  # the context is freed before the next stage runs
+    return t
 
 
 def _xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],

@@ -183,6 +183,30 @@ def test_train_subprocess_reruns_are_byte_identical(tmp_path, small_rng):
     assert read("run_a", "best.znet") == read("run_b", "best.znet")
 
 
+@pytest.mark.skipif(not nnops.BLAS_SINGLE_THREADED,
+                    reason="no OpenBLAS thread count to take the workers from")
+def test_thread_caps_of_one_and_two_give_the_same_bytes(tmp_path):
+    """BLAS runs on one thread at every cap; a cap of 2 only splits eval
+    forwards, here the validation and test batches, into two shards."""
+    manifest = write_dataset(tmp_path / "data", np.random.default_rng(61), n_test=3)
+    printed = []
+    for threads in (1, 2):
+        out_dir = tmp_path / f"threads{threads}"
+        cfg_path = write_config(tmp_path / f"threads{threads}.cfg", manifest, out_dir,
+                                max_epochs=3, augment="dihedral8", batch_size=4)
+        proc = run_cli("--threads", threads, "train", "--config", cfg_path)
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli("--threads", threads, "eval", "--checkpoint", out_dir / "best.znet",
+                       "--manifest", manifest, "--split", "test")
+        assert proc.returncode == 0, proc.stderr
+        printed.append([line for line in proc.stdout.splitlines()
+                        if line.startswith("error_rate=")])
+    read = lambda threads, f: (tmp_path / f"threads{threads}" / f).read_bytes()
+    assert read(1, "metrics.csv") == read(2, "metrics.csv")
+    assert read(1, "best.znet") == read(2, "best.znet")
+    assert printed[0] == printed[1] and len(printed[0]) == 1
+
+
 def test_train_rejects_unknown_config_key(tmp_path, small_rng, capsys):
     manifest = write_dataset(tmp_path / "data", small_rng)
     cfg_path = write_config(tmp_path / "run.cfg", manifest, tmp_path / "run",

@@ -3,6 +3,8 @@ checkpoint persistence, feature dumps, admissibility rules."""
 import dataclasses
 import hashlib
 import resource
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -153,6 +155,79 @@ def test_eval_forward_is_repeatable_bitwise():
     x = rand_images(rng, 2, 32)
     assert np.array_equal(model.forward(x, mode="eval").array,
                           model.forward(x, mode="eval").array)
+
+
+def test_identical_rows_get_identical_eval_logits_across_two_shards(monkeypatch):
+    monkeypatch.setattr(nnops, "WORKERS", 2)
+    test_identical_rows_get_identical_eval_logits()
+
+
+def _eval_bytes(model, x):
+    return (model.forward(x, mode="eval").array.tobytes(),
+            model.dump_feature_maps(x, "block2").array.tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_eval_outputs_are_bitwise_equal_for_every_worker_count(n, monkeypatch):
+    """Three workers split 5 images 2/2/1 and 2 images 1/1."""
+    model = build(seed=1)
+    x = rand_images(np.random.default_rng(41), n, 32)
+    outputs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(nnops, "WORKERS", workers)
+        outputs[workers] = _eval_bytes(model, x)
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
+
+
+def test_sharded_eval_forwards_under_fast_thread_switching_match_the_serial_bytes(monkeypatch):
+    """Four workers on a 7-image batch, more threads than cores, with the
+    interpreter switching threads every microsecond."""
+    model = build(seed=1)
+    x = rand_images(np.random.default_rng(43), 7, 32)
+    monkeypatch.setattr(nnops, "WORKERS", 1)
+    serial = model.forward(x, mode="eval").array.tobytes()
+    monkeypatch.setattr(nnops, "WORKERS", 4)
+    results = []
+    runner = threading.Thread(
+        target=lambda: results.extend(
+            model.forward(x, mode="eval").array.tobytes() for _ in range(20)),
+        daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert len(results) == 20
+    assert all(r == serial for r in results)
+
+
+class _ShardFault(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["calling thread", "pool thread"])
+def test_an_exception_in_one_shard_reaches_the_caller(where, monkeypatch):
+    model = build(seed=1)
+    x = rand_images(np.random.default_rng(47), 7, 32)
+    serial = model.forward(x, mode="eval").array.tobytes()
+    monkeypatch.setattr(nnops, "WORKERS", 4)
+    caller = threading.current_thread()
+    real = zhunet.BasicBlock.forward
+
+    def faulty(blk, t):
+        if (threading.current_thread() is caller) == (where == "calling thread"):
+            raise _ShardFault(where)
+        return real(blk, t)
+
+    monkeypatch.setattr(zhunet.BasicBlock, "forward", faulty)
+    with pytest.raises(_ShardFault):
+        model.forward(x, mode="eval")
+    monkeypatch.setattr(zhunet.BasicBlock, "forward", real)
+    assert model.forward(x, mode="eval").array.tobytes() == serial
 
 
 def test_forward_mode_must_be_train_or_eval():
@@ -514,6 +589,26 @@ def test_train_steps_at_a_repeated_shape_fault_in_no_new_memory():
     _train_step(model, images)
     model.forward(images, mode="eval")
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+@pytest.mark.skipif(not nnops.FREED_MEMORY_KEPT, reason="the C library has no mallopt")
+def test_sharded_eval_forwards_reuse_the_heap_and_then_fault_in_no_new_memory(monkeypatch):
+    """Worker threads allocate from the main arena, so a sharded forward
+    reuses the blocks that serial forwards of the same batch freed. A
+    thread's own arena would first fault in about 2,400 pages at 64x64,
+    batch 8. The two threads' allocations interleave differently from call
+    to call, so the heap may still grow now and then: the steady state is
+    judged by the median."""
+    model = build(seed=1)
+    images = rand_images(np.random.default_rng(31), 8, 64)
+    faults = []
+    for workers, n in ((1, 8), (1, 8), (2, 2), *[(2, 8)] * 6):
+        monkeypatch.setattr(nnops, "WORKERS", workers)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        model.forward(Tensor(images.array[:n]), mode="eval")
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert faults[3] < 1000, faults  # a 2-image forward has started the threads' stacks
+    assert np.median(faults[4:]) < 100, faults
 
 
 def test_what_a_caller_holds_keeps_its_bytes_across_later_passes():
