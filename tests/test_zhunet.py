@@ -162,11 +162,6 @@ def test_identical_rows_get_identical_eval_logits_across_two_shards(monkeypatch)
     test_identical_rows_get_identical_eval_logits()
 
 
-def _eval_bytes(model, x):
-    return (model.forward(x, mode="eval").array.tobytes(),
-            model.dump_feature_maps(x, "block2").array.tobytes())
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_eval_outputs_are_bitwise_equal_for_every_worker_count(n, monkeypatch):
     """Three workers split 5 images 2/2/1 and 2 images 1/1."""
@@ -175,7 +170,8 @@ def test_eval_outputs_are_bitwise_equal_for_every_worker_count(n, monkeypatch):
     outputs = {}
     for workers in (1, 2, 3):
         monkeypatch.setattr(nnops, "WORKERS", workers)
-        outputs[workers] = _eval_bytes(model, x)
+        outputs[workers] = (model.forward(x, mode="eval").array.tobytes(),
+                            model.dump_feature_maps(x, "block2").array.tobytes())
     assert outputs[2] == outputs[1]
     assert outputs[3] == outputs[1]
 
@@ -213,6 +209,7 @@ class _ShardFault(Exception):
 def test_an_exception_in_one_shard_reaches_the_caller(where, monkeypatch):
     model = build(seed=1)
     x = rand_images(np.random.default_rng(47), 7, 32)
+    monkeypatch.setattr(nnops, "WORKERS", 1)
     serial = model.forward(x, mode="eval").array.tobytes()
     monkeypatch.setattr(nnops, "WORKERS", 4)
     caller = threading.current_thread()
