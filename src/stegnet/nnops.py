@@ -10,7 +10,9 @@ Conventions
   ``(output, context)`` from the forward call; the backward call takes the
   upstream gradient plus that context and returns gradients matching the
   partials of ``sum(upstream * output)`` with respect to each forward input.
-  Calling a backward with a missing context is a contract violation.
+  Calling a backward with a missing context is a contract violation. An
+  eval-mode ``batchnorm_forward`` returns None as its context, since nothing
+  takes the backward of an eval forward.
 * Elementwise activations (relu / tlu / abs_act) return the bare output;
   their backwards take the upstream gradient and the original input.
 * Forward/backward calls are pure functions of their arguments plus context;
@@ -31,11 +33,6 @@ of each row cropped. The weight gradient gathers the same bands and
 multiplies each by the band's upstream rows, zero-filled to the padded
 width. The input gradient is the band forward of the framed upstream with
 the flipped kernel, input and output channels swapped within each group.
-
-A stride-s conv is the stride-1 conv sampled at every s-th row and column;
-its backward places the upstream on the stride-1 output grid, zeros
-elsewhere, and runs the stride-1 backward. No layer of the model uses a
-stride above 1, so only tests and gradcheck pay its s*s extra work.
 
 Average pooling sums its window separably (rows, then columns) and its
 backward spreads in the reverse order.
@@ -166,18 +163,18 @@ WORKERS = max(1, _BLAS_THREADS)
 
 @dataclass(frozen=True)
 class Conv2dSpec:
-    """Static description of a grouped 2-D convolution."""
+    """Static description of a grouped 2-D convolution at stride 1: the
+    model downsamples with average pooling only."""
 
     in_channels: int
     out_channels: int
     kernel_h: int
     kernel_w: int
-    stride: int = 1
     padding: int = 0
     groups: int = 1
 
     def validate(self) -> None:
-        for name in ("in_channels", "out_channels", "kernel_h", "kernel_w", "stride", "groups"):
+        for name in ("in_channels", "out_channels", "kernel_h", "kernel_w", "groups"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise SpecError(f"conv2d spec field {name} must be a positive integer, got {v!r}")
@@ -193,12 +190,12 @@ class Conv2dSpec:
             )
 
     def output_size(self, h: int, w: int) -> tuple[int, int]:
-        oh = (h + 2 * self.padding - self.kernel_h) // self.stride + 1
-        ow = (w + 2 * self.padding - self.kernel_w) // self.stride + 1
+        oh = h + 2 * self.padding - self.kernel_h + 1
+        ow = w + 2 * self.padding - self.kernel_w + 1
         if oh < 1 or ow < 1:
             raise SpecError(
                 f"conv2d output would be empty: input {h}x{w}, kernel "
-                f"{self.kernel_h}x{self.kernel_w}, stride {self.stride}, padding {self.padding}"
+                f"{self.kernel_h}x{self.kernel_w}, padding {self.padding}"
             )
         return oh, ow
 
@@ -234,7 +231,7 @@ class Conv2dContext:
 
 def _full_upstream(up: np.ndarray, spec: Conv2dSpec, h: int, w: int) -> np.ndarray:
     """The upstream gradient framed so that correlating it with the flipped
-    kernel (stride 1) gives the [h, w] input gradient directly: kernel-1-pad
+    kernel gives the [h, w] input gradient directly: kernel-1-pad
     zero rows and columns on each side, cropped where the padding exceeds
     kernel-1."""
     top, left = spec.kernel_h - 1 - spec.padding, spec.kernel_w - 1 - spec.padding
@@ -280,7 +277,7 @@ def _band_cols(xf: np.ndarray, cols: np.ndarray, r0: int, r1: int,
 
 
 def _band_conv(xp: np.ndarray, wmat: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Stride-1 grouped correlation of a padded, C-contiguous [N, Cin, hp, wp]
+    """Grouped correlation of a padded, C-contiguous [N, Cin, hp, wp]
     map with weights wmat [groups, og, cg*kh*kw]: per image and band of
     output rows, one gather of the kh*kw shifted slices and one batched
     matmul, written straight into the cropped [N, groups*og, oh, ow] output."""
@@ -342,9 +339,6 @@ def conv2d_forward(
 
     wmat = w.reshape(spec.groups, spec.out_channels // spec.groups, -1)
     out = _band_conv(xp, wmat, spec.kernel_h, spec.kernel_w)
-    s = spec.stride
-    if s > 1:  # every s-th row and column of the stride-1 output
-        out = np.ascontiguousarray(out[:, :, ::s, ::s])
     if b is not None:
         out += b[None, :, None, None]
     ctx = Conv2dContext(
@@ -412,15 +406,6 @@ def conv2d_backward(
         raise ShapeError("conv2d upstream dtype differs from forward input")
 
     grad_b = Tensor(up.sum(axis=(0, 2, 3))) if ctx.has_bias else None
-    s = ctx.spec.stride
-    if s > 1:
-        # the adjoint of the forward's sampling: the upstream on the
-        # stride-1 output grid, zeros where the forward dropped a position
-        hp, wp = ctx.x_padded.shape[2:]
-        grid = (hp - ctx.spec.kernel_h + 1, wp - ctx.spec.kernel_w + 1)
-        full = np.zeros(up.shape[:2] + grid, dtype=up.dtype)
-        full[:, :, ::s, ::s] = up
-        up = full
     grad_x, grad_w = _band_backward(up, ctx)
     return (None if grad_x is None else Tensor(grad_x)), Tensor(grad_w), grad_b
 
@@ -622,9 +607,10 @@ class BatchNormState:
 
 @dataclass
 class BatchNormContext:
-    """What batchnorm_backward needs: the input and the mean it was
-    normalized with, the batch mean in train mode and the running mean in
-    eval mode. No centred copy is kept; the backward centres again."""
+    """What batchnorm_backward needs from a train-mode forward: the input
+    and the batch mean it was normalized with. No centred copy is kept; the
+    backward centres again. ``mode`` is always "train", since an eval-mode
+    forward returns no context; perfbench's tracer reads it."""
 
     x: np.ndarray
     mean: np.ndarray
@@ -638,15 +624,18 @@ def _per_channel(v: np.ndarray) -> np.ndarray:
     return v[None, :, None, None]
 
 
-def batchnorm_forward(inp: Tensor, state: BatchNormState) -> tuple[Tensor, BatchNormContext]:
+def batchnorm_forward(
+    inp: Tensor, state: BatchNormState
+) -> tuple[Tensor, Optional[BatchNormContext]]:
     """Per-channel normalization of a [N, C, H, W] map.
 
     Train mode normalizes with the biased batch statistics and folds them
     into the running averages: running = (1-momentum)*running + momentum*batch.
-    Eval mode normalizes with the running statistics and mutates nothing.
-    Either way gamma*inv_std is applied as one per-channel scale, in place
-    in the output array; in train mode that array first holds x - mean, from
-    which the variance is taken.
+    Eval mode normalizes with the running statistics, mutates nothing and
+    returns None for the context, since nothing takes its backward. Either
+    way gamma*inv_std is applied as one per-channel scale, in place in the
+    output array; in train mode that array first holds x - mean, from which
+    the variance is taken.
     """
     _require_rank(inp, 4, "batchnorm input")
     x = inp.array
@@ -661,31 +650,28 @@ def batchnorm_forward(inp: Tensor, state: BatchNormState) -> tuple[Tensor, Batch
     if state.gamma.dtype != dt:
         raise ShapeError(f"batchnorm state dtype {state.gamma.dtype} differs from input {dt}")
 
-    if state.mode == "train":
-        count = x.shape[0] * x.shape[2] * x.shape[3]
-        if count < 2:
-            raise DataError(
-                f"batchnorm train mode needs at least 2 values per channel, got {count}"
-            )
-        mean = np.einsum("nchw->c", x) / dt.type(count)
-        out = x - _per_channel(mean)  # centred
-        var = np.einsum("nchw,nchw->c", out, out) / dt.type(count)  # biased
-        m = dt.type(state.momentum)
-        state.running_mean *= 1 - m
-        state.running_mean += m * mean
-        state.running_var *= 1 - m
-        state.running_var += m * var
-        inv_std = 1.0 / np.sqrt(var + dt.type(state.eps))
-        scale = state.gamma * inv_std
-        out *= _per_channel(scale)
-        out += _per_channel(state.beta)
-    else:
-        count = 0
-        mean = state.running_mean.copy()
-        inv_std = 1.0 / np.sqrt(state.running_var + dt.type(state.eps))
-        scale = state.gamma * inv_std
+    if state.mode == "eval":
+        scale = state.gamma * (1.0 / np.sqrt(state.running_var + dt.type(state.eps)))
         out = x * _per_channel(scale)
-        out += _per_channel(state.beta - mean * scale)
+        out += _per_channel(state.beta - state.running_mean * scale)
+        return Tensor(out), None
+    count = x.shape[0] * x.shape[2] * x.shape[3]
+    if count < 2:
+        raise DataError(
+            f"batchnorm train mode needs at least 2 values per channel, got {count}"
+        )
+    mean = np.einsum("nchw->c", x) / dt.type(count)
+    out = x - _per_channel(mean)  # centred
+    var = np.einsum("nchw,nchw->c", out, out) / dt.type(count)  # biased
+    m = dt.type(state.momentum)
+    state.running_mean *= 1 - m
+    state.running_mean += m * mean
+    state.running_var *= 1 - m
+    state.running_var += m * var
+    inv_std = 1.0 / np.sqrt(var + dt.type(state.eps))
+    scale = state.gamma * inv_std
+    out *= _per_channel(scale)
+    out += _per_channel(state.beta)
     ctx = BatchNormContext(x=x, mean=mean, inv_std=inv_std.astype(dt, copy=False),
                            gamma=state.gamma.copy(), count=count, mode=state.mode)
     return Tensor(out), ctx
@@ -694,11 +680,12 @@ def batchnorm_forward(inp: Tensor, state: BatchNormState) -> tuple[Tensor, Batch
 def batchnorm_backward(
     upstream: Tensor, ctx: BatchNormContext
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Gradients (grad_input, grad_gamma, grad_beta).
+    """Gradients (grad_input, grad_gamma, grad_beta) of a train-mode
+    forward.
 
-    In train mode the sum of up * (x - mean) is taken from x - mean itself,
-    centred again into the array that then becomes grad_input, so it keeps
-    full precision when |mean| is large against the spread.
+    The sum of up * (x - mean) is taken from x - mean itself, centred again
+    into the array that then becomes grad_input, so it keeps full precision
+    when |mean| is large against the spread.
     """
     _require_ctx(ctx, BatchNormContext, "batchnorm")
     _require_rank(upstream, 4, "batchnorm upstream")
@@ -709,23 +696,18 @@ def batchnorm_backward(
         )
     grad_beta = np.einsum("nchw->c", up)
     scale = ctx.gamma * ctx.inv_std
-    if ctx.mode == "train":
-        grad_x = x - _per_channel(ctx.mean)  # centred
-        dot = np.einsum("nchw,nchw->c", up, grad_x)  # sum of up * (x - mean)
-        # the batch statistics depend on x: subtract the mean of the scaled
-        # upstream and its projection onto the normalized input; per image,
-        # so that up * scale needs only an image-sized temporary
-        n = up.dtype.type(ctx.count)
-        proj = (scale * ctx.inv_std * ctx.inv_std * dot / n)[:, None, None]
-        shift = (scale * grad_beta / n)[:, None, None]
-        for g_i, up_i in zip(grad_x, up):
-            g_i *= proj
-            np.subtract(up_i * scale[:, None, None], g_i, out=g_i)
-            g_i -= shift
-    else:
-        dot = np.einsum("nchw,nchw->c", up, x)
-        dot -= ctx.mean * grad_beta
-        grad_x = up * _per_channel(scale)
+    grad_x = x - _per_channel(ctx.mean)  # centred
+    dot = np.einsum("nchw,nchw->c", up, grad_x)  # sum of up * (x - mean)
+    # the batch statistics depend on x: subtract the mean of the scaled
+    # upstream and its projection onto the normalized input; per image,
+    # so that up * scale needs only an image-sized temporary
+    n = up.dtype.type(ctx.count)
+    proj = (scale * ctx.inv_std * ctx.inv_std * dot / n)[:, None, None]
+    shift = (scale * grad_beta / n)[:, None, None]
+    for g_i, up_i in zip(grad_x, up):
+        g_i *= proj
+        np.subtract(up_i * scale[:, None, None], g_i, out=g_i)
+        g_i -= shift
     grad_gamma = dot * ctx.inv_std
     return Tensor(grad_x), Tensor(grad_gamma), Tensor(grad_beta)
 

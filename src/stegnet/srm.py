@@ -208,18 +208,6 @@ def _edge_pad(images: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")
 
 
-def _fold_edge_padding(grad: np.ndarray, pad: int) -> np.ndarray:
-    """Adjoint of edge-replicate padding: every padded position read the
-    nearest edge pixel, so its gradient accumulates back onto that pixel."""
-    g = grad.copy()
-    g[:, :, pad, :] += g[:, :, :pad, :].sum(axis=2)
-    g[:, :, -pad - 1, :] += g[:, :, -pad:, :].sum(axis=2)
-    g = g[:, :, pad:-pad, :]
-    g[:, :, :, pad] += g[:, :, :, :pad].sum(axis=3)
-    g[:, :, :, -pad - 1] += g[:, :, :, -pad:].sum(axis=3)
-    return np.ascontiguousarray(g[:, :, :, pad:-pad])
-
-
 def preprocess_forward(images: Tensor, layer: PreprocessingLayer) -> tuple[Tensor, PreprocessContext]:
     """Residual maps for a batch of single-channel images.
 
@@ -239,9 +227,9 @@ def preprocess_forward(images: Tensor, layer: PreprocessingLayer) -> tuple[Tenso
             f"preprocessing stage needs images at least 5x5, got {h}x{w}"
         )
     n3 = layer.kernels3.shape[0]
-    spec3 = nnops.Conv2dSpec(1, n3, 3, 3, stride=1, padding=0)
+    spec3 = nnops.Conv2dSpec(1, n3, 3, 3)
     n5 = layer.kernels5.shape[0]
-    spec5 = nnops.Conv2dSpec(1, n5, 5, 5, stride=1, padding=0)
+    spec5 = nnops.Conv2dSpec(1, n5, 5, 5)
     out3, ctx3 = nnops.conv2d_forward(Tensor(_edge_pad(images.array, 1)),
                                       layer.kernels3, None, spec3)
     out5, ctx5 = nnops.conv2d_forward(Tensor(_edge_pad(images.array, 2)),
@@ -251,13 +239,10 @@ def preprocess_forward(images: Tensor, layer: PreprocessingLayer) -> tuple[Tenso
 
 
 def preprocess_backward(
-    upstream: Tensor, ctx: PreprocessContext, image_grad: bool = True
-) -> tuple[Tensor | None, Tensor, Tensor]:
-    """Gradients (grad_images, grad_kernels3, grad_kernels5).
-
-    With ``image_grad=False`` only the kernel gradients are computed and
-    grad_images is None: the network's input images take no gradient.
-    """
+    upstream: Tensor, ctx: PreprocessContext
+) -> tuple[Tensor, Tensor]:
+    """Gradients (grad_kernels3, grad_kernels5). The network's input images
+    take no gradient, so neither conv computes its input gradient."""
     if not isinstance(ctx, PreprocessContext):
         raise ContractError(
             "preprocess_backward needs the context saved by preprocess_forward"
@@ -266,13 +251,6 @@ def preprocess_backward(
         raise ShapeError("preprocess upstream must be a [N, 30, H, W] tensor")
     up3 = Tensor(np.ascontiguousarray(upstream.array[:, : ctx.split]))
     up5 = Tensor(np.ascontiguousarray(upstream.array[:, ctx.split :]))
-    ctx3, ctx5 = ctx.ctx3, ctx.ctx5
-    if not image_grad:
-        ctx3 = replace(ctx3, input_grad=False)
-        ctx5 = replace(ctx5, input_grad=False)
-    gx3, gk3, _ = nnops.conv2d_backward(up3, ctx3)
-    gx5, gk5, _ = nnops.conv2d_backward(up5, ctx5)
-    if not image_grad:
-        return None, gk3, gk5
-    gx = _fold_edge_padding(gx3.array, 1) + _fold_edge_padding(gx5.array, 2)
-    return Tensor(gx), gk3, gk5
+    _, gk3, _ = nnops.conv2d_backward(up3, replace(ctx.ctx3, input_grad=False))
+    _, gk5, _ = nnops.conv2d_backward(up5, replace(ctx.ctx5, input_grad=False))
+    return gk3, gk5

@@ -118,7 +118,7 @@ class Preprocessing:
         return srm.preprocess_forward(x, self.layer)
 
     def backward(self, up: Tensor, ctx: srm.PreprocessContext) -> tuple[None, dict]:
-        _, g3, g5 = srm.preprocess_backward(up, ctx, image_grad=False)
+        g3, g5 = srm.preprocess_backward(up, ctx)
         return None, {"kernels3": g3, "kernels5": g5}
 
     def tensors(self) -> list:
@@ -371,10 +371,10 @@ class ZhuNetModel:
         as its stage returns, and leaves no context for a backward.
 
         An eval forward splits the images into up to ``nnops.WORKERS``
-        contiguous shards and runs the stages before the head on each, the
-        first on the calling thread and the others on a thread pool; every
-        eval op works image by image, so the joined result is bitwise the
-        unsplit one. The head runs once on the joined batch: a one-row
+        contiguous shards, one for an empty batch, and runs the stages
+        before the head on each, the first on the calling thread and the
+        others on a thread pool; every eval op works image by image, so the
+        joined result is bitwise the unsplit one. The head runs once on the joined batch: a one-row
         shard would take BLAS's matrix-vector path in the linear layers
         and round differently. A train forward is one shard, because
         batchnorm takes the whole batch's statistics."""
@@ -395,7 +395,7 @@ class ZhuNetModel:
             self._ctx = (saved, t.shape)
             return t
         body, head = stages[: len(self.stages) - 1], stages[len(self.stages) - 1 :]
-        shards = np.array_split(images.array, min(nnops.WORKERS, images.shape[0]))
+        shards = np.array_split(images.array, max(1, min(nnops.WORKERS, images.shape[0])))
         if len(shards) == 1:
             t = _eval_forward(images, body)
         else:

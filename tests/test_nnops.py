@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stegnet import nnops
-from stegnet.errors import DataError, ShapeError, SpecError
+from stegnet.errors import ContractError, DataError, ShapeError, SpecError
 from stegnet.tensor import Tensor
 
 from oracles import (
@@ -29,7 +29,7 @@ def test_conv2d_identity_kernel_preserves_input():
     w = np.zeros((3, 3, 3, 3))
     for c in range(3):
         w[c, c, 1, 1] = 1.0
-    spec = nnops.Conv2dSpec(3, 3, 3, 3, stride=1, padding=1, groups=1)
+    spec = nnops.Conv2dSpec(3, 3, 3, 3, padding=1, groups=1)
     out, _ = nnops.conv2d_forward(Tensor(x), Tensor(w), None, spec)
     assert np.allclose(out.array, x)
 
@@ -37,20 +37,20 @@ def test_conv2d_identity_kernel_preserves_input():
 def test_conv2d_single_pixel_all_ones_kernel():
     x = np.full((1, 1, 1, 1), 5.0)
     w = np.ones((1, 1, 3, 3))
-    spec = nnops.Conv2dSpec(1, 1, 3, 3, stride=1, padding=1, groups=1)
+    spec = nnops.Conv2dSpec(1, 1, 3, 3, padding=1, groups=1)
     out, _ = nnops.conv2d_forward(Tensor(x), Tensor(w), None, spec)
     assert out.shape == (1, 1, 1, 1)
     assert out.array[0, 0, 0, 0] == 5.0
 
 
-def test_conv2d_grouped_strided_matches_nested_loop_oracle():
+def test_conv2d_grouped_matches_nested_loop_oracle():
     rng = np.random.Generator(np.random.PCG64(1))
     x = rng.standard_normal((1, 4, 8, 8))
     w = rng.standard_normal((4, 2, 3, 3))
     b = rng.standard_normal(4)
-    spec = nnops.Conv2dSpec(4, 4, 3, 3, stride=2, padding=1, groups=2)
+    spec = nnops.Conv2dSpec(4, 4, 3, 3, padding=1, groups=2)
     out, _ = nnops.conv2d_forward(Tensor(x), Tensor(w), Tensor(b), spec)
-    ref = conv2d_reference(x, w, b, stride=2, padding=1, groups=2)
+    ref = conv2d_reference(x, w, b, stride=1, padding=1, groups=2)
     assert np.max(np.abs(out.array - ref)) < 1e-12
 
 
@@ -59,10 +59,10 @@ def test_conv2d_block_diagonal_group_property():
     groups = 3
     x = rng.standard_normal((2, 6, 5, 5))
     w = rng.standard_normal((6, 2, 3, 3))
-    spec = nnops.Conv2dSpec(6, 6, 3, 3, stride=1, padding=1, groups=groups)
+    spec = nnops.Conv2dSpec(6, 6, 3, 3, padding=1, groups=groups)
     out, _ = nnops.conv2d_forward(Tensor(x), Tensor(w), None, spec)
     per_group = []
-    sub_spec = nnops.Conv2dSpec(2, 2, 3, 3, stride=1, padding=1, groups=1)
+    sub_spec = nnops.Conv2dSpec(2, 2, 3, 3, padding=1, groups=1)
     for g in range(groups):
         xg = x[:, 2 * g : 2 * g + 2]
         wg = w[2 * g : 2 * g + 2]
@@ -76,7 +76,7 @@ def test_conv2d_backward_zero_upstream_gives_zero_grads():
     x = rng.standard_normal((1, 2, 4, 4))
     w = rng.standard_normal((2, 2, 3, 3))
     b = rng.standard_normal(2)
-    spec = nnops.Conv2dSpec(2, 2, 3, 3, stride=1, padding=1, groups=1)
+    spec = nnops.Conv2dSpec(2, 2, 3, 3, padding=1, groups=1)
     out, ctx = nnops.conv2d_forward(Tensor(x), Tensor(w), Tensor(b), spec)
     gx, gw, gb = nnops.conv2d_backward(Tensor(np.zeros(out.shape)), ctx)
     assert not gx.array.any() and not gw.array.any() and not gb.array.any()
@@ -87,7 +87,7 @@ def test_conv2d_backward_identity_kernel_passes_upstream_through():
     x = rng.standard_normal((1, 1, 4, 4))
     w = np.zeros((1, 1, 3, 3))
     w[0, 0, 1, 1] = 1.0
-    spec = nnops.Conv2dSpec(1, 1, 3, 3, stride=1, padding=1, groups=1)
+    spec = nnops.Conv2dSpec(1, 1, 3, 3, padding=1, groups=1)
     _, ctx = nnops.conv2d_forward(Tensor(x), Tensor(w), None, spec)
     up = rng.standard_normal((1, 1, 4, 4))
     gx, _, gb = nnops.conv2d_backward(Tensor(up), ctx)
@@ -100,7 +100,7 @@ def test_conv2d_backward_matches_finite_differences():
     x = rng.standard_normal((2, 3, 5, 5))
     w = rng.standard_normal((4, 3, 3, 3))
     b = rng.standard_normal(4)
-    spec = nnops.Conv2dSpec(3, 4, 3, 3, stride=1, padding=1, groups=1)
+    spec = nnops.Conv2dSpec(3, 4, 3, 3, padding=1, groups=1)
     out, ctx = nnops.conv2d_forward(Tensor(x), Tensor(w), Tensor(b), spec)
     up = rng.standard_normal(out.shape)
     gx, gw, gb = nnops.conv2d_backward(Tensor(up), ctx)
@@ -123,8 +123,7 @@ def test_band_kernel_matches_the_reference_across_band_boundaries(monkeypatch):
     """Forward and both adjoint identities of the band kernel against the
     nested-loop oracle, in f64 and f32, with the band size cut so the maps
     split into several bands, with a partial last band, and into one-row
-    bands (cin*wp above the band size); at stride 1 and at strides 2 and 3,
-    which sample the stride-1 rows the kernel walks."""
+    bands (cin*wp above the band size)."""
     monkeypatch.setattr(nnops, "_BAND_ELEMS", 64)
     rng = np.random.Generator(np.random.PCG64(11))
     cases = [
@@ -134,12 +133,10 @@ def test_band_kernel_matches_the_reference_across_band_boundaries(monkeypatch):
         (nnops.Conv2dSpec(1, 4, 5, 5), 14, 8),                       # one input channel
         (nnops.Conv2dSpec(4, 6, 2, 3, padding=2, groups=2), 9, 5),   # grouped, asymmetric
         (nnops.Conv2dSpec(20, 2, 3, 3, padding=1), 5, 6),            # wide rows
-        (nnops.Conv2dSpec(2, 3, 3, 3, stride=2, padding=1), 13, 9),  # strided
-        (nnops.Conv2dSpec(4, 6, 3, 2, stride=3, padding=2, groups=2), 11, 8),  # strided, grouped
     ]
     seen = set()
     for spec, h, w in cases:
-        oh = h + 2 * spec.padding - spec.kernel_h + 1  # stride-1 rows
+        oh = h + 2 * spec.padding - spec.kernel_h + 1
         rows, bands = nnops._bands(spec.in_channels, w + 2 * spec.padding, oh)
         if len(bands) > 1:
             seen.add("several")
@@ -151,7 +148,7 @@ def test_band_kernel_matches_the_reference_across_band_boundaries(monkeypatch):
         # values exact in f32, so one f64 oracle run serves both precisions
         x = rng.standard_normal((2, spec.in_channels, h, w)).astype(np.float32).astype(np.float64)
         wgt = rng.standard_normal(spec.weight_shape()).astype(np.float32).astype(np.float64)
-        ref = conv2d_reference(x, wgt, None, spec.stride, spec.padding, spec.groups)
+        ref = conv2d_reference(x, wgt, None, 1, spec.padding, spec.groups)
         up = rng.standard_normal(ref.shape).astype(np.float32).astype(np.float64)
         target = float(np.sum(up * ref))
         scale = float(np.sum(np.abs(up * ref)))
@@ -167,10 +164,8 @@ def test_band_kernel_matches_the_reference_across_band_boundaries(monkeypatch):
 
 def test_conv2d_spec_validation_errors():
     with pytest.raises(SpecError):
-        nnops.Conv2dSpec(3, 4, 3, 3, stride=1, padding=0, groups=2).validate()  # 3 % 2
-    with pytest.raises(SpecError):
-        nnops.Conv2dSpec(2, 2, 3, 3, stride=0, padding=0, groups=1).validate()
-    spec = nnops.Conv2dSpec(1, 1, 5, 5, stride=1, padding=0, groups=1)
+        nnops.Conv2dSpec(3, 4, 3, 3, padding=0, groups=2).validate()  # 3 % 2
+    spec = nnops.Conv2dSpec(1, 1, 5, 5, padding=0, groups=1)
     x = Tensor(np.zeros((1, 1, 3, 3)))
     w = Tensor(np.zeros((1, 1, 5, 5)))
     with pytest.raises(SpecError):
@@ -178,7 +173,7 @@ def test_conv2d_spec_validation_errors():
 
 
 def test_conv2d_shape_mismatch_rejected():
-    spec = nnops.Conv2dSpec(2, 2, 3, 3, stride=1, padding=1, groups=1)
+    spec = nnops.Conv2dSpec(2, 2, 3, 3, padding=1, groups=1)
     x = Tensor(np.zeros((1, 3, 4, 4)))  # wrong channel count
     w = Tensor(np.zeros((2, 2, 3, 3)))
     with pytest.raises(ShapeError):
@@ -392,6 +387,19 @@ def test_batchnorm_eval_mode_does_not_touch_running_stats():
     nnops.batchnorm_forward(Tensor(x), state)
     assert np.array_equal(state.running_mean, rm)
     assert np.array_equal(state.running_var, rv)
+
+
+def test_batchnorm_eval_forward_keeps_no_context_for_a_backward():
+    rng = np.random.Generator(np.random.PCG64(17))
+    x = rng.standard_normal((2, 2, 3, 3))
+    state = nnops.BatchNormState.create(2, dtype="f64")
+    _, train_ctx = nnops.batchnorm_forward(Tensor(x), state)
+    assert train_ctx.mode == "train"
+    state.mode = "eval"
+    out, ctx = nnops.batchnorm_forward(Tensor(x), state)
+    assert ctx is None
+    with pytest.raises(ContractError):
+        nnops.batchnorm_backward(Tensor(np.ones(out.shape)), ctx)
 
 
 def test_batchnorm_degenerate_batch_rejected():

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from stegnet import srm, zhunet
+from stegnet import nnops, srm, zhunet
 from stegnet.errors import ContractError, DataError, SpecError
 from stegnet.tensor import Tensor
 from stegnet.train import TrainConfig, TrainState, sgd_step
@@ -287,13 +287,7 @@ def test_preprocess_backward_matches_finite_differences():
     x = rng.standard_normal((1, 1, 6, 6)) * 5.0
     out, ctx = srm.preprocess_forward(Tensor(x), layer)
     up = rng.standard_normal(out.shape)
-    gx, gk3, gk5 = srm.preprocess_backward(Tensor(up), ctx)
-
-    def loss_x(v):
-        o, _ = srm.preprocess_forward(Tensor(v), layer)
-        return float(np.sum(up * o.array))
-
-    assert max_rel_err(gx.array, numeric_gradient(loss_x, x)) < 1e-6
+    gk3, gk5 = srm.preprocess_backward(Tensor(up), ctx)
 
     def loss_k3(v):
         lay = srm.PreprocessingLayer(kernels3=Tensor(v), kernels5=layer.kernels5,
@@ -302,3 +296,31 @@ def test_preprocess_backward_matches_finite_differences():
         return float(np.sum(up * o.array))
 
     assert max_rel_err(gk3.array, numeric_gradient(loss_k3, layer.kernels3.array)) < 1e-6
+
+    def loss_k5(v):
+        lay = srm.PreprocessingLayer(kernels3=layer.kernels3, kernels5=Tensor(v),
+                                     channel_names=layer.channel_names)
+        o, _ = srm.preprocess_forward(Tensor(x), lay)
+        return float(np.sum(up * o.array))
+
+    assert max_rel_err(gk5.array, numeric_gradient(loss_k5, layer.kernels5.array)) < 1e-6
+
+
+def test_preprocess_backward_returns_only_the_two_kernel_gradients(monkeypatch):
+    """The network's input images take no gradient, so neither conv
+    backward is asked for its input gradient."""
+    asked = []
+    real = nnops.conv2d_backward
+
+    def recording(up, ctx):
+        asked.append(ctx.input_grad)
+        return real(up, ctx)
+
+    monkeypatch.setattr(nnops, "conv2d_backward", recording)
+    layer = srm.PreprocessingLayer.build(dtype="f64")
+    x = np.random.default_rng(25).standard_normal((2, 1, 7, 7))
+    out, ctx = srm.preprocess_forward(Tensor(x), layer)
+    grads = srm.preprocess_backward(Tensor(np.ones(out.shape)), ctx)
+    assert isinstance(grads, tuple) and len(grads) == 2
+    assert [g.shape for g in grads] == [(25, 1, 3, 3), (5, 1, 5, 5)]
+    assert asked == [False, False]

@@ -176,6 +176,19 @@ def test_eval_outputs_are_bitwise_equal_for_every_worker_count(n, monkeypatch):
     assert outputs[3] == outputs[1]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_empty_eval_batch_gives_empty_logits_and_feature_maps(workers, monkeypatch):
+    """An empty batch runs as one empty shard; a train forward of it still
+    fails in batchnorm, which needs batch statistics."""
+    monkeypatch.setattr(nnops, "WORKERS", workers)
+    model = build(seed=1)
+    x = Tensor(np.zeros((0, 1, 32, 32), dtype=np.float32))
+    assert model.forward(x, mode="eval").shape == (0, 2)
+    assert model.dump_feature_maps(x, "block2").shape == (0, 32, 8, 8)
+    with pytest.raises(DataError):
+        model.forward(x, mode="train")
+
+
 def test_sharded_eval_forwards_under_fast_thread_switching_match_the_serial_bytes(monkeypatch):
     """Four workers on a 7-image batch, more threads than cores, with the
     interpreter switching threads every microsecond."""
