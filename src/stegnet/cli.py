@@ -66,6 +66,13 @@ class _UsageError(Exception):
     pass
 
 
+def _seed(text: str) -> int:
+    """--seed: numpy's seed sequences take non-negative integers only."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 # ---------------------------------------------------------------------------
 # config files: `key = value` lines, # comments, unknown keys rejected
 # ---------------------------------------------------------------------------
@@ -183,6 +190,9 @@ def cmd_embed(args) -> int:
     from .errors import DataError, FormatError
 
     in_dir, out_dir = args.in_dir, args.out_dir
+    for flag, path in (("--in", in_dir), ("--out", out_dir)):
+        if any(ch.isspace() for ch in os.path.abspath(path)):
+            raise DataError(f"{flag} path {os.path.abspath(path)!r} holds whitespace")
     if not os.path.isdir(in_dir):
         print(f"embed: input directory {in_dir!r} does not exist", file=sys.stderr)
         return EXIT_DATA
@@ -222,6 +232,8 @@ def cmd_embed(args) -> int:
         stem = os.path.splitext(name)[0]
         stego_path = os.path.join(out_dir, f"{stem}_stego.pgm")
         try:
+            if any(ch.isspace() for ch in name):
+                raise DataError("a manifest line cannot hold a file name with whitespace")
             cover = data.load_pgm(cover_path)
             seed = int(np.random.SeedSequence([args.seed, idx]).generate_state(1)[0])
             stego = data.embed_simulate(cover, args.payload, seed)
@@ -370,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_dir", required=True, help="directory of cover .pgm files")
     p.add_argument("--out", dest="out_dir", required=True, help="output directory")
     p.add_argument("--payload", type=float, required=True, help="payload in bits per pixel")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--val-fraction", type=float, default=0.0,
                    help="fraction of pairs assigned to the validation split")
     p.add_argument("--test-fraction", type=float, default=0.0,
@@ -394,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference verification of the backward passes")
     p.add_argument("--scale", choices=["ops", "model"], default="ops")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("dump-features", help="write per-channel feature maps of a stage")

@@ -306,11 +306,15 @@ def eval_batches(
 
 
 def write_manifest(path, entries: list[tuple[str, str, str, str]]) -> None:
-    """Write manifest lines ``<id> <cover-path> <stego-path> <split>``."""
+    """Write manifest lines ``<id> <cover-path> <stego-path> <split>``; they
+    split on whitespace, so a field that is empty or holds some is an error."""
     lines = []
-    for pair_id, cover_path, stego_path, split in entries:
+    for entry in entries:
+        pair_id, cover_path, stego_path, split = entry
         if split not in SPLITS:
             raise DataError(f"unknown split {split!r} for pair {pair_id!r}")
+        if any(str(value).split() != [str(value)] for value in entry):
+            raise DataError(f"a manifest field of {entry!r} is empty or holds whitespace")
         lines.append(f"{pair_id} {cover_path} {stego_path} {split}\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)

@@ -175,11 +175,10 @@ class PreprocessingLayer:
     channel_names: tuple[str, ...]
 
     @classmethod
-    def build(cls, dtype: str = "f32", bank: list[SrmFilter] | None = None) -> "PreprocessingLayer":
+    def build(cls, dtype: str = "f32") -> "PreprocessingLayer":
         if dtype not in DTYPES:
             raise SpecError(f"unknown dtype {dtype!r}")
-        if bank is None:
-            bank = build_filter_bank()
+        bank = build_filter_bank()
         small = [f for f in bank if f.size_class == "embed3x3"]
         big = [f for f in bank if f.size_class == "keep5x5"]
         k3 = np.concatenate([embed_kernel(f).array for f in small], axis=0)

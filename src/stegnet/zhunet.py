@@ -15,9 +15,11 @@ Architecture (input: [N, 1, H, W] single-channel images, square, H >= 25):
    channels = a fixed 2688-length descriptor regardless of input size, then
    fully connected 2688 -> 1024 -> 2 (ReLU between), softmax scores.
 
-``activation_mode`` selects ReLU (default) or TLU with threshold 3 for the
-four basic-block activations. Convolutions carry no bias (batchnorm follows
-every one); the linear layers carry bias.
+The module constants ``CHANNELS``, ``SPP_LEVELS``, ``FC_HIDDEN``,
+``BN_MOMENTUM`` and ``BN_EPS`` fix the architecture. ``activation_mode``
+selects ReLU (default) or TLU with threshold 3 for the four basic-block
+activations. Convolutions carry no bias (batchnorm follows every one); the
+linear layers carry bias.
 
 ``ZhuNetModel.stages`` is the one ordered ``(name, layer)`` list, built once
 by ``_assemble``: preprocessing, sep1, sep2, block1-4, head. Every layer
@@ -60,6 +62,12 @@ CHECKPOINT_VERSION = 1
 _DTYPE_CODES = {"f32": 0, "f64": 1}
 _CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
+# The paper's architecture, and the momentum and eps of every batchnorm.
+CHANNELS = (32, 32, 64, 128)
+SPP_LEVELS = (4, 2, 1)
+FC_HIDDEN = 1024
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5
+
 MIN_INPUT_SIZE = 25  # smallest square input whose pyramid stage still gets a 4x4 map
 
 PARAM, BUFFER, CONFIG = "param", "buffer", "config"
@@ -77,9 +85,6 @@ def _table_name(stage: str, key: str) -> str:
 class ModelConfig:
     activation_mode: str = "relu"
     srm_trainable: bool = True
-    channels: tuple[int, int, int, int] = (32, 32, 64, 128)
-    spp_levels: tuple[int, ...] = (4, 2, 1)
-    fc_hidden: int = 1024
     dtype: str = "f32"
     seed: int = 0
 
@@ -88,13 +93,6 @@ class ModelConfig:
             raise SpecError(
                 f"activation_mode must be one of {ACTIVATION_MODES}, got {self.activation_mode!r}"
             )
-        if len(self.channels) != 4 or any(
-            not isinstance(c, int) or c < 1 for c in self.channels
-        ):
-            raise SpecError(f"channels must be four positive integers, got {self.channels!r}")
-        nnops.SppConfig(tuple(self.spp_levels)).validate()
-        if not isinstance(self.fc_hidden, int) or self.fc_hidden < 1:
-            raise SpecError(f"fc_hidden must be a positive integer, got {self.fc_hidden!r}")
         if self.dtype not in DTYPES:
             raise SpecError(f"unknown dtype {self.dtype!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
@@ -299,13 +297,12 @@ class ZhuNetModel:
             for key, tensor, kind in lyr.tensors():
                 entry = Entry(tensor, kind, rule if kind == PARAM else FROZEN)
                 rows[kind].append((_table_name(stage, key), entry))
-        first_bn = self.sep1.bn_pw  # every batchnorm shares momentum and eps
         for name, values in (
             ("activation_mode", [ACTIVATION_MODES.index(self.config.activation_mode)]),
             ("srm_trainable", [self.config.srm_trainable]),
-            ("spp_levels", self.layer("head").spp.levels),
-            ("bn_momentum", [first_bn.momentum]),
-            ("bn_eps", [first_bn.eps]),
+            ("spp_levels", SPP_LEVELS),
+            ("bn_momentum", [BN_MOMENTUM]),
+            ("bn_eps", [BN_EPS]),
         ):
             tensor = Tensor(np.array(values, dtype=np.float64))
             rows[CONFIG].append((f"config.{name}", Entry(tensor, CONFIG)))
@@ -353,17 +350,9 @@ class ZhuNetModel:
             raise DataError(
                 f"pyramid stage needs square inputs, got {h}x{w}"
             )
-        a = h
-        for blk in self.blocks:
-            if blk.pool:
-                a = -(-a // 2)  # win 5 / stride 2 / pad 2 halves, rounding up
-        level = max(self.layer("head").spp.levels)
-        if a < level:
-            raise DataError(
-                f"input {h}x{w} is inadmissible: the pyramid stage would get a "
-                f"{a}x{a} map, smaller than pyramid level {level}; "
-                f"square inputs of at least {MIN_INPUT_SIZE}x{MIN_INPUT_SIZE} are required"
-            )
+        if h < MIN_INPUT_SIZE:
+            raise DataError(f"input {h}x{w} is inadmissible: the pyramid stage needs square "
+                            f"inputs of at least {MIN_INPUT_SIZE}x{MIN_INPUT_SIZE}")
 
     def _run(self, images: Tensor, mode: str, stages: list) -> Tensor:
         """Run ``stages``, a prefix of the stage list. Only a train forward
@@ -459,7 +448,7 @@ def _xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-limit, limit, size=shape).astype(dt)
 
 
-def _assemble(config: ModelConfig, value, momentum: float = 0.1, eps: float = 1e-5) -> ZhuNetModel:
+def _assemble(config: ModelConfig, value) -> ZhuNetModel:
     """The one construction routine, and the one place the stage order is
     written. ``value(name, shape, init)`` gives the array of each
     state-table tensor: build_model returns ``init()``, deserialize_model
@@ -481,7 +470,7 @@ def _assemble(config: ModelConfig, value, momentum: float = 0.1, eps: float = 1e
         return nnops.BatchNormState(
             gamma=stat("gamma", 1), beta=stat("beta", 0),
             running_mean=stat("running_mean", 0), running_var=stat("running_var", 1),
-            momentum=momentum, eps=eps,
+            momentum=BN_MOMENTUM, eps=BN_EPS,
         )
 
     pre = srm.PreprocessingLayer.build(dtype=config.dtype)
@@ -501,7 +490,7 @@ def _assemble(config: ModelConfig, value, momentum: float = 0.1, eps: float = 1e
 
     stages = [("preprocessing", Preprocessing(pre)), sepconv("sep1", True), sepconv("sep2", False)]
     cin = c0
-    for i, cout in enumerate(config.channels, start=1):
+    for i, cout in enumerate(CHANNELS, start=1):
         stages.append((f"block{i}", BasicBlock(
             conv_w=xavier(f"block{i}.conv.w", (cout, cin, 3, 3), cin * 9, cout * 9),
             bn=batchnorm(f"block{i}.bn", cout),
@@ -510,8 +499,8 @@ def _assemble(config: ModelConfig, value, momentum: float = 0.1, eps: float = 1e
         )))
         cin = cout
 
-    spp = nnops.SppConfig(tuple(config.spp_levels))
-    feat_dim, hidden = config.channels[-1] * spp.bins, config.fc_hidden
+    spp = nnops.SppConfig(SPP_LEVELS)
+    feat_dim, hidden = CHANNELS[-1] * spp.bins, FC_HIDDEN
     stages.append(("head", Head(
         spp=spp,
         fc1_w=xavier("fc1.w", (feat_dim, hidden), feat_dim, hidden),
@@ -617,61 +606,41 @@ def _need(table, name: str) -> np.ndarray:
     return table[name]
 
 
-def _config_entry(table, name: str, scalar: bool = True) -> np.ndarray:
-    """The values of ``config.<name>``: rank 1 and finite, and of shape (1,)
-    for a scalar entry."""
+def _config_scalar(table, name: str) -> float:
+    """The value of ``config.<name>``: shape (1,) and finite."""
     key = f"config.{name}"
     v = _need(table, key)
-    if v.ndim != 1 or (scalar and v.shape != (1,)):
-        raise FormatError(f"checkpoint tensor {key!r} has shape {v.shape}, expected "
-                          + ("(1,)" if scalar else "rank 1"))
-    if not np.all(np.isfinite(v)):
+    if v.shape != (1,):
+        raise FormatError(f"checkpoint tensor {key!r} has shape {v.shape}, expected (1,)")
+    if not np.isfinite(v[0]):
         raise FormatError(f"checkpoint tensor {key!r} is not finite: {v.tolist()}")
-    return v
+    return float(v[0])
 
 
-def _read_config(table) -> tuple[str, bool, tuple[int, ...], float, float]:
-    """Activation mode, srm_trainable, pyramid levels, batchnorm momentum and
-    eps from the checkpoint's config entries; a value outside its domain is
-    a FormatError."""
-    mode = float(_config_entry(table, "activation_mode")[0])
+def _read_config(table) -> tuple[str, bool]:
+    """Activation mode and srm_trainable from the checkpoint's config
+    entries; a value outside its domain is a FormatError, and so are
+    pyramid levels or batchnorm scalars other than the architecture's."""
+    mode = _config_scalar(table, "activation_mode")
     if mode != int(mode) or not 0 <= mode < len(ACTIVATION_MODES):
         raise FormatError(f"config.activation_mode must index {ACTIVATION_MODES}, got {mode:g}")
-    trainable = float(_config_entry(table, "srm_trainable")[0])
+    trainable = _config_scalar(table, "srm_trainable")
     if trainable not in (0.0, 1.0):
         raise FormatError(f"config.srm_trainable must be 0 or 1, got {trainable:g}")
-    levels = _config_entry(table, "spp_levels", scalar=False)
-    if np.any(levels != np.floor(levels)):
-        raise FormatError(f"config.spp_levels must be whole numbers, got {levels.tolist()}")
-    momentum = float(_config_entry(table, "bn_momentum")[0])
-    if not 0 <= momentum <= 1:
-        raise FormatError(f"config.bn_momentum must be in [0, 1], got {momentum:g}")
-    eps = float(_config_entry(table, "bn_eps")[0])
-    if not eps > 0:
-        raise FormatError(f"config.bn_eps must be positive, got {eps:g}")
-    return (ACTIVATION_MODES[int(mode)], bool(trainable), tuple(int(v) for v in levels),
-            momentum, eps)
+    for name, expected in (("spp_levels", SPP_LEVELS), ("bn_momentum", (BN_MOMENTUM,)),
+                           ("bn_eps", (BN_EPS,))):
+        got = _need(table, f"config.{name}").tolist()
+        if got != list(expected):
+            raise FormatError(f"config.{name} must be {list(expected)}, got {got}")
+    return ACTIVATION_MODES[int(mode)], bool(trainable)
 
 
 def deserialize_model(data: bytes) -> ZhuNetModel:
     """Rebuild a model from checkpoint bytes (see serialize_model)."""
     table = _read_tensor_table(data)
-    mode, srm_trainable, levels, momentum, eps = _read_config(table)
-    fc1_w = _need(table, "fc1.w")
-    dtype = "f32" if fc1_w.dtype == np.float32 else "f64"
-    channels = tuple(int(_need(table, f"block{i}.conv.w").shape[0]) for i in range(1, 5))
-    config = ModelConfig(
-        activation_mode=mode,
-        srm_trainable=srm_trainable,
-        channels=channels,  # type: ignore[arg-type]
-        spp_levels=levels,
-        fc_hidden=int(fc1_w.shape[1]),
-        dtype=dtype,
-    )
-    try:
-        config.validate()
-    except SpecError as exc:
-        raise FormatError(f"checkpoint config is invalid: {exc}") from exc
+    mode, srm_trainable = _read_config(table)
+    dtype = "f32" if _need(table, "fc1.w").dtype == np.float32 else "f64"
+    config = ModelConfig(activation_mode=mode, srm_trainable=srm_trainable, dtype=dtype)
     dt = DTYPES[dtype]
 
     def value(name: str, shape: tuple[int, ...], init) -> np.ndarray:
@@ -682,7 +651,7 @@ def deserialize_model(data: bytes) -> ZhuNetModel:
             )
         return array.astype(dt, copy=False)
 
-    model = _assemble(config, value, momentum, eps)
+    model = _assemble(config, value)
     for name in table:
         if name not in model.table:
             raise FormatError(f"checkpoint has an unexpected tensor {name!r}")

@@ -144,6 +144,47 @@ def test_embed_usage_errors(tmp_path, small_rng):
     assert not (tmp_path / "out").exists()
 
 
+def test_embed_rejects_in_and_out_paths_that_hold_whitespace(tmp_path, small_rng, capsys):
+    # manifest lines split on whitespace, so such a path could not be read back
+    write_covers(tmp_path / "my covers", small_rng, 1)
+    write_covers(tmp_path / "covers", small_rng, 1)
+    assert cli.run(["embed", "--in", str(tmp_path / "my covers"),
+                    "--out", str(tmp_path / "out"), "--payload", "0.5"]) == 2
+    assert "--in" in capsys.readouterr().err
+    assert cli.run(["embed", "--in", str(tmp_path / "covers"),
+                    "--out", str(tmp_path / "out dir"), "--payload", "0.5"]) == 2
+    assert "--out" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "out dir").exists()
+
+
+def test_embed_skips_a_cover_whose_name_holds_whitespace(tmp_path, small_rng, capsys):
+    write_covers(tmp_path / "covers", small_rng, 2)
+    data.save_pgm(tmp_path / "covers" / "my cover.pgm", textured_cover(small_rng, 16))
+    assert cli.run(["embed", "--in", str(tmp_path / "covers"),
+                    "--out", str(tmp_path / "out"), "--payload", "0.5",
+                    "--val-fraction", "0.34"]) == 2
+    assert "my cover.pgm" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "my cover_stego.pgm").exists()
+    # the manifest of the other two reads back
+    splits = data.load_manifest(tmp_path / "out" / "manifest.txt")
+    ids = sorted(p.pair_id for ds in splits.values() for p in ds.pairs)
+    assert ids == ["img000", "img001"]
+
+
+@pytest.mark.parametrize("command", [
+    ["embed", "--in", "{tmp}/covers", "--out", "{tmp}/out", "--payload", "0.5"],
+    ["gradcheck"],
+])
+def test_a_negative_seed_is_a_usage_error(tmp_path, small_rng, command):
+    write_covers(tmp_path / "covers", small_rng, 1)
+    argv = [arg.format(tmp=tmp_path) for arg in command]
+    proc = run_cli(*argv, "--seed", "-1")
+    assert proc.returncode == 1
+    assert "--seed" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------
@@ -319,6 +360,16 @@ def test_run_config_rejects_non_finite_values(tmp_path):
                 cli.load_run_config(path)
 
 
+def test_readme_library_usage_block_runs(tmp_path, small_rng, monkeypatch, capsys):
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library usage", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, flags=re.S).group(1)
+    write_dataset(tmp_path / "dataset", small_rng, n_train=8, n_val=2, n_test=2, size=32)
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert 0.0 <= float(capsys.readouterr().out) <= 1.0
+
+
 def test_readme_run_config_block_lists_exactly_the_schema_keys():
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
@@ -390,6 +441,13 @@ def test_eval_error_paths(tmp_path, small_rng, capsys):
     assert cli.run(["eval", "--checkpoint", str(tmp_path / "empty_mode.znet"),
                     "--manifest", str(manifest), "--split", "validation"]) == 2
     assert "config.activation_mode" in capsys.readouterr().err
+    # well-formed, but another architecture's batchnorm eps
+    model = zhunet.build_model(zhunet.ModelConfig())
+    model.table["config.bn_eps"] = zhunet.Entry(Tensor(np.array([1e-3])), zhunet.CONFIG)
+    zhunet.save_checkpoint(model, tmp_path / "other_eps.znet")
+    assert cli.run(["eval", "--checkpoint", str(tmp_path / "other_eps.znet"),
+                    "--manifest", str(manifest), "--split", "validation"]) == 2
+    assert "config.bn_eps" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +559,7 @@ def test_readme_lists_exactly_the_dump_features_stages():
     assert len(lines) == 1, lines
     assert tuple(re.findall(r"`([^`]+)`", lines[0])) == zhunet.STAGES
     # ... and they are the model's stages that dump_feature_maps accepts
-    model = zhunet.build_model(zhunet.ModelConfig(channels=(1, 1, 1, 1), fc_hidden=1))
+    model = zhunet.build_model(zhunet.ModelConfig())
     image = Tensor(np.zeros((1, 1, 25, 25), dtype=np.float32))
     accepted = []
     for name, _ in model.stages:
@@ -528,6 +586,19 @@ def test_unknown_subcommand_and_missing_flags_exit_1():
     assert run_cli("frobnicate").returncode == 1
     assert run_cli("train").returncode == 1  # --config is required
     assert run_cli("embed", "--in", "x").returncode == 1
+
+
+def test_importing_the_package_and_the_cli_loads_no_numpy():
+    # the --threads cap sets the BLAS variables, which only numpy's first
+    # import reads
+    import subprocess
+    import sys
+
+    code = ("import sys, stegnet, stegnet.cli; "
+            "assert 'numpy' not in sys.modules, 'numpy was imported'")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_thread_cap_usage_errors_exit_1():

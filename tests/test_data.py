@@ -342,6 +342,16 @@ def test_manifest_round_trip_with_relative_paths(tmp_path, small_rng):
     assert reloaded.same_pixels(data.load_pgm(tmp_path / "a_c.pgm"))
 
 
+def test_write_manifest_rejects_fields_that_would_not_read_back(tmp_path, small_rng):
+    good = write_pair_files(tmp_path, small_rng, "a", "train")
+    for i in range(3):
+        bad = list(good)
+        bad[i] = "with space" if i else ""
+        with pytest.raises(DataError, match="whitespace"):
+            write_manifest(tmp_path / "pairs.txt", [good, tuple(bad)])
+    assert not (tmp_path / "pairs.txt").exists()
+
+
 def test_manifest_rejects_wrong_field_count(tmp_path):
     mpath = tmp_path / "pairs.txt"
     mpath.write_text("a cover.pgm stego.pgm\n")

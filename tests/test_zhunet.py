@@ -527,8 +527,6 @@ PINNED_CHECKPOINTS = [
      "52352731c148f728f36b8b3b2df1aeaf557cb7e42462adbf2b5045e5707f7c3d", 11_480_602),
     (zhunet.ModelConfig(activation_mode="tlu3", srm_trainable=False, dtype="f64", seed=7),
      "62d81118c619ea7598364be83a9e22cf0ae035499f097e80eb2356c17ec8840b", 22_959_786),
-    (zhunet.ModelConfig(channels=(4, 4, 8, 8), spp_levels=(2, 1), fc_hidden=16, seed=3),
-     "8d3b2877b77e7801a81015f61d64f750c70669fd6137fdac53a7c4b26e5c70f3", 25_586),
 ]
 
 
@@ -730,6 +728,10 @@ def test_a_tensor_of_the_wrong_shape_is_a_format_error():
     ("bn_eps", [np.nan]),
     ("bn_eps", [0.0]),
     ("bn_eps", [[1e-5]]),
+    # well-formed, but not the architecture's
+    ("spp_levels", [2.0, 1.0]),
+    ("bn_momentum", [0.2]),
+    ("bn_eps", [1e-3]),
 ])
 def test_a_malformed_config_entry_is_a_format_error(name, values):
     model = build()
@@ -750,5 +752,3 @@ def test_config_rejects_unknown_activation_mode():
 def test_config_rejects_unknown_dtype_and_bad_channels():
     with pytest.raises(SpecError):
         zhunet.build_model(zhunet.ModelConfig(dtype="f16"))
-    with pytest.raises(SpecError):
-        zhunet.build_model(zhunet.ModelConfig(channels=(32, 32, 64)))
