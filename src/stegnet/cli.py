@@ -100,16 +100,21 @@ def parse_config_text(text: str, allowed_keys) -> dict[str, str]:
 
 def run_config_schema() -> list[tuple[str, object]]:
     """(key, default) of every run-config key, in resolved.cfg order: the
-    run's paths, the TrainConfig fields, then augment. A None default marks
-    a required key; every other value parses and formats by the type of its
-    default."""
+    run's paths, the TrainConfig fields with the model keys freeze_srm and
+    activation_mode after seed, then augment. A None default marks a
+    required key; every other value parses and formats by the type of its
+    default, and the model keys take their defaults from ModelConfig."""
     from dataclasses import fields
 
     from .train import TrainConfig
+    from .zhunet import ModelConfig
 
-    return ([("manifest", None), ("out_dir", None)]
-            + [(f.name, f.default) for f in fields(TrainConfig)]
-            + [("augment", "none")])
+    model = ModelConfig()
+    train = [(f.name, f.default) for f in fields(TrainConfig)]
+    after_seed = [key for key, _ in train].index("seed") + 1
+    return ([("manifest", None), ("out_dir", None)] + train[:after_seed]
+            + [("freeze_srm", not model.srm_trainable), ("activation_mode", model.activation_mode)]
+            + train[after_seed:] + [("augment", "none")])
 
 
 def _parse_value(key: str, value: str, default):
@@ -124,7 +129,11 @@ def _parse_value(key: str, value: str, default):
         # comma-separated epochs; the word 'none' spells the empty schedule
         if value.strip().lower() == "none":
             return ()
-        return tuple(int(tok) for tok in value.split(",") if tok.strip())
+        tokens = [tok.strip() for tok in value.split(",")]
+        if "" in tokens:
+            raise SpecError(f"config key {key!r} has an empty entry in {value!r}; "
+                            f"write none for no epochs")
+        return tuple(int(tok) for tok in tokens)
     return value if default is None else type(default)(value)
 
 
@@ -139,13 +148,15 @@ def _format_value(value, default) -> str:
 
 
 def load_run_config(path):
-    """Parse a training run config; returns (TrainConfig, manifest, out_dir,
-    augment). Keys left out take their TrainConfig defaults, except that a
-    left-out lr_decay_epochs keeps only the default epochs below
-    max_epochs. Relative manifest and out_dir paths are resolved against
-    the config file's directory."""
+    """Parse a training run config; returns (TrainConfig, ModelConfig,
+    manifest, out_dir, augment). The freeze_srm, activation_mode and seed
+    keys build the ModelConfig; seed also seeds the batch order. Keys left
+    out take their defaults, except that a left-out lr_decay_epochs keeps
+    only the default epochs below max_epochs. Relative manifest and out_dir
+    paths are resolved against the config file's directory."""
     from .errors import SpecError
     from .train import TrainConfig
+    from .zhunet import ModelConfig
 
     schema = run_config_schema()
     with open(path, "r", encoding="utf-8") as fh:
@@ -158,20 +169,26 @@ def load_run_config(path):
                   for key, default in schema}
     except ValueError as exc:
         raise SpecError(f"bad config value: {exc}") from exc
-    manifest, out_dir, augment = (values.pop(k) for k in ("manifest", "out_dir", "augment"))
+    manifest, out_dir, augment, freeze_srm, activation_mode = (
+        values.pop(k) for k in ("manifest", "out_dir", "augment", "freeze_srm", "activation_mode"))
     if "lr_decay_epochs" not in raw:
         values["lr_decay_epochs"] = tuple(e for e in values["lr_decay_epochs"]
                                           if e < values["max_epochs"])
     cfg = TrainConfig(**values)
     cfg.validate()
+    model_cfg = ModelConfig(activation_mode=activation_mode, srm_trainable=not freeze_srm,
+                            seed=cfg.seed)
+    model_cfg.validate()
     if augment not in ("none", "dihedral8"):
         raise SpecError(f"config key 'augment' must be none or dihedral8, got {augment!r}")
     base = os.path.dirname(os.path.abspath(path))  # join keeps an absolute path as it is
-    return cfg, os.path.join(base, manifest), os.path.join(base, out_dir), augment
+    return cfg, model_cfg, os.path.join(base, manifest), os.path.join(base, out_dir), augment
 
 
-def _resolved_config_text(cfg, manifest: str, out_dir: str, augment: str) -> str:
-    run = {"manifest": manifest, "out_dir": out_dir, "augment": augment}
+def _resolved_config_text(cfg, model_cfg, manifest: str, out_dir: str, augment: str) -> str:
+    run = {"manifest": manifest, "out_dir": out_dir, "augment": augment,
+           "freeze_srm": not model_cfg.srm_trainable,
+           "activation_mode": model_cfg.activation_mode}
     lines = ["# resolved run configuration"] + [
         f"{key} = {_format_value(run[key] if key in run else getattr(cfg, key), default)}"
         for key, default in run_config_schema()
@@ -270,27 +287,20 @@ def cmd_train(args) -> int:
     from .data import apply_dihedral8
     from .train import train_loop
 
-    cfg, manifest, out_dir, augment = load_run_config(args.config)
+    cfg, model_cfg, manifest, out_dir, augment = load_run_config(args.config)
     train_ds, val_ds = _load_splits(manifest, "train", "validation")
     if augment == "dihedral8":
         train_ds = apply_dihedral8(train_ds)
 
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "resolved.cfg"), "w", encoding="utf-8") as fh:
-        fh.write(_resolved_config_text(cfg, manifest, out_dir, augment))
+        fh.write(_resolved_config_text(cfg, model_cfg, manifest, out_dir, augment))
     metrics_path = os.path.join(out_dir, "metrics.csv")
     if os.path.exists(metrics_path):
         os.remove(metrics_path)  # fresh run, fresh history
 
-    model = zhunet.build_model(
-        zhunet.ModelConfig(
-            activation_mode=cfg.activation_mode,
-            srm_trainable=not cfg.freeze_srm,
-            seed=cfg.seed,
-        )
-    )
-    state = train_loop(model, train_ds, val_ds, cfg,
-                       metrics_path=metrics_path)
+    model = zhunet.build_model(model_cfg)
+    state = train_loop(model, train_ds, val_ds, cfg, metrics_path=metrics_path)
     ckpt_path = os.path.join(out_dir, "best.znet")
     with open(ckpt_path, "wb") as fh:
         fh.write(state.best_checkpoint)
@@ -447,3 +457,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

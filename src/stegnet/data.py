@@ -54,13 +54,6 @@ class GrayImage:
             raise DataError(f"expected uint8 pixels, got {a.dtype}")
         return cls(width=a.shape[1], height=a.shape[0], pixels=a.reshape(-1))
 
-    def same_pixels(self, other: "GrayImage") -> bool:
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and bool(np.array_equal(self.pixels, other.pixels))
-        )
-
 
 # ---------------------------------------------------------------------------
 # PGM (P5) files

@@ -3,7 +3,9 @@
 Each check builds a random f64 problem, computes the analytic gradient of
 the scalar probe ``sum(upstream * output)`` (or the loss itself for the
 cross-entropy and end-to-end checks) and compares it against central
-differences with h = 1e-5.
+differences with h = 1e-5. ``probe_gradients`` writes the probe once: each
+operator check passes it the forward as a ``run(*arrays) -> ndarray``
+callable and gets the differences for every argument.
 
 Comparison rule: elements whose analytic magnitude is below 1e-8 must agree
 absolutely within 1e-8; all others must have symmetric relative error
@@ -96,8 +98,22 @@ def _probe(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.standard_normal(shape)
 
 
-def _check_many(name: str, pieces: list[tuple[np.ndarray, np.ndarray]],
-                tol: float = OP_TOL) -> CheckResult:
+def probe_gradients(run: Callable[..., np.ndarray], up: np.ndarray,
+                    *arrays: np.ndarray) -> list[np.ndarray]:
+    """Numerical gradient of the probe ``sum(up * run(*arrays))`` with
+    respect to each of ``arrays``, in order; the others stay fixed."""
+    grads = []
+    for i, x in enumerate(arrays):
+        def loss(v, i=i):
+            return float(np.sum(up * run(*arrays[:i], v, *arrays[i + 1:])))
+
+        grads.append(numerical_gradient(loss, x))
+    return grads
+
+
+def _check_many(name: str, pieces, tol: float = OP_TOL) -> CheckResult:
+    """One result over (analytic, numeric) gradient pairs: the worst
+    relative error, ok only if every pair passes."""
     worst = 0.0
     ok = True
     for analytic, numeric in pieces:
@@ -127,23 +143,12 @@ def check_conv2d(seed: int) -> CheckResult:
         b = _probe(rng, (spec.out_channels,))
         out, ctx = nnops.conv2d_forward(Tensor(x), Tensor(w), Tensor(b), spec)
         up = _probe(rng, out.shape)
-        gx, gw, gb = nnops.conv2d_backward(Tensor(up), ctx)
+        analytic = nnops.conv2d_backward(Tensor(up), ctx)
 
-        def loss_x(v, w=w, b=b, spec=spec, up=up):
-            o, _ = nnops.conv2d_forward(Tensor(v), Tensor(w), Tensor(b), spec)
-            return float(np.sum(up * o.array))
+        def run(x, w, b, spec=spec):
+            return nnops.conv2d_forward(Tensor(x), Tensor(w), Tensor(b), spec)[0].array
 
-        def loss_w(v, x=x, b=b, spec=spec, up=up):
-            o, _ = nnops.conv2d_forward(Tensor(x), Tensor(v), Tensor(b), spec)
-            return float(np.sum(up * o.array))
-
-        def loss_b(v, x=x, w=w, spec=spec, up=up):
-            o, _ = nnops.conv2d_forward(Tensor(x), Tensor(w), Tensor(v), spec)
-            return float(np.sum(up * o.array))
-
-        pieces.append((gx.array, numerical_gradient(loss_x, x)))
-        pieces.append((gw.array, numerical_gradient(loss_w, w)))
-        pieces.append((gb.array, numerical_gradient(loss_b, b)))
+        pieces += zip((g.array for g in analytic), probe_gradients(run, up, x, w, b))
     return _check_many("conv2d", pieces)
 
 
@@ -154,33 +159,19 @@ def check_batchnorm(seed: int) -> CheckResult:
     beta = _probe(rng, (4,))
     up = _probe(rng, x.shape)
 
-    def make_state(g, b):
+    def state(gamma, beta):
+        # a fresh state per call: a train forward updates the running statistics
         st = nnops.BatchNormState.create(4, "f64")
-        st.gamma = g.copy()
-        st.beta = b.copy()
+        st.gamma, st.beta = gamma.copy(), beta.copy()
         return st
 
-    out, ctx = nnops.batchnorm_forward(Tensor(x), make_state(gamma, beta))
-    gx, ggamma, gbeta = nnops.batchnorm_backward(Tensor(up), ctx)
+    def run(x, gamma, beta):
+        return nnops.batchnorm_forward(Tensor(x), state(gamma, beta))[0].array
 
-    def loss_x(v):
-        o, _ = nnops.batchnorm_forward(Tensor(v), make_state(gamma, beta))
-        return float(np.sum(up * o.array))
-
-    def loss_gamma(v):
-        o, _ = nnops.batchnorm_forward(Tensor(x), make_state(v, beta))
-        return float(np.sum(up * o.array))
-
-    def loss_beta(v):
-        o, _ = nnops.batchnorm_forward(Tensor(x), make_state(gamma, v))
-        return float(np.sum(up * o.array))
-
-    pieces = [
-        (gx.array, numerical_gradient(loss_x, x)),
-        (ggamma.array, numerical_gradient(loss_gamma, gamma)),
-        (gbeta.array, numerical_gradient(loss_beta, beta)),
-    ]
-    return _check_many("batchnorm", pieces)
+    _, ctx = nnops.batchnorm_forward(Tensor(x), state(gamma, beta))
+    analytic = nnops.batchnorm_backward(Tensor(up), ctx)
+    return _check_many("batchnorm", zip((g.array for g in analytic),
+                                        probe_gradients(run, up, x, gamma, beta)))
 
 
 def _away_from(values: np.ndarray, kinks: list[float]) -> np.ndarray:
@@ -198,11 +189,8 @@ def _check_elementwise(name: str, seed: int, stream: int, fwd, bwd,
     x = _away_from(_probe(rng, (2, 3, 4, 4)) * 2.5, kinks)
     up = _probe(rng, x.shape)
     analytic = bwd(Tensor(up), Tensor(x)).array
-
-    def loss(v):
-        return float(np.sum(up * fwd(Tensor(v)).array))
-
-    return _check_many(name, [(analytic, numerical_gradient(loss, x))])
+    (numeric,) = probe_gradients(lambda v: fwd(Tensor(v)).array, up, x)
+    return _check_many(name, [(analytic, numeric)])
 
 
 def check_relu(seed: int) -> CheckResult:
@@ -234,29 +222,26 @@ def check_avg_pool(seed: int) -> CheckResult:
         up = _probe(rng, out.shape)
         gx = nnops.avg_pool_backward(Tensor(up), ctx)
 
-        def loss(v, win=win, stride=stride, padding=padding, up=up):
-            o, _ = nnops.avg_pool(Tensor(v), win, stride, padding)
-            return float(np.sum(up * o.array))
+        def run(v, win=win, stride=stride, padding=padding):
+            return nnops.avg_pool(Tensor(v), win, stride, padding)[0].array
 
-        pieces.append((gx.array, numerical_gradient(loss, x)))
+        pieces.append((gx.array, *probe_gradients(run, up, x)))
     return _check_many("avg_pool", pieces)
 
 
 def check_spp(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.PCG64([seed, 4]))
-    cfg = nnops.SppConfig((4, 2, 1))
     pieces = []
     for a in (7, 8):
         x = _probe(rng, (2, 3, a, a))
-        out, ctx = nnops.spp_forward(Tensor(x), cfg)
+        out, ctx = nnops.spp_forward(Tensor(x), zhunet.SPP_LEVELS)
         up = _probe(rng, out.shape)
         gx = nnops.spp_backward(Tensor(up), ctx)
 
-        def loss(v, up=up):
-            o, _ = nnops.spp_forward(Tensor(v), cfg)
-            return float(np.sum(up * o.array))
+        def run(v):
+            return nnops.spp_forward(Tensor(v), zhunet.SPP_LEVELS)[0].array
 
-        pieces.append((gx.array, numerical_gradient(loss, x)))
+        pieces.append((gx.array, *probe_gradients(run, up, x)))
     return _check_many("spp", pieces)
 
 
@@ -267,26 +252,13 @@ def check_linear(seed: int) -> CheckResult:
     b = _probe(rng, (5,))
     out, ctx = nnops.linear_forward(Tensor(x), Tensor(w), Tensor(b))
     up = _probe(rng, out.shape)
-    gx, gw, gb = nnops.linear_backward(Tensor(up), ctx)
+    analytic = nnops.linear_backward(Tensor(up), ctx)
 
-    def loss_x(v):
-        o, _ = nnops.linear_forward(Tensor(v), Tensor(w), Tensor(b))
-        return float(np.sum(up * o.array))
+    def run(x, w, b):
+        return nnops.linear_forward(Tensor(x), Tensor(w), Tensor(b))[0].array
 
-    def loss_w(v):
-        o, _ = nnops.linear_forward(Tensor(x), Tensor(v), Tensor(b))
-        return float(np.sum(up * o.array))
-
-    def loss_b(v):
-        o, _ = nnops.linear_forward(Tensor(x), Tensor(w), Tensor(v))
-        return float(np.sum(up * o.array))
-
-    pieces = [
-        (gx.array, numerical_gradient(loss_x, x)),
-        (gw.array, numerical_gradient(loss_w, w)),
-        (gb.array, numerical_gradient(loss_b, b)),
-    ]
-    return _check_many("linear", pieces)
+    return _check_many("linear", zip((g.array for g in analytic),
+                                     probe_gradients(run, up, x, w, b)))
 
 
 def check_softmax_xent(seed: int) -> CheckResult:
@@ -309,33 +281,14 @@ def check_preprocess(seed: int) -> CheckResult:
     x = _probe(rng, (1, 1, 8, 8)) * 10.0
     out, ctx = srm.preprocess_forward(Tensor(x), layer)
     up = _probe(rng, out.shape)
-    gk3, gk5 = srm.preprocess_backward(Tensor(up), ctx)
+    analytic = srm.preprocess_backward(Tensor(up), ctx)
 
-    k3 = layer.kernels3.array
+    def run(k3, k5):
+        lay = srm.PreprocessingLayer(kernels3=Tensor(k3), kernels5=Tensor(k5))
+        return srm.preprocess_forward(Tensor(x), lay)[0].array
 
-    def loss_k3(v):
-        lay = srm.PreprocessingLayer(
-            kernels3=Tensor(v), kernels5=layer.kernels5,
-            channel_names=layer.channel_names,
-        )
-        o, _ = srm.preprocess_forward(Tensor(x), lay)
-        return float(np.sum(up * o.array))
-
-    k5 = layer.kernels5.array
-
-    def loss_k5(v):
-        lay = srm.PreprocessingLayer(
-            kernels3=layer.kernels3, kernels5=Tensor(v),
-            channel_names=layer.channel_names,
-        )
-        o, _ = srm.preprocess_forward(Tensor(x), lay)
-        return float(np.sum(up * o.array))
-
-    pieces = [
-        (gk3.array, numerical_gradient(loss_k3, k3)),
-        (gk5.array, numerical_gradient(loss_k5, k5)),
-    ]
-    return _check_many("preprocess", pieces)
+    numeric = probe_gradients(run, up, layer.kernels3.array, layer.kernels5.array)
+    return _check_many("preprocess", zip((g.array for g in analytic), numeric))
 
 
 OP_CHECKS: tuple[tuple[str, Callable[[int], CheckResult]], ...] = (

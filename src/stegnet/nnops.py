@@ -15,6 +15,9 @@ Conventions
   takes the backward of an eval forward.
 * Elementwise activations (relu / tlu / abs_act) return the bare output;
   their backwards take the upstream gradient and the original input.
+* Settings come in as arguments (a conv's ``Conv2dSpec``, the pooling
+  window, the pyramid levels); the network's own values are ``zhunet``
+  constants, such as ``zhunet.SPP_LEVELS``.
 * Forward/backward calls are pure functions of their arguments plus context;
   the only mutation is the running-statistics update inside
   ``batchnorm_forward`` in train mode.
@@ -716,24 +719,6 @@ def batchnorm_backward(
 # spatial pyramid pooling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SppConfig:
-    """Pyramid levels (grid sizes) pooled with averaging, coarse bins last."""
-
-    levels: tuple[int, ...] = (4, 2, 1)
-
-    def validate(self) -> None:
-        if len(self.levels) == 0:
-            raise SpecError("spp needs at least one pyramid level")
-        for n in self.levels:
-            if not isinstance(n, int) or n < 1:
-                raise SpecError(f"spp levels must be positive integers, got {self.levels!r}")
-
-    @property
-    def bins(self) -> int:
-        return sum(n * n for n in self.levels)
-
-
 def spp_windows(a: int, n: int) -> tuple[int, int]:
     """Window and stride that carve an a-by-a map into an n-by-n grid:
     win = ceil(a/n), stride = floor(a/n)."""
@@ -744,33 +729,37 @@ def spp_windows(a: int, n: int) -> tuple[int, int]:
 
 @dataclass
 class SppContext:
-    cfg: SppConfig
+    levels: tuple[int, ...]
     in_shape: tuple[int, ...]
     slices: list[tuple[int, int, int, int]]  # per output bin: r0, r1, c0, c1
     dtype: np.dtype
 
 
-def spp_forward(inp: Tensor, cfg: SppConfig) -> tuple[Tensor, SppContext]:
-    """Fixed-length descriptor from a square [N, K, a, a] map.
+def spp_forward(inp: Tensor, levels: tuple[int, ...]) -> tuple[Tensor, SppContext]:
+    """Fixed-length descriptor from a square [N, K, a, a] map, average-pooled
+    over each pyramid level (an n-by-n grid per level n).
 
     Output is [N, K*M] with M = sum(n^2): values are grouped channel-major
-    (all M bins of channel 0, then channel 1, ...), levels in ``cfg.levels``
+    (all M bins of channel 0, then channel 1, ...), levels in ``levels``
     order and bins in row-major grid order within a level.
     """
-    cfg.validate()
+    if len(levels) == 0:
+        raise SpecError("spp needs at least one pyramid level")
+    if any(not isinstance(n, int) or n < 1 for n in levels):
+        raise SpecError(f"spp levels must be positive integers, got {levels!r}")
     _require_rank(inp, 4, "spp input")
     x = inp.array
     n_batch, k, h, w = x.shape
     if h != w:
         raise ShapeError(f"spp expects square feature maps, got {h}x{w}")
     a = h
-    worst = max(cfg.levels)
+    worst = max(levels)
     if a < worst:
         raise SpecError(f"spp input size {a} is smaller than pyramid level {worst}")
 
     per_level = []
     slices: list[tuple[int, int, int, int]] = []
-    for n in cfg.levels:
+    for n in levels:
         win, stride = spp_windows(a, n)
         pooled = np.empty((n_batch, k, n * n), dtype=x.dtype)
         for i in range(n):
@@ -783,8 +772,8 @@ def spp_forward(inp: Tensor, cfg: SppConfig) -> tuple[Tensor, SppContext]:
                 slices.append((r0, r1, c0, c1))
         per_level.append(pooled)
     stacked = np.concatenate(per_level, axis=2)  # [N, K, M]
-    out = stacked.reshape(n_batch, k * cfg.bins)
-    ctx = SppContext(cfg=cfg, in_shape=x.shape, slices=slices, dtype=x.dtype)
+    out = stacked.reshape(n_batch, k * len(slices))
+    ctx = SppContext(levels=tuple(levels), in_shape=x.shape, slices=slices, dtype=x.dtype)
     return Tensor(out), ctx
 
 
@@ -792,7 +781,7 @@ def spp_backward(upstream: Tensor, ctx: SppContext) -> Tensor:
     _require_ctx(ctx, SppContext, "spp")
     _require_rank(upstream, 2, "spp upstream")
     n_batch, k = ctx.in_shape[0], ctx.in_shape[1]
-    m = ctx.cfg.bins
+    m = sum(n * n for n in ctx.levels)
     if upstream.shape != (n_batch, k * m):
         raise ShapeError(
             f"spp upstream shape {upstream.shape}, expected ({n_batch}, {k * m})"

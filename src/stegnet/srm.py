@@ -172,7 +172,6 @@ class PreprocessingLayer:
 
     kernels3: Tensor
     kernels5: Tensor
-    channel_names: tuple[str, ...]
 
     @classmethod
     def build(cls, dtype: str = "f32") -> "PreprocessingLayer":
@@ -183,13 +182,8 @@ class PreprocessingLayer:
         big = [f for f in bank if f.size_class == "keep5x5"]
         k3 = np.concatenate([embed_kernel(f).array for f in small], axis=0)
         k5 = np.concatenate([embed_kernel(f).array for f in big], axis=0)
-        names = tuple(f.name for f in small) + tuple(f.name for f in big)
         dt = DTYPES[dtype]
-        return cls(
-            kernels3=Tensor(k3.astype(dt)),
-            kernels5=Tensor(k5.astype(dt)),
-            channel_names=names,
-        )
+        return cls(kernels3=Tensor(k3.astype(dt)), kernels5=Tensor(k5.astype(dt)))
 
     @property
     def out_channels(self) -> int:

@@ -6,7 +6,9 @@ Update rule per parameter, as the model's state table names it: momentum
 entries take v <- momentum*v + (grad + weight_decay*param); param <- param -
 lr*v. The preprocessing kernels are the one exception: when trainable they
 take a plain gradient step (no momentum, no weight decay), and when frozen
-they receive no update at all.
+they receive no update at all. Freezing and the activation mode are model
+settings: ``zhunet.ModelConfig`` fixes both when the model is built, and
+``TrainConfig`` holds only the optimisation and schedule settings.
 
 The learning rate starts at lr0 and is divided by lr_decay_factor at the
 start of each epoch listed in lr_decay_epochs (0-based). Loss is reported as
@@ -42,8 +44,6 @@ class TrainConfig:
     batch_size: int = 16
     max_epochs: int = 400
     seed: int = 0
-    freeze_srm: bool = False
-    activation_mode: str = "relu"
     patience: int = 40
 
     def validate(self) -> None:
@@ -74,11 +74,6 @@ class TrainConfig:
             raise SpecError(f"batch_size must be a positive even integer, got {self.batch_size!r}")
         if not isinstance(self.patience, int) or self.patience < 1:
             raise SpecError(f"patience must be a positive integer, got {self.patience!r}")
-        if self.activation_mode not in zhunet.ACTIVATION_MODES:
-            raise SpecError(
-                f"activation_mode must be one of {zhunet.ACTIVATION_MODES}, "
-                f"got {self.activation_mode!r}"
-            )
         if not isinstance(self.seed, int) or self.seed < 0:
             raise SpecError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -187,13 +182,6 @@ def train_loop(
             f"train split has {len(train_ds.pairs)} pairs; at least "
             f"{cfg.batch_size // 2} are needed for one batch of {cfg.batch_size}"
         )
-    if cfg.activation_mode != model.config.activation_mode:
-        raise SpecError(
-            f"config activation_mode {cfg.activation_mode!r} does not match the "
-            f"model's {model.config.activation_mode!r}"
-        )
-    if cfg.freeze_srm:
-        model.freeze_srm()
 
     state = TrainState()
     since_best = 0

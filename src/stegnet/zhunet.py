@@ -44,7 +44,7 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -55,7 +55,6 @@ from .tensor import DTYPES, Tensor
 
 ACTIVATION_MODES = ("relu", "tlu3")
 TLU_THRESHOLD = 3.0
-STAGES = ("preprocessing", "sep1", "sep2", "block1", "block2", "block3", "block4")
 
 CHECKPOINT_MAGIC = b"ZNET"
 CHECKPOINT_VERSION = 1
@@ -223,14 +222,13 @@ class Head:
     """Spatial pyramid pooling to a fixed-length descriptor, then
     fc1 -> ReLU -> fc2 to the two class logits."""
 
-    spp: nnops.SppConfig
     fc1_w: Tensor  # [bins * C, hidden]
     fc1_b: Tensor
     fc2_w: Tensor  # [hidden, 2]
     fc2_b: Tensor
 
     def forward(self, x: Tensor) -> tuple[Tensor, tuple]:
-        feat, spp_ctx = nnops.spp_forward(x, self.spp)
+        feat, spp_ctx = nnops.spp_forward(x, SPP_LEVELS)
         h1, fc1_ctx = nnops.linear_forward(feat, self.fc1_w, self.fc1_b)
         logits, fc2_ctx = nnops.linear_forward(nnops.relu(h1), self.fc2_w, self.fc2_b)
         return logits, (spp_ctx, fc1_ctx, h1, fc2_ctx)
@@ -307,13 +305,6 @@ class ZhuNetModel:
             tensor = Tensor(np.array(values, dtype=np.float64))
             rows[CONFIG].append((f"config.{name}", Entry(tensor, CONFIG)))
         return OrderedDict(rows[PARAM] + rows[BUFFER] + rows[CONFIG])
-
-    def freeze_srm(self) -> None:
-        """Stop training the preprocessing kernels. The config is the one
-        value that changes; the kernels' rule and the checkpoint's
-        ``config.srm_trainable`` scalar are derived from it."""
-        self.config = replace(self.config, srm_trainable=False)
-        self.table = self._state_table()
 
     def parameters(self) -> "OrderedDict[str, Tensor]":
         """Parameters that SGD updates, by name, in table order: frozen
@@ -499,10 +490,8 @@ def _assemble(config: ModelConfig, value) -> ZhuNetModel:
         )))
         cin = cout
 
-    spp = nnops.SppConfig(SPP_LEVELS)
-    feat_dim, hidden = CHANNELS[-1] * spp.bins, FC_HIDDEN
+    feat_dim, hidden = CHANNELS[-1] * sum(n * n for n in SPP_LEVELS), FC_HIDDEN
     stages.append(("head", Head(
-        spp=spp,
         fc1_w=xavier("fc1.w", (feat_dim, hidden), feat_dim, hidden),
         fc1_b=zeros("fc1.b", hidden),
         fc2_w=xavier("fc2.w", (hidden, 2), hidden, 2),

@@ -107,7 +107,7 @@ def test_pyramid_features_have_fixed_length_2688_at_224_and_256():
     for size in (224, 256):
         x = Tensor(rng.uniform(0, 255, size=(1, 1, size, size)).astype(np.float32))
         deep = model.dump_feature_maps(x, "block4")
-        feat, _ = nnops.spp_forward(deep, model.layer("head").spp)
+        feat, _ = nnops.spp_forward(deep, zhunet.SPP_LEVELS)
         assert feat.shape == (1, 2688), f"input {size}"
         logits = model.forward(x, mode="eval")
         assert logits.shape == (1, 2)
@@ -151,11 +151,10 @@ def test_filter_bank_properties_and_frozen_kernels(small_rng, tmp_path):
     # a frozen training run leaves the kernels bitwise unchanged
     train = noisy_split(small_rng, 4, "train")
     val = noisy_split(small_rng, 2, "validation")
-    model = zhunet.build_model(zhunet.ModelConfig(seed=0))
+    model = zhunet.build_model(zhunet.ModelConfig(seed=0, srm_trainable=False))
     k3 = model.table["pre.kernels3"].tensor.array.copy()
     k5 = model.table["pre.kernels5"].tensor.array.copy()
-    cfg = TrainConfig(max_epochs=2, lr_decay_epochs=(), batch_size=4,
-                      freeze_srm=True, seed=0)
+    cfg = TrainConfig(max_epochs=2, lr_decay_epochs=(), batch_size=4, seed=0)
     train_loop(model, train, val, cfg)
     assert np.array_equal(model.table["pre.kernels3"].tensor.array, k3)
     assert np.array_equal(model.table["pre.kernels5"].tensor.array, k5)
@@ -257,9 +256,7 @@ def test_ablation_harness_produces_four_comparable_runs(small_rng):
     rows = []
     for activation_mode in ("relu", "tlu3"):
         for freeze in (False, True):
-            cfg = TrainConfig(max_epochs=2, lr_decay_epochs=(), batch_size=4,
-                              seed=0, activation_mode=activation_mode,
-                              freeze_srm=freeze)
+            cfg = TrainConfig(max_epochs=2, lr_decay_epochs=(), batch_size=4, seed=0)
             model = zhunet.build_model(zhunet.ModelConfig(
                 seed=0, activation_mode=activation_mode, srm_trainable=not freeze))
             state = train_loop(model, train, val, cfg)

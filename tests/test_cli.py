@@ -116,7 +116,8 @@ def test_embed_tiny_payload_keeps_the_cover_bits(tmp_path, small_rng):
                     "--out", str(tmp_path / "out"), "--payload", "0.003"]) == 0
     cover = data.load_pgm(tmp_path / "covers" / "img000.pgm")
     stego = data.load_pgm(tmp_path / "out" / "img000_stego.pgm")
-    assert stego.same_pixels(cover)  # floor(0.003 * 256) = 0 pixels selected
+    # floor(0.003 * 256) = 0 pixels selected
+    assert np.array_equal(stego.as_array(), cover.as_array())
 
 
 def test_embed_reports_corrupt_inputs_with_exit_2(tmp_path, small_rng, capsys):
@@ -200,8 +201,10 @@ def test_train_writes_resolved_config_metrics_and_checkpoint(tmp_path, small_rng
     assert "lr_decay_epochs = none" in resolved
     assert "max_epochs = 1" in resolved
     # the resolved config is itself a loadable config
-    cfg, loaded_manifest, loaded_out, augment = cli.load_run_config(out_dir / "resolved.cfg")
+    cfg, model_cfg, loaded_manifest, loaded_out, augment = cli.load_run_config(
+        out_dir / "resolved.cfg")
     assert cfg.max_epochs == 1 and cfg.lr_decay_epochs == ()
+    assert model_cfg == zhunet.ModelConfig()
     assert loaded_manifest == str(manifest)
     assert augment == "none"
 
@@ -210,6 +213,21 @@ def test_train_writes_resolved_config_metrics_and_checkpoint(tmp_path, small_rng
     assert len(metrics) == 2
     model = zhunet.load_checkpoint(out_dir / "best.znet")
     assert model.num_parameters() == 2_869_044
+
+
+def test_train_builds_the_model_from_the_freeze_and_activation_keys(tmp_path, small_rng):
+    manifest = write_dataset(tmp_path / "data", small_rng)
+    out_dir = tmp_path / "run"
+    cfg_path = write_config(tmp_path / "run.cfg", manifest, out_dir, max_epochs=1,
+                            freeze_srm="true", activation_mode="tlu3")
+    assert cli.run(["train", "--config", str(cfg_path)]) == 0
+    model = zhunet.load_checkpoint(out_dir / "best.znet")
+    assert model.table["config.srm_trainable"].tensor.array.tolist() == [0.0]
+    assert model.table["config.activation_mode"].tensor.array.tolist() == [1.0]
+    assert model.config == zhunet.ModelConfig(activation_mode="tlu3", srm_trainable=False)
+    bank = zhunet.build_model(zhunet.ModelConfig())
+    for name in ("pre.kernels3", "pre.kernels5"):
+        assert np.array_equal(model.table[name].tensor.array, bank.table[name].tensor.array)
 
 
 def test_train_subprocess_reruns_are_byte_identical(tmp_path, small_rng):
@@ -307,15 +325,16 @@ def test_resolved_config_text_is_pinned_and_loads_back(tmp_path):
     from stegnet.train import TrainConfig
 
     every_key = TrainConfig(lr0=1e-3, lr_decay_epochs=(), lr_decay_factor=2.5, momentum=0.5,
-                            weight_decay=0.0, batch_size=8, max_epochs=7, seed=11,
-                            freeze_srm=True, activation_mode="tlu3", patience=3)
-    cases = [(TrainConfig(), "runs/a", "none", RESOLVED_DEFAULTS),
-             (every_key, "runs/b", "dihedral8", RESOLVED_EVERY_KEY)]
-    for cfg, out_dir, augment, text in cases:
-        assert cli._resolved_config_text(cfg, "/data/manifest.txt", out_dir, augment) == text
+                            weight_decay=0.0, batch_size=8, max_epochs=7, seed=11, patience=3)
+    every_model_key = zhunet.ModelConfig(activation_mode="tlu3", srm_trainable=False, seed=11)
+    cases = [(TrainConfig(), zhunet.ModelConfig(), "runs/a", "none", RESOLVED_DEFAULTS),
+             (every_key, every_model_key, "runs/b", "dihedral8", RESOLVED_EVERY_KEY)]
+    for cfg, model_cfg, out_dir, augment, text in cases:
+        assert cli._resolved_config_text(cfg, model_cfg, "/data/manifest.txt", out_dir,
+                                         augment) == text
         path = tmp_path / "resolved.cfg"
         path.write_text(text)
-        assert cli.load_run_config(path) == (cfg, "/data/manifest.txt",
+        assert cli.load_run_config(path) == (cfg, model_cfg, "/data/manifest.txt",
                                              os.path.join(tmp_path, out_dir), augment)
 
 
@@ -348,6 +367,21 @@ def test_an_explicit_decay_schedule_beyond_max_epochs_is_rejected(tmp_path, smal
                             max_epochs=3, lr_decay_epochs="1,3")
     assert cli.run(["train", "--config", str(cfg_path)]) == 2
     assert "lr_decay_epochs must all be below max_epochs (3)" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_decay_schedule_with_an_empty_entry_is_rejected(tmp_path, small_rng, capsys):
+    # 'none' is the one spelling of the empty schedule
+    for value in (",", "1,,2"):
+        path = write_config(tmp_path / "run.cfg", "/data/manifest.txt", "runs/x",
+                            max_epochs=3, lr_decay_epochs=value)
+        with pytest.raises(SpecError, match="lr_decay_epochs"):
+            cli.load_run_config(path)
+    manifest = write_dataset(tmp_path / "data", small_rng)
+    cfg_path = write_config(tmp_path / "run.cfg", manifest, tmp_path / "run",
+                            max_epochs=3, lr_decay_epochs="1,,2")
+    assert cli.run(["train", "--config", str(cfg_path)]) == 2
+    assert "empty entry" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -557,7 +591,7 @@ def test_readme_lists_exactly_the_dump_features_stages():
     readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
     lines = [line for line in readme.splitlines() if line.startswith("Stages:")]
     assert len(lines) == 1, lines
-    assert tuple(re.findall(r"`([^`]+)`", lines[0])) == zhunet.STAGES
+    listed = re.findall(r"`([^`]+)`", lines[0])
     # ... and they are the model's stages that dump_feature_maps accepts
     model = zhunet.build_model(zhunet.ModelConfig())
     image = Tensor(np.zeros((1, 1, 25, 25), dtype=np.float32))
@@ -568,7 +602,7 @@ def test_readme_lists_exactly_the_dump_features_stages():
         except SpecError:
             continue
         accepted.append(name)
-    assert tuple(accepted) == zhunet.STAGES
+    assert listed == accepted
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +614,22 @@ def test_help_exits_zero_and_names_all_subcommands():
     assert proc.returncode == 0
     for sub in ("embed", "train", "eval", "infer", "gradcheck", "dump-features"):
         assert sub in proc.stdout
+
+
+def test_running_the_cli_module_runs_the_cli():
+    import subprocess
+    import sys
+
+    def run_module(*args):
+        return subprocess.run([sys.executable, "-m", "stegnet.cli", *args],
+                              capture_output=True, text=True, env=dict(os.environ))
+
+    proc = run_module("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: ") and "gradcheck" in proc.stdout
+    proc = run_module("frobnicate")
+    assert proc.returncode == 1
+    assert "invalid choice" in proc.stderr
 
 
 def test_unknown_subcommand_and_missing_flags_exit_1():

@@ -517,7 +517,7 @@ def test_spp_windows_at_32_match_worked_example():
 
 def test_spp_constant_input_yields_constant_bins():
     x = np.full((2, 3, 9, 9), 4.25)
-    out, _ = nnops.spp_forward(Tensor(x), nnops.SppConfig((4, 2, 1)))
+    out, _ = nnops.spp_forward(Tensor(x), (4, 2, 1))
     assert out.shape == (2, 3 * 21)
     assert np.allclose(out.array, 4.25, rtol=0, atol=1e-12)
 
@@ -525,9 +525,8 @@ def test_spp_constant_input_yields_constant_bins():
 def test_spp_non_divisible_size_matches_window_oracle():
     rng = np.random.Generator(np.random.PCG64(17))
     x = rng.standard_normal((2, 3, 7, 7))
-    cfg = nnops.SppConfig((4, 2, 1))
     assert nnops.spp_windows(7, 4) == (2, 1)
-    out, _ = nnops.spp_forward(Tensor(x), cfg)
+    out, _ = nnops.spp_forward(Tensor(x), (4, 2, 1))
     assert np.allclose(out.array, spp_reference(x, (4, 2, 1)), rtol=0, atol=1e-14)
 
 
@@ -535,26 +534,36 @@ def test_spp_non_divisible_size_matches_window_oracle():
 def test_spp_output_length_is_size_independent(a):
     rng = np.random.Generator(np.random.PCG64(18))
     x = rng.standard_normal((1, 5, a, a))
-    out, _ = nnops.spp_forward(Tensor(x), nnops.SppConfig((4, 2, 1)))
+    out, _ = nnops.spp_forward(Tensor(x), (4, 2, 1))
     assert out.shape == (1, 5 * 21)
 
 
 def test_spp_rejects_small_maps():
     with pytest.raises(SpecError):
-        nnops.spp_forward(Tensor(np.zeros((1, 1, 3, 3))), nnops.SppConfig((4, 2, 1)))
+        nnops.spp_forward(Tensor(np.zeros((1, 1, 3, 3))), (4, 2, 1))
+
+
+@pytest.mark.parametrize("levels, message", [
+    ((), "at least one pyramid level"),
+    ((4, 0), "positive integers"),
+    ((2.0, 1), "positive integers"),
+])
+def test_spp_rejects_bad_levels(levels, message):
+    with pytest.raises(SpecError, match=message):
+        nnops.spp_forward(Tensor(np.zeros((1, 1, 8, 8))), levels)
 
 
 def test_spp_backward_matches_finite_differences():
     rng = np.random.Generator(np.random.PCG64(19))
-    cfg = nnops.SppConfig((4, 2, 1))
+    levels = (4, 2, 1)
     for a in (7, 8):
         x = rng.standard_normal((1, 2, a, a))
-        out, ctx = nnops.spp_forward(Tensor(x), cfg)
+        out, ctx = nnops.spp_forward(Tensor(x), levels)
         up = rng.standard_normal(out.shape)
         gx = nnops.spp_backward(Tensor(up), ctx)
 
         def loss(v, up=up):
-            o, _ = nnops.spp_forward(Tensor(v), cfg)
+            o, _ = nnops.spp_forward(Tensor(v), levels)
             return float(np.sum(up * o.array))
 
         assert max_rel_err(gx.array, numeric_gradient(loss, x)) < 1e-6

@@ -174,7 +174,6 @@ def test_layer_build_shapes_and_channels():
     assert layer.kernels3.shape == (25, 1, 3, 3)
     assert layer.kernels5.shape == (5, 1, 5, 5)
     assert layer.out_channels == 30
-    assert len(layer.channel_names) == 30
 
 
 def test_constant_image_gives_zero_residual_planes():
@@ -290,16 +289,14 @@ def test_preprocess_backward_matches_finite_differences():
     gk3, gk5 = srm.preprocess_backward(Tensor(up), ctx)
 
     def loss_k3(v):
-        lay = srm.PreprocessingLayer(kernels3=Tensor(v), kernels5=layer.kernels5,
-                                     channel_names=layer.channel_names)
+        lay = srm.PreprocessingLayer(kernels3=Tensor(v), kernels5=layer.kernels5)
         o, _ = srm.preprocess_forward(Tensor(x), lay)
         return float(np.sum(up * o.array))
 
     assert max_rel_err(gk3.array, numeric_gradient(loss_k3, layer.kernels3.array)) < 1e-6
 
     def loss_k5(v):
-        lay = srm.PreprocessingLayer(kernels3=layer.kernels3, kernels5=Tensor(v),
-                                     channel_names=layer.channel_names)
+        lay = srm.PreprocessingLayer(kernels3=layer.kernels3, kernels5=Tensor(v))
         o, _ = srm.preprocess_forward(Tensor(x), lay)
         return float(np.sum(up * o.array))
 

@@ -77,7 +77,6 @@ def test_config_rejects_bad_hyperparameters():
         dict(batch_size=15),
         dict(batch_size=0),
         dict(patience=0),
-        dict(activation_mode="gelu"),
         dict(seed=-1),
         dict(max_epochs=0),
     ]
@@ -331,7 +330,7 @@ def test_frozen_preprocessing_kernels_stay_bitwise_constant(small_rng):
     model = zhunet.build_model(zhunet.ModelConfig(seed=0, srm_trainable=False))
     k3 = model.table["pre.kernels3"].tensor.array.copy()
     k5 = model.table["pre.kernels5"].tensor.array.copy()
-    train_loop(model, train, val, short_cfg(freeze_srm=True))
+    train_loop(model, train, val, short_cfg())
     assert np.array_equal(model.table["pre.kernels3"].tensor.array, k3)
     assert np.array_equal(model.table["pre.kernels5"].tensor.array, k5)
 
@@ -342,23 +341,6 @@ def test_trainable_preprocessing_kernels_do_move(small_rng):
     k3 = model.table["pre.kernels3"].tensor.array.copy()
     train_loop(model, train, val, short_cfg(max_epochs=1))
     assert not np.array_equal(model.table["pre.kernels3"].tensor.array, k3)
-
-
-def test_train_loop_freeze_flag_freezes_a_trainable_model(small_rng):
-    train, val = tiny_splits(small_rng)
-    model = zhunet.build_model(zhunet.ModelConfig(seed=0))  # built trainable
-    k3 = model.table["pre.kernels3"].tensor.array.copy()
-    train_loop(model, train, val, short_cfg(freeze_srm=True, max_epochs=1))
-    assert np.array_equal(model.table["pre.kernels3"].tensor.array, k3)
-    assert model.config.srm_trainable is False
-    assert "pre.kernels3" not in model.parameters()
-
-
-def test_train_loop_rejects_an_activation_mode_the_model_was_not_built_with(small_rng):
-    train, val = tiny_splits(small_rng)
-    model = zhunet.build_model(zhunet.ModelConfig(seed=0))  # relu
-    with pytest.raises(SpecError, match="activation_mode"):
-        train_loop(model, train, val, short_cfg(activation_mode="tlu3"))
 
 
 def test_training_rejects_empty_or_undersized_splits(small_rng):
