@@ -154,6 +154,7 @@ def load_run_config(path):
     out take their defaults, except that a left-out lr_decay_epochs keeps
     only the default epochs below max_epochs. Relative manifest and out_dir
     paths are resolved against the config file's directory."""
+    from .data import AUGMENTATIONS
     from .errors import SpecError
     from .train import TrainConfig
     from .zhunet import ModelConfig
@@ -179,8 +180,8 @@ def load_run_config(path):
     model_cfg = ModelConfig(activation_mode=activation_mode, srm_trainable=not freeze_srm,
                             seed=cfg.seed)
     model_cfg.validate()
-    if augment not in ("none", "dihedral8"):
-        raise SpecError(f"config key 'augment' must be none or dihedral8, got {augment!r}")
+    if augment not in AUGMENTATIONS:
+        raise SpecError(f"config key 'augment' must be {' or '.join(AUGMENTATIONS)}, got {augment!r}")
     base = os.path.dirname(os.path.abspath(path))  # join keeps an absolute path as it is
     return cfg, model_cfg, os.path.join(base, manifest), os.path.join(base, out_dir), augment
 

@@ -341,8 +341,9 @@ def load_manifest(path) -> dict[str, PairedDataset]:
             if pair_id in seen_ids:
                 raise FormatError(f"{path}:{lineno}: duplicate pair id {pair_id!r}")
             seen_ids.add(pair_id)
-            cover = load_pgm(os.path.join(base, cover_rel) if not os.path.isabs(cover_rel) else cover_rel)
-            stego = load_pgm(os.path.join(base, stego_rel) if not os.path.isabs(stego_rel) else stego_rel)
+            # join keeps an absolute path as it is
+            cover = load_pgm(os.path.join(base, cover_rel))
+            stego = load_pgm(os.path.join(base, stego_rel))
             if cover.width != stego.width or cover.height != stego.height:
                 raise DataError(
                     f"{path}:{lineno}: cover and stego sizes differ for {pair_id!r}"

@@ -43,6 +43,7 @@ PROBE_FLOOR = 1e-5
 # this (relative) threshold means an activation kink sits inside the nudge
 # window and the probe must be redrawn.
 CURVATURE_TOL = 2.5e-5
+MODEL_SAMPLES = 20  # parameter elements the end-to-end check nudges
 
 
 @dataclass(frozen=True)
@@ -57,22 +58,26 @@ class CheckResult:
         return f"{self.name}: max_rel_err={self.max_rel:.3e} tol={self.tol:.0e} {status}"
 
 
+def _central_difference(f: Callable[[], float], flat: np.ndarray, i: int,
+                        h: float) -> float:
+    """(f(x + h e_i) - f(x - h e_i)) / 2h, nudging ``flat[i]`` in place and
+    restoring it afterwards."""
+    orig = flat[i]
+    flat[i] = orig + h
+    fp = f()
+    flat[i] = orig - h
+    fm = f()
+    flat[i] = orig
+    return (fp - fm) / (2.0 * h)
+
+
 def numerical_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
                        h: float = H_STEP) -> np.ndarray:
     """Central finite differences of a scalar function, element by element."""
     x = x.astype(np.float64, copy=True)
-    grad = np.zeros_like(x)
     flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x)
-        flat[i] = orig - h
-        fm = f(x)
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
-    return grad
+    grad = np.array([_central_difference(lambda: f(x), flat, i, h) for i in range(flat.size)])
+    return grad.reshape(x.shape)
 
 
 def compare_gradients(analytic: np.ndarray, numeric: np.ndarray,
@@ -92,10 +97,6 @@ def compare_gradients(analytic: np.ndarray, numeric: np.ndarray,
     else:
         max_rel = 0.0
     return ok and max_rel < tol, max_rel
-
-
-def _probe(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape)
 
 
 def probe_gradients(run: Callable[..., np.ndarray], up: np.ndarray,
@@ -123,6 +124,23 @@ def _check_many(name: str, pieces, tol: float = OP_TOL) -> CheckResult:
     return CheckResult(name=name, max_rel=worst, tol=tol, ok=ok)
 
 
+def _op_check(name: str, rng: np.random.Generator, cases) -> CheckResult:
+    """The one operator-check driver. Each case is ``(forward, backward,
+    arrays)``: ``forward(*arrays)`` gives the op's ``(output Tensor, ctx)``,
+    after which the upstream ``up`` is drawn from ``rng``, and
+    ``backward(Tensor(up), ctx)`` gives one gradient Tensor per array. Each
+    is compared with probe_gradients of the forward. ``cases`` may be a
+    generator, so a case can draw its arrays after the previous case's
+    ``up``."""
+    pieces = []
+    for forward, backward, arrays in cases:
+        out, ctx = forward(*arrays)
+        up = rng.standard_normal(out.shape)
+        analytic = [g.array for g in backward(Tensor(up), ctx)]
+        pieces += zip(analytic, probe_gradients(lambda *a: forward(*a)[0].array, up, *arrays))
+    return _check_many(name, pieces)
+
+
 # ---------------------------------------------------------------------------
 # per-operator checks
 # ---------------------------------------------------------------------------
@@ -136,42 +154,29 @@ def check_conv2d(seed: int) -> CheckResult:
         nnops.Conv2dSpec(5, 7, 1, 1, padding=0, groups=1),   # pointwise
         nnops.Conv2dSpec(4, 4, 2, 3, padding=2, groups=2),   # asymmetric kernel
     ]
-    pieces = []
-    for spec in configs:
-        x = _probe(rng, (2, spec.in_channels, 6, 7))
-        w = _probe(rng, spec.weight_shape())
-        b = _probe(rng, (spec.out_channels,))
-        out, ctx = nnops.conv2d_forward(Tensor(x), Tensor(w), Tensor(b), spec)
-        up = _probe(rng, out.shape)
-        analytic = nnops.conv2d_backward(Tensor(up), ctx)
 
-        def run(x, w, b, spec=spec):
-            return nnops.conv2d_forward(Tensor(x), Tensor(w), Tensor(b), spec)[0].array
+    def cases():
+        for spec in configs:
+            shapes = ((2, spec.in_channels, 6, 7), spec.weight_shape(), (spec.out_channels,))
+            yield (lambda x, w, b: nnops.conv2d_forward(Tensor(x), Tensor(w), Tensor(b), spec),
+                   nnops.conv2d_backward, tuple(rng.standard_normal(s) for s in shapes))
 
-        pieces += zip((g.array for g in analytic), probe_gradients(run, up, x, w, b))
-    return _check_many("conv2d", pieces)
+    return _op_check("conv2d", rng, cases())
 
 
 def check_batchnorm(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.PCG64([seed, 2]))
-    x = _probe(rng, (3, 4, 5, 5))
-    gamma = _probe(rng, (4,)) + 1.5
-    beta = _probe(rng, (4,))
-    up = _probe(rng, x.shape)
+    x = rng.standard_normal((3, 4, 5, 5))
+    gamma = rng.standard_normal(4) + 1.5
+    beta = rng.standard_normal(4)
 
-    def state(gamma, beta):
+    def forward(x, gamma, beta):
         # a fresh state per call: a train forward updates the running statistics
         st = nnops.BatchNormState.create(4, "f64")
         st.gamma, st.beta = gamma.copy(), beta.copy()
-        return st
+        return nnops.batchnorm_forward(Tensor(x), st)
 
-    def run(x, gamma, beta):
-        return nnops.batchnorm_forward(Tensor(x), state(gamma, beta))[0].array
-
-    _, ctx = nnops.batchnorm_forward(Tensor(x), state(gamma, beta))
-    analytic = nnops.batchnorm_backward(Tensor(up), ctx)
-    return _check_many("batchnorm", zip((g.array for g in analytic),
-                                        probe_gradients(run, up, x, gamma, beta)))
+    return _op_check("batchnorm", rng, [(forward, nnops.batchnorm_backward, (x, gamma, beta))])
 
 
 def _away_from(values: np.ndarray, kinks: list[float]) -> np.ndarray:
@@ -185,12 +190,11 @@ def _away_from(values: np.ndarray, kinks: list[float]) -> np.ndarray:
 
 def _check_elementwise(name: str, seed: int, stream: int, fwd, bwd,
                        kinks: list[float]) -> CheckResult:
+    """An activation's backward takes the input as its context."""
     rng = np.random.Generator(np.random.PCG64([seed, stream]))
-    x = _away_from(_probe(rng, (2, 3, 4, 4)) * 2.5, kinks)
-    up = _probe(rng, x.shape)
-    analytic = bwd(Tensor(up), Tensor(x)).array
-    (numeric,) = probe_gradients(lambda v: fwd(Tensor(v)).array, up, x)
-    return _check_many(name, [(analytic, numeric)])
+    x = _away_from(rng.standard_normal((2, 3, 4, 4)) * 2.5, kinks)
+    return _op_check(name, rng, [(lambda v: (fwd(Tensor(v)), Tensor(v)),
+                                  lambda up, inp: [bwd(up, inp)], (x,))])
 
 
 def check_relu(seed: int) -> CheckResult:
@@ -215,80 +219,51 @@ def check_abs(seed: int) -> CheckResult:
 
 def check_avg_pool(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.PCG64([seed, 3]))
-    pieces = []
-    for win, stride, padding in ((3, 2, 0), (5, 2, 2), (2, 2, 0)):
-        x = _probe(rng, (2, 3, 7, 7))
-        out, ctx = nnops.avg_pool(Tensor(x), win, stride, padding)
-        up = _probe(rng, out.shape)
-        gx = nnops.avg_pool_backward(Tensor(up), ctx)
-
-        def run(v, win=win, stride=stride, padding=padding):
-            return nnops.avg_pool(Tensor(v), win, stride, padding)[0].array
-
-        pieces.append((gx.array, *probe_gradients(run, up, x)))
-    return _check_many("avg_pool", pieces)
+    cases = ((lambda v, win=win, stride=stride, padding=padding:
+              nnops.avg_pool(Tensor(v), win, stride, padding),
+              lambda up, ctx: [nnops.avg_pool_backward(up, ctx)],
+              (rng.standard_normal((2, 3, 7, 7)),))
+             for win, stride, padding in ((3, 2, 0), (5, 2, 2), (2, 2, 0)))
+    return _op_check("avg_pool", rng, cases)
 
 
 def check_spp(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.PCG64([seed, 4]))
-    pieces = []
-    for a in (7, 8):
-        x = _probe(rng, (2, 3, a, a))
-        out, ctx = nnops.spp_forward(Tensor(x), zhunet.SPP_LEVELS)
-        up = _probe(rng, out.shape)
-        gx = nnops.spp_backward(Tensor(up), ctx)
-
-        def run(v):
-            return nnops.spp_forward(Tensor(v), zhunet.SPP_LEVELS)[0].array
-
-        pieces.append((gx.array, *probe_gradients(run, up, x)))
-    return _check_many("spp", pieces)
+    cases = ((lambda v: nnops.spp_forward(Tensor(v), zhunet.SPP_LEVELS),
+              lambda up, ctx: [nnops.spp_backward(up, ctx)],
+              (rng.standard_normal((2, 3, a, a)),))
+             for a in (7, 8))
+    return _op_check("spp", rng, cases)
 
 
 def check_linear(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.PCG64([seed, 5]))
-    x = _probe(rng, (3, 4))
-    w = _probe(rng, (4, 5))
-    b = _probe(rng, (5,))
-    out, ctx = nnops.linear_forward(Tensor(x), Tensor(w), Tensor(b))
-    up = _probe(rng, out.shape)
-    analytic = nnops.linear_backward(Tensor(up), ctx)
-
-    def run(x, w, b):
-        return nnops.linear_forward(Tensor(x), Tensor(w), Tensor(b))[0].array
-
-    return _check_many("linear", zip((g.array for g in analytic),
-                                     probe_gradients(run, up, x, w, b)))
+    arrays = tuple(rng.standard_normal(s) for s in ((3, 4), (4, 5), (5,)))
+    return _op_check("linear", rng, [(
+        lambda x, w, b: nnops.linear_forward(Tensor(x), Tensor(w), Tensor(b)),
+        nnops.linear_backward, arrays)])
 
 
 def check_softmax_xent(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.PCG64([seed, 6]))
-    z = _probe(rng, (6, 2)) * 3.0
-    labels = list(rng.integers(0, 2, size=6))
-    labels = [int(v) for v in labels]
+    z = rng.standard_normal((6, 2)) * 3.0
+    labels = [int(v) for v in rng.integers(0, 2, size=6)]
     _, grad = nnops.softmax_xent(Tensor(z), labels)
-
-    def loss(v):
-        l, _ = nnops.softmax_xent(Tensor(v), labels)
-        return l
-
-    return _check_many("softmax_xent", [(grad.array, numerical_gradient(loss, z))])
+    numeric = numerical_gradient(lambda v: nnops.softmax_xent(Tensor(v), labels)[0], z)
+    return _check_many("softmax_xent", [(grad.array, numeric)])
 
 
 def check_preprocess(seed: int) -> CheckResult:
     rng = np.random.Generator(np.random.PCG64([seed, 7]))
     layer = srm.PreprocessingLayer.build(dtype="f64")
-    x = _probe(rng, (1, 1, 8, 8)) * 10.0
-    out, ctx = srm.preprocess_forward(Tensor(x), layer)
-    up = _probe(rng, out.shape)
-    analytic = srm.preprocess_backward(Tensor(up), ctx)
+    x = rng.standard_normal((1, 1, 8, 8)) * 10.0
 
-    def run(k3, k5):
+    def forward(k3, k5):
         lay = srm.PreprocessingLayer(kernels3=Tensor(k3), kernels5=Tensor(k5))
-        return srm.preprocess_forward(Tensor(x), lay)[0].array
+        return srm.preprocess_forward(Tensor(x), lay)
 
-    numeric = probe_gradients(run, up, layer.kernels3.array, layer.kernels5.array)
-    return _check_many("preprocess", zip((g.array for g in analytic), numeric))
+    return _op_check("preprocess", rng, [(forward, srm.preprocess_backward,
+                                          (layer.kernels3.array, layer.kernels5.array))])
 
 
 OP_CHECKS: tuple[tuple[str, Callable[[int], CheckResult]], ...] = (
@@ -313,7 +288,7 @@ def run_ops_checks(seed: int = 0) -> list[CheckResult]:
 # end-to-end model check
 # ---------------------------------------------------------------------------
 
-def check_model(seed: int = 0, total_samples: int = 20) -> CheckResult:
+def check_model(seed: int = 0) -> CheckResult:
     """Nudge randomly sampled parameter elements of a f64 model on a 32x32
     batch and compare the loss finite difference against the analytic
     gradient from backward."""
@@ -345,20 +320,11 @@ def check_model(seed: int = 0, total_samples: int = 20) -> CheckResult:
     if not usable:
         return CheckResult(name="model_end_to_end", max_rel=float("inf"),
                            tol=MODEL_TOL, ok=False)
-    replace = len(usable) < total_samples
-    picks = rng.choice(len(usable), size=total_samples, replace=replace)
+    replace = len(usable) < MODEL_SAMPLES
+    picks = rng.choice(len(usable), size=MODEL_SAMPLES, replace=replace)
 
-    def quotient(arr: np.ndarray, idx: int, step: float) -> float:
-        orig = arr[idx]
-        arr[idx] = orig + step
-        fp = loss_now()
-        arr[idx] = orig - step
-        fm = loss_now()
-        arr[idx] = orig
-        return (fp - fm) / (2.0 * step)
-
-    analytic = np.zeros(total_samples)
-    numeric = np.zeros(total_samples)
+    analytic = np.zeros(MODEL_SAMPLES)
+    numeric = np.zeros(MODEL_SAMPLES)
     for s, u in enumerate(picks):
         name = names[usable[int(u)]]
         arr = params[name].array.reshape(-1)
@@ -371,8 +337,8 @@ def check_model(seed: int = 0, total_samples: int = 20) -> CheckResult:
                 idx = int(rng.integers(0, arr.size))
             else:
                 idx = int(np.argmax(np.abs(garr)))
-            d_full = quotient(arr, idx, H_STEP)
-            d_half = quotient(arr, idx, H_STEP / 2.0)
+            d_full = _central_difference(loss_now, arr, idx, H_STEP)
+            d_half = _central_difference(loss_now, arr, idx, H_STEP / 2.0)
             if abs(d_full - d_half) <= CURVATURE_TOL * max(abs(d_full), PROBE_FLOOR):
                 break
         analytic[s] = garr[idx]

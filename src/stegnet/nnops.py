@@ -83,10 +83,11 @@ from .errors import ContractError, DataError, ShapeError, SpecError
 from .tensor import DTYPES, Tensor
 
 
-def _require_rank(t: Tensor, rank: int, what: str) -> None:
+def _require_rank(t: Tensor, rank: Optional[int], what: str) -> None:
+    """A Tensor, and of the given rank unless ``rank`` is None."""
     if not isinstance(t, Tensor):
         raise ShapeError(f"{what} must be a Tensor, got {type(t).__name__}")
-    if len(t.shape) != rank:
+    if rank is not None and len(t.shape) != rank:
         raise ShapeError(f"{what} must have rank {rank}, got shape {t.shape}")
 
 
@@ -517,7 +518,7 @@ def avg_pool_backward(upstream: Tensor, ctx: AvgPoolContext) -> Tensor:
 
 def relu(inp: Tensor) -> Tensor:
     """max(x, 0)."""
-    _require_tensor(inp, "relu input")
+    _require_rank(inp, None, "relu input")
     return Tensor(np.maximum(inp.array, 0))
 
 
@@ -528,7 +529,7 @@ def relu_backward(upstream: Tensor, inp: Tensor) -> Tensor:
 
 def tlu(inp: Tensor, threshold: float) -> Tensor:
     """Truncated linear unit: clamp(x, -T, T); T must be positive."""
-    _require_tensor(inp, "tlu input")
+    _require_rank(inp, None, "tlu input")
     if not (threshold > 0):
         raise SpecError(f"tlu threshold must be positive, got {threshold!r}")
     t = inp.array.dtype.type(threshold)
@@ -546,7 +547,7 @@ def tlu_backward(upstream: Tensor, inp: Tensor, threshold: float) -> Tensor:
 
 def abs_act(inp: Tensor) -> Tensor:
     """|x|; subgradient at 0 is taken as 0."""
-    _require_tensor(inp, "abs input")
+    _require_rank(inp, None, "abs input")
     return Tensor(np.abs(inp.array))
 
 
@@ -555,14 +556,9 @@ def abs_backward(upstream: Tensor, inp: Tensor) -> Tensor:
     return Tensor(upstream.array * np.sign(inp.array))
 
 
-def _require_tensor(t, what: str) -> None:
-    if not isinstance(t, Tensor):
-        raise ShapeError(f"{what} must be a Tensor, got {type(t).__name__}")
-
-
 def _require_same_shape(upstream: Tensor, inp: Tensor, op: str) -> None:
-    _require_tensor(upstream, f"{op} upstream")
-    _require_tensor(inp, f"{op} saved input")
+    _require_rank(upstream, None, f"{op} upstream")
+    _require_rank(inp, None, f"{op} saved input")
     if upstream.shape != inp.shape:
         raise ShapeError(
             f"{op}_backward shapes differ: upstream {upstream.shape} vs input {inp.shape}"
@@ -764,12 +760,11 @@ def spp_forward(inp: Tensor, levels: tuple[int, ...]) -> tuple[Tensor, SppContex
         pooled = np.empty((n_batch, k, n * n), dtype=x.dtype)
         for i in range(n):
             r0 = i * stride
-            r1 = min(r0 + win, a)
             for j in range(n):
                 c0 = j * stride
-                c1 = min(c0 + win, a)
-                pooled[:, :, i * n + j] = x[:, :, r0:r1, c0:c1].mean(axis=(2, 3))
-                slices.append((r0, r1, c0, c1))
+                # the last bin ends at (n-1)*floor(a/n) + ceil(a/n) <= a
+                pooled[:, :, i * n + j] = x[:, :, r0:r0 + win, c0:c0 + win].mean(axis=(2, 3))
+                slices.append((r0, r0 + win, c0, c0 + win))
         per_level.append(pooled)
     stacked = np.concatenate(per_level, axis=2)  # [N, K, M]
     out = stacked.reshape(n_batch, k * len(slices))
@@ -868,11 +863,10 @@ def softmax_xent(logits: Tensor, labels: Sequence[int]) -> tuple[float, Tensor]:
         raise DataError(f"labels outside [0, {c}): {bad}")
 
     m = z.max(axis=1, keepdims=True)
-    shifted = z - m
-    lse = np.log(np.exp(shifted).sum(axis=1)) + m[:, 0]
-    loss = float(np.mean(lse - z[np.arange(n), y]))
-    p = np.exp(shifted)
-    p /= p.sum(axis=1, keepdims=True)
+    p = np.exp(z - m)
+    total = p.sum(axis=1, keepdims=True)
+    loss = float(np.mean(np.log(total[:, 0]) + m[:, 0] - z[np.arange(n), y]))
+    p /= total
     p[np.arange(n), y] -= 1
     grad = p / z.dtype.type(n)
     return loss, Tensor(grad)

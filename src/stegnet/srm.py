@@ -21,7 +21,7 @@ single-channel image and can be trained (plain gradient steps) or frozen.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -194,7 +194,6 @@ class PreprocessingLayer:
 class PreprocessContext:
     ctx3: nnops.Conv2dContext
     ctx5: nnops.Conv2dContext
-    split: int  # channel where the 5x5 outputs start
 
 
 def _edge_pad(images: np.ndarray, pad: int) -> np.ndarray:
@@ -227,8 +226,10 @@ def preprocess_forward(images: Tensor, layer: PreprocessingLayer) -> tuple[Tenso
                                       layer.kernels3, None, spec3)
     out5, ctx5 = nnops.conv2d_forward(Tensor(_edge_pad(images.array, 2)),
                                       layer.kernels5, None, spec5)
+    # the input images take no gradient
+    ctx3.input_grad = ctx5.input_grad = False
     out = np.concatenate([out3.array, out5.array], axis=1)
-    return Tensor(out), PreprocessContext(ctx3=ctx3, ctx5=ctx5, split=n3)
+    return Tensor(out), PreprocessContext(ctx3=ctx3, ctx5=ctx5)
 
 
 def preprocess_backward(
@@ -242,8 +243,7 @@ def preprocess_backward(
         )
     if not isinstance(upstream, Tensor) or len(upstream.shape) != 4:
         raise ShapeError("preprocess upstream must be a [N, 30, H, W] tensor")
-    up3 = Tensor(np.ascontiguousarray(upstream.array[:, : ctx.split]))
-    up5 = Tensor(np.ascontiguousarray(upstream.array[:, ctx.split :]))
-    _, gk3, _ = nnops.conv2d_backward(up3, replace(ctx.ctx3, input_grad=False))
-    _, gk5, _ = nnops.conv2d_backward(up5, replace(ctx.ctx5, input_grad=False))
+    split = ctx.ctx3.spec.out_channels  # where the 5x5 outputs start
+    _, gk3, _ = nnops.conv2d_backward(Tensor(upstream.array[:, :split]), ctx.ctx3)
+    _, gk5, _ = nnops.conv2d_backward(Tensor(upstream.array[:, split:]), ctx.ctx5)
     return gk3, gk5

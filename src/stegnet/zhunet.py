@@ -66,6 +66,9 @@ CHANNELS = (32, 32, 64, 128)
 SPP_LEVELS = (4, 2, 1)
 FC_HIDDEN = 1024
 BN_MOMENTUM, BN_EPS = 0.1, 1e-5
+# The config rows that every checkpoint stores and that loading checks.
+_FIXED_CONFIG = (("spp_levels", SPP_LEVELS), ("bn_momentum", (BN_MOMENTUM,)),
+                 ("bn_eps", (BN_EPS,)))
 
 MIN_INPUT_SIZE = 25  # smallest square input whose pyramid stage still gets a 4x4 map
 
@@ -298,9 +301,7 @@ class ZhuNetModel:
         for name, values in (
             ("activation_mode", [ACTIVATION_MODES.index(self.config.activation_mode)]),
             ("srm_trainable", [self.config.srm_trainable]),
-            ("spp_levels", SPP_LEVELS),
-            ("bn_momentum", [BN_MOMENTUM]),
-            ("bn_eps", [BN_EPS]),
+            *_FIXED_CONFIG,
         ):
             tensor = Tensor(np.array(values, dtype=np.float64))
             rows[CONFIG].append((f"config.{name}", Entry(tensor, CONFIG)))
@@ -616,8 +617,7 @@ def _read_config(table) -> tuple[str, bool]:
     trainable = _config_scalar(table, "srm_trainable")
     if trainable not in (0.0, 1.0):
         raise FormatError(f"config.srm_trainable must be 0 or 1, got {trainable:g}")
-    for name, expected in (("spp_levels", SPP_LEVELS), ("bn_momentum", (BN_MOMENTUM,)),
-                           ("bn_eps", (BN_EPS,))):
+    for name, expected in _FIXED_CONFIG:
         got = _need(table, f"config.{name}").tolist()
         if got != list(expected):
             raise FormatError(f"config.{name} must be {list(expected)}, got {got}")
