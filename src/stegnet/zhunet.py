@@ -628,7 +628,8 @@ def deserialize_model(data: bytes) -> ZhuNetModel:
     """Rebuild a model from checkpoint bytes (see serialize_model)."""
     table = _read_tensor_table(data)
     mode, srm_trainable = _read_config(table)
-    dtype = "f32" if _need(table, "fc1.w").dtype == np.float32 else "f64"
+    stored = _need(table, "fc1.w").dtype
+    dtype = "f32" if stored == np.float32 else "f64"
     config = ModelConfig(activation_mode=mode, srm_trainable=srm_trainable, dtype=dtype)
     dt = DTYPES[dtype]
 
@@ -638,6 +639,9 @@ def deserialize_model(data: bytes) -> ZhuNetModel:
             raise FormatError(
                 f"checkpoint tensor {name!r} has shape {array.shape}, expected {shape}"
             )
+        if array.dtype != stored:
+            raise FormatError(
+                f"checkpoint tensor {name!r} is {array.dtype.name}, but fc1.w is {stored.name}")
         return array.astype(dt, copy=False)
 
     model = _assemble(config, value)

@@ -484,6 +484,19 @@ def test_eval_error_paths(tmp_path, small_rng, capsys):
     assert "config.bn_eps" in capsys.readouterr().err
 
 
+def test_eval_exits_2_on_a_checkpoint_whose_tensors_disagree_in_dtype(tmp_path, small_rng,
+                                                                       capsys):
+    manifest = write_dataset(tmp_path / "data", small_rng, n_test=0)
+    model = zhunet.build_model(zhunet.ModelConfig())
+    entry = model.table["block1.conv.w"]
+    model.table["block1.conv.w"] = zhunet.Entry(Tensor(entry.tensor.array.astype(np.float64)),
+                                                entry.kind)
+    zhunet.save_checkpoint(model, tmp_path / "mixed.znet")
+    assert cli.run(["eval", "--checkpoint", str(tmp_path / "mixed.znet"),
+                    "--manifest", str(manifest), "--split", "validation"]) == 2
+    assert "'block1.conv.w' is float64, but fc1.w is float32" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # infer
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ fail loudly when a backward pass is wrong."""
 import numpy as np
 import pytest
 
-from stegnet import gradcheck, nnops
+from stegnet import cli, gradcheck, nnops, srm
 from stegnet.tensor import Tensor
 
 
@@ -79,3 +79,60 @@ def test_report_lines_name_the_operator_and_verdict():
     line = gradcheck.check_linear(seed=0).line()
     assert line.startswith("linear:")
     assert "max_rel_err=" in line and line.endswith("ok")
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ops_scale_exits_zero_at_seeds_0_to_9(seed, capsys):
+    assert cli.run(["gradcheck", "--scale", "ops", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out.count(" ok\n") == len(gradcheck.OP_CHECKS)
+
+
+def _scaling(real, index):
+    """``real`` with its gradient number ``index`` scaled by 1 + 1e-4."""
+    def backward(*args):
+        grads = real(*args)
+        if isinstance(grads, Tensor):
+            return Tensor(grads.array * (1 + 1e-4))
+        return tuple(Tensor(g.array * (1 + 1e-4)) if i == index else g
+                     for i, g in enumerate(grads))
+    return backward
+
+
+# (op, module, backward name, which gradient to scale): a weight gradient
+# where the op has one
+BACKWARDS = [
+    ("conv2d", nnops, "conv2d_backward", 1),
+    ("batchnorm", nnops, "batchnorm_backward", 1),
+    ("relu", nnops, "relu_backward", 0),
+    ("tlu", nnops, "tlu_backward", 0),
+    ("abs", nnops, "abs_backward", 0),
+    ("avg_pool", nnops, "avg_pool_backward", 0),
+    ("spp", nnops, "spp_backward", 0),
+    ("linear", nnops, "linear_backward", 1),
+    ("preprocess", srm, "preprocess_backward", 1),
+]
+
+
+def test_the_mutation_list_covers_every_operator_check():
+    assert sorted([op for op, *_ in BACKWARDS] + ["softmax_xent"]) == sorted(
+        name for name, _ in gradcheck.OP_CHECKS)
+
+
+@pytest.mark.parametrize("op,module,attr,index", BACKWARDS, ids=[op for op, *_ in BACKWARDS])
+def test_a_gradient_off_by_one_part_in_ten_thousand_fails_at_seeds_0_to_9(
+        monkeypatch, op, module, attr, index):
+    monkeypatch.setattr(module, attr, _scaling(getattr(module, attr), index))
+    check = dict(gradcheck.OP_CHECKS)[op]
+    assert [seed for seed in range(10) if check(seed).ok] == []
+
+
+def test_a_softmax_xent_gradient_off_by_one_part_in_ten_thousand_fails_at_seeds_0_to_9(
+        monkeypatch):
+    real = nnops.softmax_xent
+
+    def scaled(logits, labels):
+        loss, grad = real(logits, labels)
+        return loss, Tensor(grad.array * (1 + 1e-4))
+
+    monkeypatch.setattr(nnops, "softmax_xent", scaled)
+    assert [seed for seed in range(10) if gradcheck.check_softmax_xent(seed).ok] == []

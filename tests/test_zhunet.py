@@ -688,6 +688,21 @@ def test_a_tensor_of_the_wrong_shape_is_a_format_error():
         zhunet.deserialize_model(zhunet.serialize_model(model))
 
 
+@pytest.mark.parametrize("dtype, name", [
+    ("f32", "block1.conv.w"),
+    ("f32", "sep1.bn_pw.running_var"),
+    ("f64", "pre.kernels5"),
+])
+def test_a_tensor_of_another_dtype_is_a_format_error(dtype, name):
+    model = build(dtype=dtype)
+    other = np.float64 if dtype == "f32" else np.float32
+    entry = model.table[name]
+    model.table[name] = zhunet.Entry(Tensor(entry.tensor.array.astype(other)), entry.kind)
+    want = {"f32": "float32", "f64": "float64"}[dtype]
+    with pytest.raises(FormatError, match=f"'{name}' is {np.dtype(other).name}, but fc1.w is {want}"):
+        zhunet.deserialize_model(zhunet.serialize_model(model))
+
+
 @pytest.mark.parametrize("name, values", [
     ("activation_mode", []),
     ("activation_mode", [np.nan]),
