@@ -141,7 +141,7 @@ def _op_check(name: str, rng: np.random.Generator, cases) -> CheckResult:
         up = rng.standard_normal(out.shape)
         allowance = _roundoff_allowance(float(np.sum(np.abs(up * out.array))))
         numeric = probe_gradients(lambda *a: forward(*a)[0].array, up, *arrays)
-        for analytic, num in zip(backward(Tensor(up), ctx), numeric):
+        for analytic, num in zip(backward(Tensor(up), ctx), numeric, strict=True):
             piece_ok, rel = compare_gradients(analytic.array, num, OP_TOL, allowance)
             worst, ok = max(worst, rel), ok and piece_ok
     return CheckResult(name=name, max_rel=worst, tol=OP_TOL, ok=ok)
