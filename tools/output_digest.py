@@ -2,20 +2,12 @@
 
 Usage: python tools/output_digest.py WORKDIR
 
-Runs the CLI of this checkout (its src/ on PYTHONPATH) in WORKDIR, which
-must be empty or absent:
-- embed on twelve seeded 32x32 covers, a quarter each to validation and test;
-- train for 3 epochs at batch 4 with the defaults, with freeze_srm = true
-  and activation_mode = tlu3, and with augment = dihedral8, each at
-  --threads 1 and --threads 2;
-- eval (at both caps), infer and dump-features at all seven stages on each
-  --threads 1 checkpoint;
-- gradcheck at both scales, at seeds 0 and 3.
-Each command's stdout and exit code go to WORKDIR/stdout/<label>.txt. The
-script prints "sha256  path" for every file under WORKDIR, then a total
-over those lines. The manifest and resolved.cfg hold absolute paths, so two
-trees compare by their totals only when both run in the same WORKDIR (empty
-it in between).
+Runs this checkout's CLI in an empty WORKDIR: embed, three short train runs
+at --threads 1 and 2, eval, infer and dump-features at every stage, and
+gradcheck at both scales and seeds 0 and 3 (each command's stdout and exit
+code go to WORKDIR/stdout/). Prints "sha256  path" for every file and a
+total. Paths written into the outputs are absolute, so compare two trees by
+running both in the same WORKDIR, emptied in between.
 """
 import hashlib
 import os
