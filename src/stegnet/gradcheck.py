@@ -127,14 +127,15 @@ def probe_gradients(run: Callable[..., np.ndarray], up: np.ndarray,
 
 
 def _op_check(name: str, rng: np.random.Generator, cases) -> CheckResult:
-    """The one operator-check driver. Each case is ``(forward, backward,
-    arrays)``: ``forward(*arrays)`` gives the op's ``(output Tensor, ctx)``,
-    after which the upstream ``up`` is drawn from ``rng``, and
-    ``backward(Tensor(up), ctx)`` gives one gradient Tensor per array. Each
-    is compared with probe_gradients of the forward, allowing the round-off
-    of the probe ``sum(up * out)``. ``cases`` may be a generator, so a case
-    can draw its arrays after the previous case's ``up``. The result is ok
-    only if every gradient passes, with the worst relative error."""
+    """Runs every operator check but softmax_xent's. Each case is
+    ``(forward, backward, arrays)``: ``forward(*arrays)`` gives the op's
+    ``(output Tensor, ctx)``, after which the upstream ``up`` is drawn from
+    ``rng``, and ``backward(Tensor(up), ctx)`` gives one gradient Tensor per
+    array. Each is compared with probe_gradients of the forward, allowing
+    the round-off of the probe ``sum(up * out)``. ``cases`` may be a
+    generator, so a case can draw its arrays after the previous case's
+    ``up``. The result is ok only if every gradient passes, with the worst
+    relative error."""
     worst, ok = 0.0, True
     for forward, backward, arrays in cases:
         out, ctx = forward(*arrays)
