@@ -140,8 +140,9 @@ def _parse_value(key: str, value: str, default):
 def _format_value(value, default) -> str:
     if isinstance(default, bool):
         return str(value).lower()
-    if isinstance(default, float):
-        return f"{value:.10g}"
+    if isinstance(default, float):  # ten digits where they read back exactly
+        short = f"{value:.10g}"
+        return short if float(short) == value else repr(value)
     if isinstance(default, tuple):
         return ",".join(str(e) for e in value) or "none"
     return str(value)

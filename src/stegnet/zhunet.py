@@ -21,23 +21,26 @@ selects ReLU (default) or TLU with threshold 3 for the four basic-block
 activations. Convolutions carry no bias (batchnorm follows every one); the
 linear layers carry bias.
 
-``ZhuNetModel.stages`` is the one ordered ``(name, layer)`` list, built once
-by ``_assemble``: preprocessing, sep1, sep2, block1-4, head. Every layer
-exposes ``forward(x) -> (out, ctx)``, ``backward(up, ctx) -> (grad_x,
-{key: grad})`` and ``tensors() -> [(key, tensor, kind)]``. The forward pass
-runs the list in order, a train forward keeps each stage's ctx, backward
-runs the list in reverse, and ``dump_feature_maps`` runs it up to the stage
-asked for. A tensor's table name is its stage name and its key, except that
-the preprocessing kernels are ``pre.*`` and the head's tensors ``fc1.*`` and
-``fc2.*``.
+``ZhuNetModel.stages`` is the one ordered ``(name, layer)`` list:
+preprocessing, sep1, sep2, block1-4, head. Every layer exposes
+``forward(x) -> (out, ctx)`` and ``backward(up, ctx) -> (grad_x, grads)``,
+where ``grads`` is a tuple of its parameter gradients in the order its
+parameters were declared; a layer does not name its tensors. The forward
+pass runs the list in order, a train forward keeps each stage's ctx,
+backward runs the list in reverse, and ``dump_feature_maps`` runs it up to
+the stage asked for.
 
-``ZhuNetModel.table`` is the one state table, derived from the list and the
-config: every parameter in stage order, then every buffer (batchnorm
-running statistics), then the config scalars such as the activation mode,
-each with its kind and SGD update rule. Checkpoints write it in order as a
-single binary table: magic "ZNET", format version, and each tensor with
-explicit dtype and shape, little-endian. A round trip restores
-bit-identical behaviour.
+``ZhuNetModel.table`` is the one state table: every parameter in stage
+order, then every buffer (batchnorm running statistics), then the config
+scalars such as the activation mode, each with its kind, SGD update rule
+and owning stage. ``_assemble`` builds the stage list and the table
+together, and is the one place a tensor's name is written (the
+preprocessing kernels are ``pre.*``, the head's tensors ``fc1.*`` and
+``fc2.*``, every other name starts with its stage's). The model's backward
+pairs each stage's gradient tuple with that stage's parameter rows.
+Checkpoints write the table in order as a single binary table: magic
+"ZNET", format version, and each tensor with explicit dtype and shape,
+little-endian. A round trip restores bit-identical behaviour.
 """
 from __future__ import annotations
 
@@ -75,13 +78,6 @@ MIN_INPUT_SIZE = 25  # smallest square input whose pyramid stage still gets a 4x
 PARAM, BUFFER, CONFIG = "param", "buffer", "config"
 MOMENTUM, PLAIN, FROZEN = "momentum", "plain", "frozen"
 
-# Checkpoint names predate the stage names.
-_TABLE_PREFIX = {"preprocessing": "pre.", "head": ""}
-
-
-def _table_name(stage: str, key: str) -> str:
-    return _TABLE_PREFIX.get(stage, f"{stage}.") + key
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -101,12 +97,6 @@ class ModelConfig:
             raise SpecError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
-def _bn_tensors(key: str, bn: nnops.BatchNormState) -> list:
-    return [(f"{key}.gamma", Tensor(bn.gamma), PARAM), (f"{key}.beta", Tensor(bn.beta), PARAM),
-            (f"{key}.running_mean", Tensor(bn.running_mean), BUFFER),
-            (f"{key}.running_var", Tensor(bn.running_var), BUFFER)]
-
-
 @dataclass
 class Preprocessing:
     """The SRM bank as a stage. The network's input takes no gradient, so
@@ -117,12 +107,8 @@ class Preprocessing:
     def forward(self, x: Tensor) -> tuple[Tensor, srm.PreprocessContext]:
         return srm.preprocess_forward(x, self.layer)
 
-    def backward(self, up: Tensor, ctx: srm.PreprocessContext) -> tuple[None, dict]:
-        g3, g5 = srm.preprocess_backward(up, ctx)
-        return None, {"kernels3": g3, "kernels5": g5}
-
-    def tensors(self) -> list:
-        return [("kernels3", self.layer.kernels3, PARAM), ("kernels5", self.layer.kernels5, PARAM)]
+    def backward(self, up: Tensor, ctx: srm.PreprocessContext) -> tuple[None, tuple]:
+        return None, srm.preprocess_backward(up, ctx)
 
 
 @dataclass
@@ -151,7 +137,8 @@ class SepconvBlock:
         t, pw_ctx = nnops.conv2d_forward(x, self.pw_w, None, pw_spec)
         abs_in = None
         if self.has_abs:
-            abs_in = t
+            if self.bn_pw.mode == "train":  # only a backward reads it
+                abs_in = t
             t = nnops.abs_act(t)
         t, bn1_ctx = nnops.batchnorm_forward(t, self.bn_pw)
         t, dw_ctx = nnops.conv2d_forward(t, self.dw_w, None, dw_spec)
@@ -160,21 +147,15 @@ class SepconvBlock:
         ctx = {"pw": pw_ctx, "abs_in": abs_in, "bn1": bn1_ctx, "dw": dw_ctx, "bn2": bn2_ctx}
         return t, ctx
 
-    def backward(self, up: Tensor, ctx: dict) -> tuple[Tensor, dict]:
+    def backward(self, up: Tensor, ctx: dict) -> tuple[Tensor, tuple]:
         g, g_gamma2, g_beta2 = nnops.batchnorm_backward(up, ctx["bn2"])
         g, g_dw, _ = nnops.conv2d_backward(g, ctx["dw"])
         g, g_gamma1, g_beta1 = nnops.batchnorm_backward(g, ctx["bn1"])
         if self.has_abs:
             g = nnops.abs_backward(g, ctx["abs_in"])
         g, g_pw, _ = nnops.conv2d_backward(g, ctx["pw"])
-        grads = {"pw.w": g_pw, "bn_pw.gamma": g_gamma1, "bn_pw.beta": g_beta1,
-                 "dw.w": g_dw, "bn_dw.gamma": g_gamma2, "bn_dw.beta": g_beta2}
         g.array += up.array  # skip path, into the conv's fresh input gradient
-        return g, grads
-
-    def tensors(self) -> list:
-        return [("pw.w", self.pw_w, PARAM), *_bn_tensors("bn_pw", self.bn_pw),
-                ("dw.w", self.dw_w, PARAM), *_bn_tensors("bn_dw", self.bn_dw)]
+        return g, (g_pw, g_gamma1, g_beta1, g_dw, g_gamma2, g_beta2)
 
 
 @dataclass
@@ -197,14 +178,14 @@ class BasicBlock:
         spec = nnops.Conv2dSpec(cin, cout, 3, 3, padding=1)
         t, conv_ctx = nnops.conv2d_forward(x, self.conv_w, None, spec)
         t, bn_ctx = nnops.batchnorm_forward(t, self.bn)
-        act_in = t
+        act_in = t if self.bn.mode == "train" else None  # only a backward reads it
         t = nnops.relu(t) if self.mode == "relu" else nnops.tlu(t, TLU_THRESHOLD)
         pool_ctx = None
         if self.pool:
             t, pool_ctx = nnops.avg_pool(t, self.POOL_WIN, self.POOL_STRIDE, self.POOL_PAD)
         return t, {"conv": conv_ctx, "bn": bn_ctx, "act_in": act_in, "pool": pool_ctx}
 
-    def backward(self, up: Tensor, ctx: dict) -> tuple[Tensor, dict]:
+    def backward(self, up: Tensor, ctx: dict) -> tuple[Tensor, tuple]:
         g = up
         if ctx["pool"] is not None:
             g = nnops.avg_pool_backward(g, ctx["pool"])
@@ -214,10 +195,7 @@ class BasicBlock:
             g = nnops.tlu_backward(g, ctx["act_in"], TLU_THRESHOLD)
         g, g_gamma, g_beta = nnops.batchnorm_backward(g, ctx["bn"])
         g, g_w, _ = nnops.conv2d_backward(g, ctx["conv"])
-        return g, {"conv.w": g_w, "bn.gamma": g_gamma, "bn.beta": g_beta}
-
-    def tensors(self) -> list:
-        return [("conv.w", self.conv_w, PARAM), *_bn_tensors("bn", self.bn)]
+        return g, (g_w, g_gamma, g_beta)
 
 
 @dataclass
@@ -236,16 +214,11 @@ class Head:
         logits, fc2_ctx = nnops.linear_forward(nnops.relu(h1), self.fc2_w, self.fc2_b)
         return logits, (spp_ctx, fc1_ctx, h1, fc2_ctx)
 
-    def backward(self, up: Tensor, ctx: tuple) -> tuple[Tensor, dict]:
+    def backward(self, up: Tensor, ctx: tuple) -> tuple[Tensor, tuple]:
         spp_ctx, fc1_ctx, h1, fc2_ctx = ctx
         g, gw2, gb2 = nnops.linear_backward(up, fc2_ctx)
         g, gw1, gb1 = nnops.linear_backward(nnops.relu_backward(g, h1), fc1_ctx)
-        grads = {"fc1.w": gw1, "fc1.b": gb1, "fc2.w": gw2, "fc2.b": gb2}
-        return nnops.spp_backward(g, spp_ctx), grads
-
-    def tensors(self) -> list:
-        return [("fc1.w", self.fc1_w, PARAM), ("fc1.b", self.fc1_b, PARAM),
-                ("fc2.w", self.fc2_w, PARAM), ("fc2.b", self.fc2_b, PARAM)]
+        return nnops.spp_backward(g, spp_ctx), (gw1, gb1, gw2, gb2)
 
 
 @dataclass(frozen=True)
@@ -256,27 +229,28 @@ class Entry:
     CONFIG (a hyperparameter scalar that rides along in checkpoints).
     ``rule`` is how SGD updates the tensor: MOMENTUM (momentum plus weight
     decay), PLAIN (p -= lr*g) or FROZEN (never; every buffer and config).
+    ``stage`` names the stage that owns the tensor (empty for config rows);
+    a stage's backward returns its parameters' gradients in the order of
+    its PARAM rows.
     """
 
     tensor: Tensor
     kind: str
     rule: str = FROZEN
+    stage: str = ""
 
 
 @dataclass
 class ZhuNetModel:
     """The assembled network: ``stages`` runs it, ``table`` names every
-    tensor of it in checkpoint order with its kind and update rule. The
-    table shares the layers' storage, so in-place updates through it
-    stick."""
+    tensor of it in checkpoint order with its kind, update rule and stage.
+    Both come from ``_assemble``. The table shares the layers' storage, so
+    in-place updates through it stick."""
 
     config: ModelConfig
     stages: list  # [(name, layer)], input to logits
-    table: "OrderedDict[str, Entry]" = field(init=False, repr=False)
+    table: "OrderedDict[str, Entry]" = field(repr=False)
     _ctx: Optional[tuple] = field(default=None, repr=False)  # (per-stage ctxs, logits shape)
-
-    def __post_init__(self) -> None:
-        self.table = self._state_table()
 
     def layer(self, name: str):
         return dict(self.stages)[name]
@@ -286,26 +260,6 @@ class ZhuNetModel:
     blocks = property(lambda self: [lyr for _, lyr in self.stages if isinstance(lyr, BasicBlock)])
 
     # -- the state table ------------------------------------------------------
-
-    def _state_table(self) -> "OrderedDict[str, Entry]":
-        """The table, derived from the stages and the config: the
-        preprocessing kernels take the plain step unless the config freezes
-        them, every other parameter takes momentum and weight decay."""
-        pre_rule = PLAIN if self.config.srm_trainable else FROZEN
-        rows: dict[str, list] = {PARAM: [], BUFFER: [], CONFIG: []}
-        for stage, lyr in self.stages:
-            rule = pre_rule if stage == "preprocessing" else MOMENTUM
-            for key, tensor, kind in lyr.tensors():
-                entry = Entry(tensor, kind, rule if kind == PARAM else FROZEN)
-                rows[kind].append((_table_name(stage, key), entry))
-        for name, values in (
-            ("activation_mode", [ACTIVATION_MODES.index(self.config.activation_mode)]),
-            ("srm_trainable", [self.config.srm_trainable]),
-            *_FIXED_CONFIG,
-        ):
-            tensor = Tensor(np.array(values, dtype=np.float64))
-            rows[CONFIG].append((f"config.{name}", Entry(tensor, CONFIG)))
-        return OrderedDict(rows[PARAM] + rows[BUFFER] + rows[CONFIG])
 
     def parameters(self) -> "OrderedDict[str, Tensor]":
         """Parameters that SGD updates, by name, in table order: frozen
@@ -398,7 +352,8 @@ class ZhuNetModel:
         """Parameter gradients keyed and ordered like :meth:`parameters`,
         from the saved forward context. The stages run in reverse until
         every trainable parameter has its gradient, so frozen preprocessing
-        kernels cost no backward."""
+        kernels cost no backward. Each stage's gradient tuple is paired with
+        its PARAM rows of the table, in table order."""
         if self._ctx is None:
             raise ContractError(
                 "backward called with no saved forward context; only a train-mode "
@@ -416,7 +371,8 @@ class ZhuNetModel:
             if params.keys() <= grads.keys():
                 break
             g, stage_grads = lyr.backward(g, ctx)
-            grads.update((_table_name(stage, k), v) for k, v in stage_grads.items())
+            names = [n for n, e in self.table.items() if e.kind == PARAM and e.stage == stage]
+            grads.update(zip(names, stage_grads, strict=True))
         return OrderedDict((name, grads[name]) for name in params)
 
     def dump_feature_maps(self, images: Tensor, stage: str) -> Tensor:
@@ -441,51 +397,62 @@ def _xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
 
 
 def _assemble(config: ModelConfig, value) -> ZhuNetModel:
-    """The one construction routine, and the one place the stage order is
-    written. ``value(name, shape, init)`` gives the array of each
-    state-table tensor: build_model returns ``init()``, deserialize_model
-    the checkpoint's array. The tensors are asked for in a fixed order, so
-    build_model's random draws are too."""
+    """The one construction routine, and the one place the stage order and
+    every tensor's name are written. ``value(name, shape, init)`` gives the
+    array of each state-table tensor: build_model returns ``init()``,
+    deserialize_model the checkpoint's array. Each tensor gets its table
+    row as it is asked for: the preprocessing kernels take the plain step
+    unless the config freezes them, every other parameter momentum and
+    weight decay, buffers and config rows no update. The tensors are asked
+    for in a fixed order, so build_model's random draws are too."""
     dt = DTYPES[config.dtype]
     rng = np.random.Generator(np.random.PCG64(config.seed))
+    rows: dict[str, list] = {PARAM: [], BUFFER: [], CONFIG: []}
 
-    def xavier(name: str, shape: tuple[int, ...], fan_in: int, fan_out: int) -> Tensor:
-        return Tensor(value(name, shape, lambda: _xavier_uniform(rng, shape, fan_in, fan_out, dt)))
+    def tensor(stage: str, name: str, shape: tuple[int, ...], init,
+               kind: str = PARAM, rule: str = MOMENTUM) -> Tensor:
+        t = Tensor(value(name, shape, init))
+        rows[kind].append((name, Entry(t, kind, rule if kind == PARAM else FROZEN, stage)))
+        return t
 
-    def zeros(name: str, c: int) -> Tensor:
-        return Tensor(value(name, (c,), lambda: np.zeros(c, dtype=dt)))
+    def xavier(stage: str, name: str, shape: tuple[int, ...], fan_in: int, fan_out: int) -> Tensor:
+        return tensor(stage, name, shape, lambda: _xavier_uniform(rng, shape, fan_in, fan_out, dt))
 
-    def batchnorm(name: str, c: int) -> nnops.BatchNormState:
-        def stat(key: str, fill: float) -> np.ndarray:
-            return value(f"{name}.{key}", (c,), lambda: np.full(c, fill, dtype=dt))
+    def batchnorm(stage: str, name: str, c: int) -> nnops.BatchNormState:
+        def stat(key: str, fill: float, kind: str = PARAM) -> np.ndarray:
+            return tensor(stage, f"{name}.{key}", (c,), lambda: np.full(c, fill, dtype=dt),
+                          kind).array
 
         return nnops.BatchNormState(
             gamma=stat("gamma", 1), beta=stat("beta", 0),
-            running_mean=stat("running_mean", 0), running_var=stat("running_var", 1),
+            running_mean=stat("running_mean", 0, BUFFER),
+            running_var=stat("running_var", 1, BUFFER),
             momentum=BN_MOMENTUM, eps=BN_EPS,
         )
 
     pre = srm.PreprocessingLayer.build(dtype=config.dtype)
+    pre_rule = PLAIN if config.srm_trainable else FROZEN
     k3, k5 = pre.kernels3.array, pre.kernels5.array
-    pre.kernels3 = Tensor(value("pre.kernels3", k3.shape, lambda: k3))
-    pre.kernels5 = Tensor(value("pre.kernels5", k5.shape, lambda: k5))
+    pre.kernels3 = tensor("preprocessing", "pre.kernels3", k3.shape, lambda: k3, rule=pre_rule)
+    pre.kernels5 = tensor("preprocessing", "pre.kernels5", k5.shape, lambda: k5, rule=pre_rule)
     c0 = pre.out_channels
 
     def sepconv(name: str, has_abs: bool) -> tuple[str, SepconvBlock]:
         return name, SepconvBlock(
-            pw_w=xavier(f"{name}.pw.w", (c0, c0, 1, 1), c0, c0),
-            bn_pw=batchnorm(f"{name}.bn_pw", c0),
-            dw_w=xavier(f"{name}.dw.w", (c0, 1, 3, 3), 9, c0 * 9),
-            bn_dw=batchnorm(f"{name}.bn_dw", c0),
+            pw_w=xavier(name, f"{name}.pw.w", (c0, c0, 1, 1), c0, c0),
+            bn_pw=batchnorm(name, f"{name}.bn_pw", c0),
+            dw_w=xavier(name, f"{name}.dw.w", (c0, 1, 3, 3), 9, c0 * 9),
+            bn_dw=batchnorm(name, f"{name}.bn_dw", c0),
             has_abs=has_abs,
         )
 
     stages = [("preprocessing", Preprocessing(pre)), sepconv("sep1", True), sepconv("sep2", False)]
     cin = c0
     for i, cout in enumerate(CHANNELS, start=1):
-        stages.append((f"block{i}", BasicBlock(
-            conv_w=xavier(f"block{i}.conv.w", (cout, cin, 3, 3), cin * 9, cout * 9),
-            bn=batchnorm(f"block{i}.bn", cout),
+        name = f"block{i}"
+        stages.append((name, BasicBlock(
+            conv_w=xavier(name, f"{name}.conv.w", (cout, cin, 3, 3), cin * 9, cout * 9),
+            bn=batchnorm(name, f"{name}.bn", cout),
             pool=i <= 3,
             mode=config.activation_mode,
         )))
@@ -493,12 +460,17 @@ def _assemble(config: ModelConfig, value) -> ZhuNetModel:
 
     feat_dim, hidden = CHANNELS[-1] * sum(n * n for n in SPP_LEVELS), FC_HIDDEN
     stages.append(("head", Head(
-        fc1_w=xavier("fc1.w", (feat_dim, hidden), feat_dim, hidden),
-        fc1_b=zeros("fc1.b", hidden),
-        fc2_w=xavier("fc2.w", (hidden, 2), hidden, 2),
-        fc2_b=zeros("fc2.b", 2),
+        fc1_w=xavier("head", "fc1.w", (feat_dim, hidden), feat_dim, hidden),
+        fc1_b=tensor("head", "fc1.b", (hidden,), lambda: np.zeros(hidden, dtype=dt)),
+        fc2_w=xavier("head", "fc2.w", (hidden, 2), hidden, 2),
+        fc2_b=tensor("head", "fc2.b", (2,), lambda: np.zeros(2, dtype=dt)),
     )))
-    return ZhuNetModel(config=config, stages=stages)
+    for name, values in (("activation_mode", [ACTIVATION_MODES.index(config.activation_mode)]),
+                         ("srm_trainable", [config.srm_trainable]), *_FIXED_CONFIG):
+        t = Tensor(np.array(values, dtype=np.float64))
+        rows[CONFIG].append((f"config.{name}", Entry(t, CONFIG)))
+    table = OrderedDict(rows[PARAM] + rows[BUFFER] + rows[CONFIG])
+    return ZhuNetModel(config=config, stages=stages, table=table)
 
 
 def build_model(config: ModelConfig = ModelConfig()) -> ZhuNetModel:

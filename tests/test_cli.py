@@ -338,6 +338,18 @@ def test_resolved_config_text_is_pinned_and_loads_back(tmp_path):
                                              os.path.join(tmp_path, out_dir), augment)
 
 
+def test_resolved_config_keeps_every_digit_of_a_float_it_loads_back(tmp_path):
+    from stegnet.train import TrainConfig
+
+    cfg = TrainConfig(lr0=0.00123456789012, weight_decay=0.000512345678912)
+    text = cli._resolved_config_text(cfg, zhunet.ModelConfig(), "/data/manifest.txt", "runs/c",
+                                     "none")
+    assert "lr0 = 0.00123456789012\n" in text
+    path = tmp_path / "resolved.cfg"
+    path.write_text(text)
+    assert cli.load_run_config(path)[0] == cfg
+
+
 def test_relative_paths_resolve_next_to_the_config_from_any_directory(
         tmp_path, small_rng, monkeypatch):
     write_dataset(tmp_path / "exp" / "data", small_rng)

@@ -361,6 +361,35 @@ def test_frozen_model_backward_omits_preprocessing_gradients():
     assert sum(g.size for g in grads.values()) == TOTAL_TRAINABLE - 350
 
 
+@pytest.mark.parametrize("mode", ["relu", "tlu3"])
+def test_every_gradient_comes_back_under_its_own_name(mode):
+    """Stages return their gradients by position, and the model pairs them
+    with its table names. A central difference of the loss at each
+    tensor's largest-|grad| element tells a swapped pair apart. The
+    sepconv pointwise gammas get gradients near 1e-7, which round-off
+    alone puts a few parts in 1e3 off; hence the absolute floor."""
+    model = build(dtype="f64", activation_mode=mode)
+    images = rand_images(np.random.default_rng(41), 2, 32, "f64")
+
+    def loss() -> float:
+        return nnops.softmax_xent(model.forward(images, mode="train"), [0, 1])[0]
+
+    _, grad_logits = nnops.softmax_xent(model.forward(images, mode="train"), [0, 1])
+    grads = model.backward(grad_logits)
+    h = 1e-6
+    for name, p in model.parameters().items():
+        g = grads[name].array
+        i = np.unravel_index(np.argmax(np.abs(g)), g.shape)
+        origin = p.array[i]
+        p.array[i] = origin + h
+        up = loss()
+        p.array[i] = origin - h
+        down = loss()
+        p.array[i] = origin
+        numeric, err = (up - down) / (2 * h), abs((up - down) / (2 * h) - g[i])
+        assert err < 1e-8 or err < 1e-4 * max(abs(numeric), abs(g[i])), (name, g[i], numeric)
+
+
 @pytest.mark.parametrize("trainable", [True, False])
 def test_backward_runs_the_preprocessing_stage_only_while_it_trains(trainable, monkeypatch):
     from stegnet import srm
@@ -594,6 +623,26 @@ def test_sharded_eval_forwards_reuse_the_heap_and_then_fault_in_no_new_memory(mo
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     assert faults[3] < 1000, faults  # a 2-image forward has started the threads' stacks
     assert np.median(faults[4:]) < 100, faults
+
+
+def test_an_eval_forward_keeps_no_map_that_only_a_backward_reads(monkeypatch):
+    """At sep1's depthwise conv an eval forward needs four full-size maps:
+    the block input, the batchnorm output, its padded copy and the
+    depthwise output. Keeping the pointwise output for the abs backward
+    would make five."""
+    import tracemalloc
+
+    monkeypatch.setattr(nnops, "WORKERS", 1)
+    model = build(seed=1)
+    images = rand_images(np.random.default_rng(43), 8, 64)
+    full_map = 8 * 30 * 64 * 64 * 4
+    tracemalloc.start()
+    try:
+        model.dump_feature_maps(images, "block1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * full_map, peak / full_map
 
 
 def test_what_a_caller_holds_keeps_its_bytes_across_later_passes():
