@@ -5,18 +5,20 @@ command is deterministic given its flags and seed. Exit codes: 0 success,
 1 usage error, 2 data/format error, 3 numeric failure (training divergence
 or a failed gradient check).
 
-``--threads N`` (or the STEGNET_THREADS env var) caps the cores a command
-uses. It sets the BLAS thread variables, which must take effect before
-numpy is first imported, so this module defers all heavy imports into the
-command bodies. Importing ``nnops`` then takes OpenBLAS's thread count as
-the number of eval-forward shards and sets OpenBLAS to one thread, so every
-cap gives the same bytes.
+``--threads N`` caps the cores a command uses; without it, the BLAS
+thread variables of the environment set the cap. The flag sets those
+variables, which must take effect before numpy is first imported, so this
+module defers all heavy imports into the command bodies. Importing
+``nnops`` then takes OpenBLAS's thread count as the number of eval-forward
+shards and sets OpenBLAS to one thread, so every cap gives the same bytes.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+
+from .errors import DataError, DivergenceError, FormatError, SpecError, StegnetError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,15 +41,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class _UsageError(Exception):
+    pass
+
+
 def _apply_thread_cap(threads: int | None) -> None:
     if threads is None:
-        env = os.environ.get("STEGNET_THREADS")
-        if env is None:
-            return
-        try:
-            threads = int(env)
-        except ValueError:
-            raise _UsageError(f"STEGNET_THREADS must be an integer, got {env!r}")
+        return
     if threads < 1:
         raise _UsageError(f"--threads must be at least 1, got {threads}")
     if "numpy" in sys.modules:
@@ -62,10 +62,6 @@ def _apply_thread_cap(threads: int | None) -> None:
         os.environ[var] = str(threads)
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _seed(text: str) -> int:
     """--seed: numpy's seed sequences take non-negative integers only."""
     if not text.isdigit():
@@ -78,8 +74,6 @@ def _seed(text: str) -> int:
 # ---------------------------------------------------------------------------
 
 def parse_config_text(text: str, allowed_keys) -> dict[str, str]:
-    from .errors import SpecError
-
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -118,8 +112,6 @@ def run_config_schema() -> list[tuple[str, object]]:
 
 
 def _parse_value(key: str, value: str, default):
-    from .errors import SpecError
-
     if isinstance(default, bool):
         lowered = value.lower()
         if lowered in ("true", "1", "yes", "false", "0", "no"):
@@ -156,7 +148,6 @@ def load_run_config(path):
     only the default epochs below max_epochs. Relative manifest and out_dir
     paths are resolved against the config file's directory."""
     from .data import AUGMENTATIONS
-    from .errors import SpecError
     from .train import TrainConfig
     from .zhunet import ModelConfig
 
@@ -206,28 +197,21 @@ def cmd_embed(args) -> int:
     import numpy as np
 
     from . import data
-    from .errors import DataError, FormatError
 
     in_dir, out_dir = args.in_dir, args.out_dir
     for flag, path in (("--in", in_dir), ("--out", out_dir)):
         if any(ch.isspace() for ch in os.path.abspath(path)):
             raise DataError(f"{flag} path {os.path.abspath(path)!r} holds whitespace")
     if not os.path.isdir(in_dir):
-        print(f"embed: input directory {in_dir!r} does not exist", file=sys.stderr)
-        return EXIT_DATA
+        raise DataError(f"input directory {in_dir!r} does not exist")
     names = sorted(n for n in os.listdir(in_dir) if n.lower().endswith(".pgm"))
     if not names:
-        print(f"embed: no .pgm files in {in_dir!r}", file=sys.stderr)
-        return EXIT_DATA
+        raise DataError(f"no .pgm files in {in_dir!r}")
     if not (0.0 <= args.val_fraction and 0.0 <= args.test_fraction
             and args.val_fraction + args.test_fraction < 1.0):
-        print("embed: --val-fraction/--test-fraction must be >= 0 and sum below 1",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError("--val-fraction/--test-fraction must be >= 0 and sum below 1")
     if not 0.0 < args.payload <= 1.0:
-        print(f"embed: --payload must be in (0, 1] bits per pixel, got {args.payload!r}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"--payload must be in (0, 1] bits per pixel, got {args.payload!r}")
     os.makedirs(out_dir, exist_ok=True)
 
     # deterministic split assignment: shuffle indices once with the run seed
@@ -245,6 +229,7 @@ def cmd_embed(args) -> int:
             split_of[int(idx)] = "train"
 
     entries = []
+    taken = {}  # pair id -> the cover that has it
     failures = 0
     for idx, name in enumerate(names):
         cover_path = os.path.join(in_dir, name)
@@ -253,6 +238,8 @@ def cmd_embed(args) -> int:
         try:
             if any(ch.isspace() for ch in name):
                 raise DataError("a manifest line cannot hold a file name with whitespace")
+            if stem in taken:
+                raise DataError(f"pair id {stem!r} is already taken by {taken[stem]}")
             cover = data.load_pgm(cover_path)
             seed = int(np.random.SeedSequence([args.seed, idx]).generate_state(1)[0])
             stego = data.embed_simulate(cover, args.payload, seed)
@@ -261,6 +248,7 @@ def cmd_embed(args) -> int:
             print(f"embed: {cover_path}: {exc}", file=sys.stderr)
             failures += 1
             continue
+        taken[stem] = name
         entries.append((stem, os.path.abspath(cover_path), os.path.abspath(stego_path),
                         split_of[idx]))
     data.write_manifest(os.path.join(out_dir, "manifest.txt"), entries)
@@ -272,7 +260,6 @@ def _load_splits(manifest_path: str, *splits: str) -> list:
     """The named splits of a manifest, read once; a missing split is a
     DataError that names the splits the manifest has."""
     from .data import load_manifest
-    from .errors import DataError
 
     datasets = load_manifest(manifest_path)
     for split in splits:
@@ -387,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--threads", type=int, default=None,
                         help="cap the cores used: eval forwards split their batch "
                              "into up to N shards, BLAS runs on one thread (every cap "
-                             "gives the same bytes); env fallback: STEGNET_THREADS")
+                             "gives the same bytes); without it, OPENBLAS_NUM_THREADS "
+                             "or OMP_NUM_THREADS sets the cap")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("embed", help="simulate embedding over a directory of cover PGMs")
@@ -431,18 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _apply_thread_cap(args.threads)
+        return args.func(args)
     except _UsageError as exc:
         print(f"stegnet: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    from .errors import DivergenceError, FormatError, StegnetError
-
-    try:
-        return args.func(args)
     except DivergenceError as exc:
         print(f"stegnet: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -300,14 +300,19 @@ def eval_batches(
 
 def write_manifest(path, entries: list[tuple[str, str, str, str]]) -> None:
     """Write manifest lines ``<id> <cover-path> <stego-path> <split>``; they
-    split on whitespace, so a field that is empty or holds some is an error."""
+    split on whitespace, so a field that is empty or holds some is an error,
+    and so is an id that an earlier entry has (load_manifest refuses both)."""
     lines = []
+    ids = set()
     for entry in entries:
         pair_id, cover_path, stego_path, split = entry
         if split not in SPLITS:
             raise DataError(f"unknown split {split!r} for pair {pair_id!r}")
         if any(str(value).split() != [str(value)] for value in entry):
             raise DataError(f"a manifest field of {entry!r} is empty or holds whitespace")
+        if pair_id in ids:
+            raise DataError(f"duplicate pair id {pair_id!r}")
+        ids.add(pair_id)
         lines.append(f"{pair_id} {cover_path} {stego_path} {split}\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(lines)

@@ -167,7 +167,8 @@ class PreprocessingLayer:
     kernels3 is [25, 1, 3, 3] (applied with padding 1), kernels5 is
     [5, 1, 5, 5] (padding 2); their outputs are stacked to 30 channels in
     bank order. Whether training updates the kernels is the model's
-    business (see the state table in zhunet.py).
+    business (see the state table in zhunet.py). The layer is the network's
+    first stage; its input takes no gradient, so backward returns None.
     """
 
     kernels3: Tensor
@@ -188,6 +189,12 @@ class PreprocessingLayer:
     @property
     def out_channels(self) -> int:
         return self.kernels3.shape[0] + self.kernels5.shape[0]
+
+    def forward(self, x: Tensor) -> tuple[Tensor, PreprocessContext]:
+        return preprocess_forward(x, self)
+
+    def backward(self, up: Tensor, ctx: PreprocessContext) -> tuple[None, tuple]:
+        return None, preprocess_backward(up, ctx)
 
 
 @dataclass

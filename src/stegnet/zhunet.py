@@ -22,22 +22,22 @@ activations. Convolutions carry no bias (batchnorm follows every one); the
 linear layers carry bias.
 
 ``ZhuNetModel.stages`` is the one ordered ``(name, layer)`` list:
-preprocessing, sep1, sep2, block1-4, head. Every layer exposes
-``forward(x) -> (out, ctx)`` and ``backward(up, ctx) -> (grad_x, grads)``,
-where ``grads`` is a tuple of its parameter gradients in the order its
-parameters were declared; a layer does not name its tensors. The forward
-pass runs the list in order, a train forward keeps each stage's ctx,
-backward runs the list in reverse, and ``dump_feature_maps`` runs it up to
-the stage asked for.
+preprocessing (``srm.PreprocessingLayer`` itself), sep1, sep2, block1-4,
+head. Every layer exposes ``forward(x) -> (out, ctx)`` and
+``backward(up, ctx) -> (grad_x, grads)``, where ``grads`` is a tuple of
+its parameter gradients in the order its parameters were declared; a layer
+does not name its tensors. The forward pass runs the list in order, a
+train forward keeps each stage's ctx, backward runs the list in reverse,
+and ``dump_feature_maps`` runs it up to the stage asked for.
 
 ``ZhuNetModel.table`` is the one state table: every parameter in stage
 order, then every buffer (batchnorm running statistics), then the config
-scalars such as the activation mode, each with its kind, SGD update rule
-and owning stage. ``_assemble`` builds the stage list and the table
-together, and is the one place a tensor's name is written (the
-preprocessing kernels are ``pre.*``, the head's tensors ``fc1.*`` and
-``fc2.*``, every other name starts with its stage's). The model's backward
-pairs each stage's gradient tuple with that stage's parameter rows.
+rows of ``_config_rows``, each with its kind, SGD update rule and owning
+stage. ``_assemble`` builds the stage list and the table together, and is
+the one place a tensor's name is written (the preprocessing kernels are
+``pre.*``, the head's tensors ``fc1.*`` and ``fc2.*``, every other name
+starts with its stage's). The model's backward pairs each stage's gradient
+tuple with that stage's parameter rows.
 Checkpoints write the table in order as a single binary table: magic
 "ZNET", format version, and each tensor with explicit dtype and shape,
 little-endian. A round trip restores bit-identical behaviour.
@@ -69,9 +69,6 @@ CHANNELS = (32, 32, 64, 128)
 SPP_LEVELS = (4, 2, 1)
 FC_HIDDEN = 1024
 BN_MOMENTUM, BN_EPS = 0.1, 1e-5
-# The config rows that every checkpoint stores and that loading checks.
-_FIXED_CONFIG = (("spp_levels", SPP_LEVELS), ("bn_momentum", (BN_MOMENTUM,)),
-                 ("bn_eps", (BN_EPS,)))
 
 MIN_INPUT_SIZE = 25  # smallest square input whose pyramid stage still gets a 4x4 map
 
@@ -95,20 +92,6 @@ class ModelConfig:
             raise SpecError(f"unknown dtype {self.dtype!r}")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise SpecError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-
-@dataclass
-class Preprocessing:
-    """The SRM bank as a stage. The network's input takes no gradient, so
-    backward returns the kernel gradients only."""
-
-    layer: srm.PreprocessingLayer
-
-    def forward(self, x: Tensor) -> tuple[Tensor, srm.PreprocessContext]:
-        return srm.preprocess_forward(x, self.layer)
-
-    def backward(self, up: Tensor, ctx: srm.PreprocessContext) -> tuple[None, tuple]:
-        return None, srm.preprocess_backward(up, ctx)
 
 
 @dataclass
@@ -252,11 +235,8 @@ class ZhuNetModel:
     table: "OrderedDict[str, Entry]" = field(repr=False)
     _ctx: Optional[tuple] = field(default=None, repr=False)  # (per-stage ctxs, logits shape)
 
-    def layer(self, name: str):
-        return dict(self.stages)[name]
-
-    sep1 = property(lambda self: self.layer("sep1"))
-    sep2 = property(lambda self: self.layer("sep2"))
+    sep1 = property(lambda self: dict(self.stages)["sep1"])
+    sep2 = property(lambda self: dict(self.stages)["sep2"])
     blocks = property(lambda self: [lyr for _, lyr in self.stages if isinstance(lyr, BasicBlock)])
 
     # -- the state table ------------------------------------------------------
@@ -277,7 +257,7 @@ class ZhuNetModel:
     def state_tensors(self) -> "OrderedDict[str, Tensor]":
         """Everything a checkpoint stores, in table order: all parameters
         (frozen or not), the batchnorm running statistics, and the config
-        scalars."""
+        rows."""
         return OrderedDict((name, e.tensor) for name, e in self.table.items())
 
     # -- running the network --------------------------------------------------
@@ -396,6 +376,16 @@ def _xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
     return rng.uniform(-limit, limit, size=shape).astype(dt)
 
 
+def _config_rows(activation_mode: str, srm_trainable: bool) -> list[tuple[str, list]]:
+    """The config rows of one model setting, in table order; the last three
+    fix the architecture."""
+    return [("config.activation_mode", [float(ACTIVATION_MODES.index(activation_mode))]),
+            ("config.srm_trainable", [float(srm_trainable)]),
+            ("config.spp_levels", [float(n) for n in SPP_LEVELS]),
+            ("config.bn_momentum", [BN_MOMENTUM]),
+            ("config.bn_eps", [BN_EPS])]
+
+
 def _assemble(config: ModelConfig, value) -> ZhuNetModel:
     """The one construction routine, and the one place the stage order and
     every tensor's name are written. ``value(name, shape, init)`` gives the
@@ -446,7 +436,7 @@ def _assemble(config: ModelConfig, value) -> ZhuNetModel:
             has_abs=has_abs,
         )
 
-    stages = [("preprocessing", Preprocessing(pre)), sepconv("sep1", True), sepconv("sep2", False)]
+    stages = [("preprocessing", pre), sepconv("sep1", True), sepconv("sep2", False)]
     cin = c0
     for i, cout in enumerate(CHANNELS, start=1):
         name = f"block{i}"
@@ -465,10 +455,8 @@ def _assemble(config: ModelConfig, value) -> ZhuNetModel:
         fc2_w=xavier("head", "fc2.w", (hidden, 2), hidden, 2),
         fc2_b=tensor("head", "fc2.b", (2,), lambda: np.zeros(2, dtype=dt)),
     )))
-    for name, values in (("activation_mode", [ACTIVATION_MODES.index(config.activation_mode)]),
-                         ("srm_trainable", [config.srm_trainable]), *_FIXED_CONFIG):
-        t = Tensor(np.array(values, dtype=np.float64))
-        rows[CONFIG].append((f"config.{name}", Entry(t, CONFIG)))
+    for name, values in _config_rows(config.activation_mode, config.srm_trainable):
+        rows[CONFIG].append((name, Entry(Tensor(np.array(values, dtype=np.float64)), CONFIG)))
     table = OrderedDict(rows[PARAM] + rows[BUFFER] + rows[CONFIG])
     return ZhuNetModel(config=config, stages=stages, table=table)
 
@@ -568,32 +556,19 @@ def _need(table, name: str) -> np.ndarray:
     return table[name]
 
 
-def _config_scalar(table, name: str) -> float:
-    """The value of ``config.<name>``: shape (1,) and finite."""
-    key = f"config.{name}"
-    v = _need(table, key)
-    if v.shape != (1,):
-        raise FormatError(f"checkpoint tensor {key!r} has shape {v.shape}, expected (1,)")
-    if not np.isfinite(v[0]):
-        raise FormatError(f"checkpoint tensor {key!r} is not finite: {v.tolist()}")
-    return float(v[0])
-
-
 def _read_config(table) -> tuple[str, bool]:
-    """Activation mode and srm_trainable from the checkpoint's config
-    entries; a value outside its domain is a FormatError, and so are
-    pyramid levels or batchnorm scalars other than the architecture's."""
-    mode = _config_scalar(table, "activation_mode")
-    if mode != int(mode) or not 0 <= mode < len(ACTIVATION_MODES):
-        raise FormatError(f"config.activation_mode must index {ACTIVATION_MODES}, got {mode:g}")
-    trainable = _config_scalar(table, "srm_trainable")
-    if trainable not in (0.0, 1.0):
-        raise FormatError(f"config.srm_trainable must be 0 or 1, got {trainable:g}")
-    for name, expected in _FIXED_CONFIG:
-        got = _need(table, f"config.{name}").tolist()
-        if got != list(expected):
-            raise FormatError(f"config.{name} must be {list(expected)}, got {got}")
-    return ACTIVATION_MODES[int(mode)], bool(trainable)
+    """The (activation mode, srm_trainable) setting whose config rows equal
+    the checkpoint's, row by row; a row that no setting writes is a
+    FormatError that names it."""
+    settings = [(mode, trainable) for mode in ACTIVATION_MODES for trainable in (True, False)]
+    for i, (name, _) in enumerate(_config_rows(*settings[0])):
+        got = _need(table, name).tolist()
+        left = [s for s in settings if _config_rows(*s)[i][1] == got]
+        if not left:
+            expected = sorted({str(_config_rows(*s)[i][1]) for s in settings})
+            raise FormatError(f"{name} must be {' or '.join(expected)}, got {got}")
+        settings = left
+    return settings[0]
 
 
 def deserialize_model(data: bytes) -> ZhuNetModel:

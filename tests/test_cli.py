@@ -172,6 +172,35 @@ def test_embed_skips_a_cover_whose_name_holds_whitespace(tmp_path, small_rng, ca
     assert ids == ["img000", "img001"]
 
 
+def test_embed_skips_a_cover_whose_pair_id_is_taken(tmp_path, small_rng, capsys):
+    # a.PGM and a.pgm have the same stem; the second would overwrite the
+    # first's stego and list id 'a' twice, which train then refuses
+    (tmp_path / "covers").mkdir()
+    for name in ("a.PGM", "a.pgm", "b.pgm"):
+        data.save_pgm(tmp_path / "covers" / name, textured_cover(small_rng, 16))
+    assert cli.run(["embed", "--in", str(tmp_path / "covers"),
+                    "--out", str(tmp_path / "out"), "--payload", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert "a.pgm" in captured.err and "'a'" in captured.err
+    assert "embedded 2 of 3" in captured.out
+    (train,) = data.load_manifest(tmp_path / "out" / "manifest.txt").values()
+    assert [p.pair_id for p in train.pairs] == ["a", "b"]
+    kept = data.load_pgm(tmp_path / "covers" / "a.PGM")
+    assert np.array_equal(train.pairs[0].cover.as_array(), kept.as_array())
+
+
+def test_embed_on_a_directory_with_no_pgm_file_exits_2(tmp_path, capsys):
+    (tmp_path / "covers").mkdir()
+    (tmp_path / "covers" / "notes.txt").write_text("no images here\n")
+    assert cli.run(["embed", "--in", str(tmp_path / "covers"),
+                    "--out", str(tmp_path / "out"), "--payload", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines()
+            if line.startswith("stegnet: error:")] == [captured.err.rstrip("\n")]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["embed", "--in", "{tmp}/covers", "--out", "{tmp}/out", "--payload", "0.5"],
     ["gradcheck"],
@@ -680,16 +709,3 @@ def test_thread_cap_usage_errors_exit_1():
     assert cli.run(["--threads", "0", "gradcheck"]) == 1
     proc = run_cli("--threads", "-3", "gradcheck")
     assert proc.returncode == 1
-
-
-def test_threads_env_var_must_be_an_integer(tmp_path):
-    import subprocess
-    import sys
-
-    env = dict(os.environ, STEGNET_THREADS="many")
-    proc = subprocess.run(
-        [sys.executable, "-c", "from stegnet.cli import main; main()", "gradcheck"],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 1
-    assert "STEGNET_THREADS" in proc.stderr

@@ -388,3 +388,11 @@ def test_manifest_error_for_missing_image(tmp_path):
 def test_write_manifest_rejects_bad_split(tmp_path):
     with pytest.raises(DataError):
         write_manifest(tmp_path / "m.txt", [("a", "c.pgm", "s.pgm", "holdout")])
+
+
+def test_write_manifest_rejects_a_duplicate_id(tmp_path):
+    # load_manifest refuses such a manifest, so it is never written
+    entries = [("a", "c1.pgm", "s1.pgm", "train"), ("a", "c2.pgm", "s2.pgm", "test")]
+    with pytest.raises(DataError, match="duplicate pair id 'a'"):
+        write_manifest(tmp_path / "m.txt", entries)
+    assert not (tmp_path / "m.txt").exists()

@@ -538,14 +538,16 @@ def test_checkpoint_round_trip_is_bitwise(tmp_path):
     assert np.array_equal(before.array, after.array)
 
 
-def test_checkpoint_preserves_config_flags(tmp_path):
-    model = build(activation_mode="tlu3", srm_trainable=False)
+@pytest.mark.parametrize("mode, trainable", [
+    (mode, trainable) for mode in zhunet.ACTIVATION_MODES for trainable in (True, False)])
+def test_checkpoint_preserves_config_flags(tmp_path, mode, trainable):
+    model = build(activation_mode=mode, srm_trainable=trainable)
     path = tmp_path / "model.znet"
     zhunet.save_checkpoint(model, path)
     loaded = zhunet.load_checkpoint(path)
-    assert loaded.config.activation_mode == "tlu3"
-    assert loaded.config.srm_trainable is False
-    assert loaded.num_parameters() == TOTAL_TRAINABLE - 350
+    assert loaded.config.activation_mode == mode
+    assert loaded.config.srm_trainable is trainable
+    assert loaded.num_parameters() == TOTAL_TRAINABLE - (0 if trainable else 350)
 
 
 # sha256 and length of serialize_model(build_model(config)), pinned from the
