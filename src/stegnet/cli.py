@@ -193,6 +193,16 @@ def _resolved_config_text(cfg, model_cfg, manifest: str, out_dir: str, augment: 
 # commands
 # ---------------------------------------------------------------------------
 
+def _file_id(path: str):
+    """(device, inode) of a file, the same for every path that reaches it;
+    None when it cannot be read."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
+
+
 def cmd_embed(args) -> int:
     import numpy as np
 
@@ -212,6 +222,14 @@ def cmd_embed(args) -> int:
         raise _UsageError("--val-fraction/--test-fraction must be >= 0 and sum below 1")
     if not 0.0 < args.payload <= 1.0:
         raise _UsageError(f"--payload must be in (0, 1] bits per pixel, got {args.payload!r}")
+    # with --out at --in, the stego of x.pgm would overwrite the cover x_stego.pgm
+    inputs = {_file_id(os.path.join(in_dir, name)): name for name in names}
+    inputs.pop(None, None)
+    for name in names:
+        clash = inputs.get(_file_id(os.path.join(out_dir, f"{os.path.splitext(name)[0]}_stego.pgm")))
+        if clash is not None:
+            raise DataError(f"the stego of {name} would overwrite the input file "
+                            f"{os.path.join(in_dir, clash)}")
     os.makedirs(out_dir, exist_ok=True)
 
     # deterministic split assignment: shuffle indices once with the run seed

@@ -163,10 +163,17 @@ def check_conv2d(seed: int) -> CheckResult:
     ]
 
     def cases():
+        # the input comes pre-padded and the upstream pre-framed, as in the
+        # model, wherever the kernel and padding allow a frame of one width
         for spec in configs:
             shapes = ((2, spec.in_channels, 6, 7), spec.weight_shape(), (spec.out_channels,))
-            yield (lambda x, w, b: nnops.conv2d_forward(Tensor(x), Tensor(w), Tensor(b), spec),
-                   nnops.conv2d_backward, tuple(rng.standard_normal(s) for s in shapes))
+            width = spec.kernel_h - 1 - spec.padding
+            framable = width == spec.kernel_w - 1 - spec.padding >= 0
+            yield (lambda x, w, b: nnops.conv2d_forward(
+                       nnops.framed(Tensor(x), spec.padding), Tensor(w), Tensor(b), spec),
+                   lambda up, ctx: nnops.conv2d_backward(
+                       nnops.framed(up, width) if framable else up, ctx),
+                   tuple(rng.standard_normal(s) for s in shapes))
 
     return _op_check("conv2d", rng, cases())
 
@@ -196,12 +203,14 @@ def _away_from(values: np.ndarray, kinks: list[float]) -> np.ndarray:
 
 
 def _check_elementwise(name: str, seed: int, stream: int, fwd, bwd,
-                       kinks: list[float]) -> CheckResult:
-    """An activation's backward takes the input as its context."""
+                       kinks: list[float], threshold: float = 0.0) -> CheckResult:
+    """An activation's backward takes ``nnops.backward_mask`` of the input
+    as its context."""
     rng = np.random.Generator(np.random.PCG64([seed, stream]))
     x = _away_from(rng.standard_normal((2, 3, 4, 4)) * 2.5, kinks)
-    return _op_check(name, rng, [(lambda v: (fwd(Tensor(v)), Tensor(v)),
-                                  lambda up, inp: [bwd(up, inp)], (x,))])
+    return _op_check(name, rng, [(
+        lambda v: (fwd(Tensor(v)), nnops.backward_mask(Tensor(v), name, threshold)),
+        lambda up, mask: [bwd(up, mask)], (x,))])
 
 
 def check_relu(seed: int) -> CheckResult:
@@ -211,7 +220,7 @@ def check_relu(seed: int) -> CheckResult:
 def check_tlu(seed: int) -> CheckResult:
     t = zhunet.TLU_THRESHOLD
     return _check_elementwise("tlu", seed, 11, lambda x: nnops.tlu(x, t),
-                              lambda up, x: nnops.tlu_backward(up, x, t), [-t, t])
+                              nnops.tlu_backward, [-t, t], t)
 
 
 def check_abs(seed: int) -> CheckResult:

@@ -13,8 +13,11 @@ Conventions
   Calling a backward with a missing context is a contract violation. An
   eval-mode ``batchnorm_forward`` returns None as its context, since nothing
   takes the backward of an eval forward.
-* Elementwise activations (relu / tlu / abs_act) return the bare output;
-  their backwards take the upstream gradient and the original input.
+* Elementwise activations (relu / tlu / abs_act) return the bare output.
+  Their backwards take the upstream gradient and, in place of the input,
+  what ``backward_mask`` makes of it: a bool mask for relu and tlu, the
+  int8 sign for abs. A mask is a quarter of an f32 map, so a train forward
+  keeps it rather than the input.
 * Settings come in as arguments (a conv's ``Conv2dSpec``, the pooling
   window, the pyramid levels); the network's own values are ``zhunet``
   constants, such as ``zhunet.SPP_LEVELS``.
@@ -36,6 +39,21 @@ of each row cropped. The weight gradient gathers the same bands and
 multiplies each by the band's upstream rows, zero-filled to the padded
 width. The input gradient is the band forward of the framed upstream with
 the flipped kernel, input and output channels swapped within each group.
+
+The padded map is the input's zero frame: ``framed_empty`` returns the
+[N, C, H, W] interior of a buffer with a zero border of a given width, and
+an op that feeds a 3x3 conv at padding 1 writes its output there
+(``avg_pool`` always, ``batchnorm_forward`` when its state's ``out_frame``
+says so). ``conv2d_forward`` then reads the buffer as it is, and copies only
+an input that comes without a frame as wide as its padding. Likewise the
+framed upstream: a ``batchnorm_backward`` whose context's ``grad_frame``
+is 1 writes its input gradient into a frame, which the input gradient of
+the 3x3 conv before it reads as it is. Such an interior is the one
+non-contiguous array a Tensor holds (``Tensor.framed``); the Tensor
+constructor copies any other, so a conv never takes a border that is not
+zero for its frame. ``conv2d_output`` gives the output of a forward call
+again from its context, by the same band kernel on the same frame, for a
+caller that drops the output and rebuilds it for its backward.
 
 Average pooling sums its window separably (rows, then columns) and its
 backward spreads in the reverse order.
@@ -216,10 +234,12 @@ class Conv2dSpec:
 class Conv2dContext:
     """What conv2d_backward needs from the forward call.
 
-    ``x_padded`` is the zero-padded input, from which the backward gathers
-    the band kernel's bands a second time for the weight gradient.
-    ``input_grad`` is False when the caller needs only the weight and bias
-    gradients; conv2d_backward then returns None for the input gradient
+    ``x_padded`` is the zero-padded input: the frame the input arrived in
+    when it came pre-padded (see :func:`framed_empty`), else a padded copy.
+    The backward gathers the band kernel's bands from it a second time for
+    the weight gradient, and :func:`conv2d_output` rebuilds the output from
+    it. ``input_grad`` is False when the caller needs only the weight and
+    bias gradients; conv2d_backward then returns None for the input gradient
     instead of computing it. ``spec`` and ``out_shape`` also let a caller
     count the work of a call.
     """
@@ -233,15 +253,54 @@ class Conv2dContext:
     input_grad: bool = True
 
 
+def framed_empty(shape: tuple[int, ...], width: int, dtype) -> np.ndarray:
+    """The [N, C, H, W] interior of a new C-contiguous [N, C, H+2*width,
+    W+2*width] buffer whose border, ``width`` wide, is zero; the interior is
+    left for the caller to write. The buffer is the interior's ``base``."""
+    n, c, h, w = shape
+    buf = np.empty((n, c, h + 2 * width, w + 2 * width), dtype=dtype)
+    if width:
+        buf[:, :, :width] = buf[:, :, -width:] = 0
+        buf[..., :width] = buf[..., -width:] = 0
+    return buf[:, :, width : h + width, width : w + width]
+
+
+def framed(inp: Tensor, width: int) -> Tensor:
+    """A copy of ``inp`` in the interior of a new zero frame ``width``
+    wide, for callers whose map does not come pre-padded."""
+    _require_rank(inp, 4, "framed input")
+    out = framed_empty(inp.shape, width, inp.array.dtype)
+    out[...] = inp.array
+    return Tensor.framed(out)
+
+
+def _frame_of(a: np.ndarray, width: int) -> Optional[np.ndarray]:
+    """The buffer that ``a`` is the interior of when :func:`framed_empty`
+    made ``a`` with this width, else None; with width 0, ``a`` itself when
+    it is C-contiguous. Only a frame's interior is a non-contiguous array
+    in a Tensor, since the Tensor constructor copies every other one."""
+    if width == 0:
+        return a if a.flags.c_contiguous else None
+    base = a.base
+    if (a.flags.c_contiguous or not isinstance(base, np.ndarray) or base.ndim != 4
+            or not base.flags.c_contiguous):
+        return None
+    inner = base[:, :, width:-width, width:-width]
+    return base if inner.__array_interface__ == a.__array_interface__ else None
+
+
 def _full_upstream(up: np.ndarray, spec: Conv2dSpec, h: int, w: int) -> np.ndarray:
     """The upstream gradient framed so that correlating it with the flipped
     kernel gives the [h, w] input gradient directly: kernel-1-pad
     zero rows and columns on each side, cropped where the padding exceeds
-    kernel-1."""
+    kernel-1. An upstream that already sits in such a frame is used as it
+    is."""
     top, left = spec.kernel_h - 1 - spec.padding, spec.kernel_w - 1 - spec.padding
+    if top == left >= 0:
+        frame = _frame_of(up, top)
+        if frame is not None:
+            return frame
     fh, fw = h + spec.kernel_h - 1, w + spec.kernel_w - 1
-    if top == left == 0 and up.shape[2:] == (fh, fw):
-        return up
     out = np.zeros(up.shape[:2] + (fh, fw), dtype=up.dtype)
     r0, c0 = max(top, 0), max(left, 0)
     src = up[:, :, r0 - top :, c0 - left :]
@@ -302,6 +361,16 @@ def _band_conv(xp: np.ndarray, wmat: np.ndarray, kh: int, kw: int) -> np.ndarray
     return out.reshape(n, g * og, oh, ow)
 
 
+def conv2d_output(ctx: Conv2dContext) -> np.ndarray:
+    """The output of the forward call that made ``ctx``, bias left out:
+    the band kernel on the same padded input and weights, so the same
+    bytes. A caller that keeps the context can drop the output and
+    rebuild it for its backward."""
+    spec = ctx.spec
+    wmat = ctx.weights.reshape(spec.groups, spec.out_channels // spec.groups, -1)
+    return _band_conv(ctx.x_padded, wmat, spec.kernel_h, spec.kernel_w)
+
+
 def conv2d_forward(
     inp: Tensor, weights: Tensor, bias: Optional[Tensor], spec: Conv2dSpec
 ) -> tuple[Tensor, Conv2dContext]:
@@ -309,6 +378,9 @@ def conv2d_forward(
 
     inp: [N, Cin, H, W]; weights: [Cout, Cin/groups, kh, kw]; bias: [Cout] or
     None. Returns the [N, Cout, oh, ow] output and the context for backward.
+    An input that is the interior of a zero frame as wide as the padding
+    (see :func:`framed_empty`) is read in its frame as it is; any other is
+    copied into one.
     """
     spec.validate()
     _require_rank(inp, 4, "conv2d input")
@@ -334,25 +406,21 @@ def conv2d_forward(
             raise ShapeError(f"conv2d bias dtype {bias.dtype} differs from input {inp.dtype}")
         b = bias.array
 
-    spec.output_size(x.shape[2], x.shape[3])  # rejects an empty output
-    p = spec.padding
-    if p:
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-    else:
-        xp = x
-
-    wmat = w.reshape(spec.groups, spec.out_channels // spec.groups, -1)
-    out = _band_conv(xp, wmat, spec.kernel_h, spec.kernel_w)
-    if b is not None:
-        out += b[None, :, None, None]
+    oh, ow = spec.output_size(x.shape[2], x.shape[3])  # rejects an empty output
+    xp = _frame_of(x, spec.padding)
+    if xp is None:
+        xp = framed(inp, spec.padding).array.base
     ctx = Conv2dContext(
         spec=spec,
         x_padded=xp,
         weights=w,
         has_bias=b is not None,
         in_shape=x.shape,
-        out_shape=out.shape,
+        out_shape=(x.shape[0], spec.out_channels, oh, ow),
     )
+    out = conv2d_output(ctx)
+    if b is not None:
+        out += b[None, :, None, None]
     return Tensor(out), ctx
 
 
@@ -441,27 +509,28 @@ def _window_taps(size: int, out_size: int, win: int, stride: int, pad: int):
             yield lo, hi, slice(start, start + (hi - lo - 1) * stride + 1, stride)
 
 
-def _box_sum(a: np.ndarray, axis: int, out_size: int, win: int, stride: int, pad: int) -> np.ndarray:
-    """Windowed sums of ``a`` along ``axis`` (2 or 3) with zero padding."""
-    shape = list(a.shape)
-    shape[axis] = out_size
-    out = np.zeros(shape, dtype=a.dtype)
+def _box_sum(a: np.ndarray, out: np.ndarray, axis: int, win: int, stride: int, pad: int) -> np.ndarray:
+    """Adds the windowed sums of ``a`` along ``axis`` (1 or 2 of an image's
+    [C, H, W]), with zero padding, into ``out``, and returns it."""
     lead = (slice(None),) * axis
-    for lo, hi, src in _window_taps(a.shape[axis], out_size, win, stride, pad):
+    for lo, hi, src in _window_taps(a.shape[axis], out.shape[axis], win, stride, pad):
         out[lead + (slice(lo, hi),)] += a[lead + (src,)]
     return out
 
 
-def _box_spread(g: np.ndarray, axis: int, size: int, win: int, stride: int, pad: int) -> np.ndarray:
-    """Adjoint of :func:`_box_sum`: adds each windowed sum's gradient back
-    onto the ``size`` input positions its window covers."""
-    shape = list(g.shape)
-    shape[axis] = size
-    out = np.zeros(shape, dtype=g.dtype)
+def _box_spread(g: np.ndarray, out: np.ndarray, axis: int, win: int, stride: int, pad: int) -> np.ndarray:
+    """Adjoint of :func:`_box_sum`: adds each windowed sum's gradient in
+    ``g`` into ``out`` at the input positions its window covers, and
+    returns ``out``."""
     lead = (slice(None),) * axis
-    for lo, hi, dst in _window_taps(size, g.shape[axis], win, stride, pad):
+    for lo, hi, dst in _window_taps(out.shape[axis], g.shape[axis], win, stride, pad):
         out[lead + (dst,)] += g[lead + (slice(lo, hi),)]
     return out
+
+
+# The zero frame around every avg_pool output: in the network each pooled
+# map is the input of a 3x3 conv at padding 1, which reads the frame as it is.
+POOL_FRAME = 1
 
 
 def avg_pool(
@@ -471,7 +540,9 @@ def avg_pool(
 
     Zero padding counts toward the window average (the pad pixels contribute
     zeros and the divisor stays win*win). The window sum is separable: rows
-    are summed first, then columns.
+    are summed first, then columns, into the interior of a zero frame
+    ``POOL_FRAME`` wide. It runs image by image, so that the row sums are
+    still in cache for the column pass.
     """
     _require_rank(inp, 4, "avg_pool input")
     if not isinstance(win, int) or win < 1:
@@ -489,27 +560,36 @@ def avg_pool(
         )
     oh = (hp - win) // stride + 1
     ow = (wp - win) // stride + 1
-    rows = _box_sum(x, 2, oh, win, stride, padding)
-    out = _box_sum(rows, 3, ow, win, stride, padding)
-    out /= x.dtype.type(win * win)
+    n, c, f = x.shape[0], x.shape[1], POOL_FRAME
+    frame = np.zeros((n, c, oh + 2 * f, ow + 2 * f), dtype=x.dtype)
+    out = frame[:, :, f : oh + f, f : ow + f]
+    rows, k = np.empty((c, oh, w), dtype=x.dtype), x.dtype.type(win * win)
+    for x_i, out_i in zip(x, out):
+        rows.fill(0)
+        _box_sum(_box_sum(x_i, rows, 1, win, stride, padding), out_i, 2, win, stride, padding)
+        out_i /= k
     ctx = AvgPoolContext(win, stride, padding, x.shape, out.shape, x.dtype)
-    return Tensor(out), ctx
+    return Tensor.framed(out), ctx
 
 
 def avg_pool_backward(upstream: Tensor, ctx: AvgPoolContext) -> Tensor:
     """Distributes each upstream value uniformly over its pooling window:
-    columns first, then rows (the forward's sums in reverse)."""
+    columns first, then rows (the forward's sums in reverse), image by
+    image."""
     _require_ctx(ctx, AvgPoolContext, "avg_pool")
     _require_rank(upstream, 4, "avg_pool upstream")
     if upstream.shape != ctx.out_shape:
         raise ShapeError(
             f"avg_pool upstream shape {upstream.shape} does not match output {ctx.out_shape}"
         )
-    h, w = ctx.in_shape[2], ctx.in_shape[3]
     win, s, p = ctx.win, ctx.stride, ctx.padding
-    scaled = upstream.array / ctx.dtype.type(win * win)
-    cols = _box_spread(scaled, 3, w, win, s, p)
-    return Tensor(_box_spread(cols, 2, h, win, s, p))
+    grad = np.zeros(ctx.in_shape, dtype=ctx.dtype)
+    cols = np.empty((ctx.in_shape[1], ctx.out_shape[2], ctx.in_shape[3]), dtype=ctx.dtype)
+    k = ctx.dtype.type(win * win)
+    for up_i, grad_i in zip(upstream.array, grad):
+        cols.fill(0)
+        _box_spread(_box_spread(up_i / k, cols, 2, win, s, p), grad_i, 1, win, s, p)
+    return Tensor(grad)
 
 
 # ---------------------------------------------------------------------------
@@ -522,27 +602,26 @@ def relu(inp: Tensor) -> Tensor:
     return Tensor(np.maximum(inp.array, 0))
 
 
-def relu_backward(upstream: Tensor, inp: Tensor) -> Tensor:
-    _require_same_shape(upstream, inp, "relu")
-    return Tensor(upstream.array * (inp.array > 0))
+def relu_backward(upstream: Tensor, mask: np.ndarray) -> Tensor:
+    """The upstream where the input was positive; ``mask`` is
+    ``backward_mask(x, "relu")``."""
+    _require_mask(upstream, mask, "relu", np.bool_)
+    return Tensor(upstream.array * mask)
 
 
 def tlu(inp: Tensor, threshold: float) -> Tensor:
     """Truncated linear unit: clamp(x, -T, T); T must be positive."""
     _require_rank(inp, None, "tlu input")
-    if not (threshold > 0):
-        raise SpecError(f"tlu threshold must be positive, got {threshold!r}")
+    _require_threshold(threshold)
     t = inp.array.dtype.type(threshold)
     return Tensor(np.clip(inp.array, -t, t))
 
 
-def tlu_backward(upstream: Tensor, inp: Tensor, threshold: float) -> Tensor:
-    _require_same_shape(upstream, inp, "tlu")
-    if not (threshold > 0):
-        raise SpecError(f"tlu threshold must be positive, got {threshold!r}")
-    x = inp.array
-    inside = (x > -threshold) & (x < threshold)
-    return Tensor(upstream.array * inside)
+def tlu_backward(upstream: Tensor, mask: np.ndarray) -> Tensor:
+    """The upstream where the input was strictly inside (-T, T); ``mask`` is
+    ``backward_mask(x, "tlu", T)``."""
+    _require_mask(upstream, mask, "tlu", np.bool_)
+    return Tensor(upstream.array * mask)
 
 
 def abs_act(inp: Tensor) -> Tensor:
@@ -551,17 +630,46 @@ def abs_act(inp: Tensor) -> Tensor:
     return Tensor(np.abs(inp.array))
 
 
-def abs_backward(upstream: Tensor, inp: Tensor) -> Tensor:
-    _require_same_shape(upstream, inp, "abs")
-    return Tensor(upstream.array * np.sign(inp.array))
+def abs_backward(upstream: Tensor, sign: np.ndarray) -> Tensor:
+    """The upstream times the input's sign; ``sign`` is
+    ``backward_mask(x, "abs")``."""
+    _require_mask(upstream, sign, "abs", np.int8)
+    return Tensor(upstream.array * sign)
 
 
-def _require_same_shape(upstream: Tensor, inp: Tensor, op: str) -> None:
+def backward_mask(inp: Tensor, op: str, threshold: float = 0.0) -> np.ndarray:
+    """What the backward of activation ``op`` takes in place of its input
+    ``inp``: for "relu" the bool mask x > 0, for "tlu" the bool mask
+    -T < x < T, for "abs" the sign of x (-1, 0 or 1) as int8. Either is a
+    quarter of an f32 map, or an eighth of an f64 one."""
+    _require_rank(inp, None, f"{op} input")
+    x = inp.array
+    if op == "relu":
+        return x > 0
+    if op == "tlu":
+        _require_threshold(threshold)
+        return (x > -threshold) & (x < threshold)
+    if op == "abs":
+        sign = np.empty(x.shape, dtype=np.int8)
+        return np.sign(x, out=sign, casting="unsafe")
+    raise SpecError(f"backward_mask op must be 'relu', 'tlu' or 'abs', got {op!r}")
+
+
+def _require_threshold(threshold: float) -> None:
+    if not (threshold > 0):
+        raise SpecError(f"tlu threshold must be positive, got {threshold!r}")
+
+
+def _require_mask(upstream: Tensor, mask: np.ndarray, op: str, dtype) -> None:
     _require_rank(upstream, None, f"{op} upstream")
-    _require_rank(inp, None, f"{op} saved input")
-    if upstream.shape != inp.shape:
+    if not isinstance(mask, np.ndarray) or mask.dtype != dtype:
+        raise ContractError(
+            f"{op}_backward needs the {np.dtype(dtype).name} array of backward_mask, "
+            f"got {getattr(mask, 'dtype', type(mask).__name__)}"
+        )
+    if upstream.shape != mask.shape:
         raise ShapeError(
-            f"{op}_backward shapes differ: upstream {upstream.shape} vs input {inp.shape}"
+            f"{op}_backward shapes differ: upstream {upstream.shape} vs mask {mask.shape}"
         )
 
 
@@ -576,6 +684,11 @@ class BatchNormState:
     ``mode`` selects train behaviour (batch statistics, running update) or
     eval behaviour (running statistics, no mutation). Variance is the biased
     batch variance (divide by the element count, not count-1).
+    ``out_frame`` and ``grad_frame`` are the widths of the zero frames that
+    batchnorm_forward writes its output into and batchnorm_backward its
+    input gradient into (see :func:`framed_empty`; 0 for a plain array): 1
+    where a 3x3 conv at padding 1 reads the output, and where the input is
+    the output of one, whose input gradient frames its upstream by 1.
     """
 
     gamma: np.ndarray
@@ -585,6 +698,8 @@ class BatchNormState:
     momentum: float = 0.1
     eps: float = 1e-5
     mode: str = "train"
+    out_frame: int = 0
+    grad_frame: int = 0
 
     @classmethod
     def create(cls, channels: int, dtype: str = "f32", momentum: float = 0.1,
@@ -608,15 +723,18 @@ class BatchNormState:
 class BatchNormContext:
     """What batchnorm_backward needs from a train-mode forward: the input
     and the batch mean it was normalized with. No centred copy is kept; the
-    backward centres again. ``mode`` is always "train", since an eval-mode
+    backward centres again. A caller that can rebuild the input may set
+    ``x`` to None after the forward, and must give the backward a context
+    with it put back. ``mode`` is always "train", since an eval-mode
     forward returns no context; perfbench's tracer reads it."""
 
-    x: np.ndarray
+    x: Optional[np.ndarray]
     mean: np.ndarray
     inv_std: np.ndarray  # per channel
     gamma: np.ndarray
     count: int
     mode: str
+    grad_frame: int = 0
 
 
 def _per_channel(v: np.ndarray) -> np.ndarray:
@@ -632,9 +750,11 @@ def batchnorm_forward(
     into the running averages: running = (1-momentum)*running + momentum*batch.
     Eval mode normalizes with the running statistics, mutates nothing and
     returns None for the context, since nothing takes its backward. Either
-    way gamma*inv_std is applied as one per-channel scale, in place in the
-    output array; in train mode that array first holds x - mean, from which
-    the variance is taken.
+    way gamma*inv_std is applied as one per-channel scale; in train mode
+    it scales x - mean, from which the variance is taken, in place. Only
+    the last step, adding the shift, writes into the frame of
+    ``state.out_frame``: a frame's rows are not contiguous, so each pass
+    over its interior costs more than one over a plain map.
     """
     _require_rank(inp, 4, "batchnorm input")
     x = inp.array
@@ -649,19 +769,29 @@ def batchnorm_forward(
     if state.gamma.dtype != dt:
         raise ShapeError(f"batchnorm state dtype {state.gamma.dtype} differs from input {dt}")
 
+    # a frame lives on after the call and a temporary does not: allocating the
+    # frame first leaves the temporary's block free at the top of the heap
+    frame = framed_empty(x.shape, state.out_frame, dt) if state.out_frame else None
     if state.mode == "eval":
         scale = state.gamma * (1.0 / np.sqrt(state.running_var + dt.type(state.eps)))
-        out = x * _per_channel(scale)
-        out += _per_channel(state.beta - state.running_mean * scale)
-        return Tensor(out), None
+        shift = state.beta - state.running_mean * scale
+        out = np.empty_like(x) if frame is None else frame
+        scratch = np.empty(x.shape[1:], dtype=dt)  # one image: a frame's scaled copy
+        for x_i, out_i in zip(x, out):
+            scaled = out_i if frame is None else scratch
+            np.multiply(x_i, scale[:, None, None], out=scaled)
+            np.add(scaled, shift[:, None, None], out=out_i)
+        return Tensor.framed(out), None
     count = x.shape[0] * x.shape[2] * x.shape[3]
     if count < 2:
         raise DataError(
             f"batchnorm train mode needs at least 2 values per channel, got {count}"
         )
     mean = np.einsum("nchw->c", x) / dt.type(count)
-    out = x - _per_channel(mean)  # centred
-    var = np.einsum("nchw,nchw->c", out, out) / dt.type(count)  # biased
+    centred = x - _per_channel(mean)
+    # the sums run on C-contiguous arrays: at 256x256 einsum adds a frame's
+    # interior in another order
+    var = np.einsum("nchw,nchw->c", centred, centred) / dt.type(count)  # biased
     m = dt.type(state.momentum)
     state.running_mean *= 1 - m
     state.running_mean += m * mean
@@ -669,11 +799,14 @@ def batchnorm_forward(
     state.running_var += m * var
     inv_std = 1.0 / np.sqrt(var + dt.type(state.eps))
     scale = state.gamma * inv_std
-    out *= _per_channel(scale)
-    out += _per_channel(state.beta)
+    out = centred if frame is None else frame
+    for c_i, out_i in zip(centred, out):  # per image, so the shift reads from cache
+        c_i *= scale[:, None, None]
+        np.add(c_i, state.beta[:, None, None], out=out_i)
     ctx = BatchNormContext(x=x, mean=mean, inv_std=inv_std.astype(dt, copy=False),
-                           gamma=state.gamma.copy(), count=count, mode=state.mode)
-    return Tensor(out), ctx
+                           gamma=state.gamma.copy(), count=count, mode=state.mode,
+                           grad_frame=state.grad_frame)
+    return Tensor.framed(out), ctx
 
 
 def batchnorm_backward(
@@ -684,15 +817,19 @@ def batchnorm_backward(
 
     The sum of up * (x - mean) is taken from x - mean itself, centred again
     into the array that then becomes grad_input, so it keeps full precision
-    when |mean| is large against the spread.
+    when |mean| is large against the spread. With ``ctx.grad_frame`` set,
+    the last pass writes grad_input into a frame of that width instead.
     """
     _require_ctx(ctx, BatchNormContext, "batchnorm")
     _require_rank(upstream, 4, "batchnorm upstream")
     up, x = upstream.array, ctx.x
+    if x is None:
+        raise ContractError("batchnorm_backward needs the context's input; it was dropped")
     if up.shape != x.shape:
         raise ShapeError(
             f"batchnorm upstream shape {up.shape} does not match output {x.shape}"
         )
+    frame = framed_empty(x.shape, ctx.grad_frame, x.dtype) if ctx.grad_frame else None
     grad_beta = np.einsum("nchw->c", up)
     scale = ctx.gamma * ctx.inv_std
     grad_x = x - _per_channel(ctx.mean)  # centred
@@ -703,12 +840,13 @@ def batchnorm_backward(
     n = up.dtype.type(ctx.count)
     proj = (scale * ctx.inv_std * ctx.inv_std * dot / n)[:, None, None]
     shift = (scale * grad_beta / n)[:, None, None]
-    for g_i, up_i in zip(grad_x, up):
+    out = grad_x if frame is None else frame
+    for g_i, up_i, out_i in zip(grad_x, up, out):
         g_i *= proj
         np.subtract(up_i * scale[:, None, None], g_i, out=g_i)
-        g_i -= shift
+        np.subtract(g_i, shift, out=out_i)
     grad_gamma = dot * ctx.inv_std
-    return Tensor(grad_x), Tensor(grad_gamma), Tensor(grad_beta)
+    return Tensor.framed(out), Tensor(grad_gamma), Tensor(grad_beta)
 
 
 # ---------------------------------------------------------------------------

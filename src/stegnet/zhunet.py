@@ -44,6 +44,7 @@ little-endian. A round trip restores bit-identical behaviour.
 """
 from __future__ import annotations
 
+import dataclasses
 import struct
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -101,6 +102,12 @@ class SepconvBlock:
     pointwise 1x1 -> (abs if has_abs) -> batchnorm -> depthwise 3x3 ->
     batchnorm -> add block input. No bias on either convolution and no
     activation after the addition.
+
+    A train forward keeps the sign of the pointwise output in place of the
+    abs input, and no input of the second batchnorm, nor of the first
+    without abs: backward rebuilds each from the context of the conv that
+    made it (``_bn_input``). The first batchnorm writes into the zero frame
+    the depthwise conv reads.
     """
 
     pw_w: Tensor  # [C, C, 1, 1]
@@ -117,35 +124,52 @@ class SepconvBlock:
         c = self.channels
         pw_spec = nnops.Conv2dSpec(c, c, 1, 1)
         dw_spec = nnops.Conv2dSpec(c, c, 3, 3, padding=1, groups=c)
+        train = self.bn_pw.mode == "train"  # only a backward reads the sign and contexts
         t, pw_ctx = nnops.conv2d_forward(x, self.pw_w, None, pw_spec)
-        abs_in = None
+        sign = None
         if self.has_abs:
-            if self.bn_pw.mode == "train":  # only a backward reads it
-                abs_in = t
+            if train:
+                sign = nnops.backward_mask(t, "abs")
             t = nnops.abs_act(t)
         t, bn1_ctx = nnops.batchnorm_forward(t, self.bn_pw)
         t, dw_ctx = nnops.conv2d_forward(t, self.dw_w, None, dw_spec)
         t, bn2_ctx = nnops.batchnorm_forward(t, self.bn_dw)
+        if train:
+            bn2_ctx.x = None
+            if not self.has_abs:
+                bn1_ctx.x = None
         t.array += x.array  # identity skip, into the batchnorm's fresh output
-        ctx = {"pw": pw_ctx, "abs_in": abs_in, "bn1": bn1_ctx, "dw": dw_ctx, "bn2": bn2_ctx}
+        ctx = {"pw": pw_ctx, "sign": sign, "bn1": bn1_ctx, "dw": dw_ctx, "bn2": bn2_ctx}
         return t, ctx
 
     def backward(self, up: Tensor, ctx: dict) -> tuple[Tensor, tuple]:
-        g, g_gamma2, g_beta2 = nnops.batchnorm_backward(up, ctx["bn2"])
+        g, g_gamma2, g_beta2 = nnops.batchnorm_backward(up, _bn_input(ctx["bn2"], ctx["dw"]))
         g, g_dw, _ = nnops.conv2d_backward(g, ctx["dw"])
-        g, g_gamma1, g_beta1 = nnops.batchnorm_backward(g, ctx["bn1"])
+        g, g_gamma1, g_beta1 = nnops.batchnorm_backward(g, _bn_input(ctx["bn1"], ctx["pw"]))
         if self.has_abs:
-            g = nnops.abs_backward(g, ctx["abs_in"])
+            g = nnops.abs_backward(g, ctx["sign"])
         g, g_pw, _ = nnops.conv2d_backward(g, ctx["pw"])
         g.array += up.array  # skip path, into the conv's fresh input gradient
         return g, (g_pw, g_gamma1, g_beta1, g_dw, g_gamma2, g_beta2)
+
+
+def _bn_input(bn_ctx: nnops.BatchNormContext,
+              conv_ctx: nnops.Conv2dContext) -> nnops.BatchNormContext:
+    """``bn_ctx`` as its backward needs it: with the input that the forward
+    dropped rebuilt from the context of the conv that made it. The rebuild
+    calls the band kernel, not ``conv2d_forward``, so a tracer that wraps
+    that books no extra conv."""
+    if bn_ctx.x is not None:
+        return bn_ctx
+    return dataclasses.replace(bn_ctx, x=nnops.conv2d_output(conv_ctx))
 
 
 @dataclass
 class BasicBlock:
     """3x3 conv -> batchnorm -> activation (ReLU, or TLU at threshold 3 when
     ``mode`` is "tlu3") -> average pool for the first three blocks: win 5,
-    stride 2, pad 2, pad zeros count in the mean."""
+    stride 2, pad 2, pad zeros count in the mean. A train forward keeps the
+    activation's bool mask in place of its input."""
 
     conv_w: Tensor  # [Cout, Cin, 3, 3]
     bn: nnops.BatchNormState
@@ -161,21 +185,24 @@ class BasicBlock:
         spec = nnops.Conv2dSpec(cin, cout, 3, 3, padding=1)
         t, conv_ctx = nnops.conv2d_forward(x, self.conv_w, None, spec)
         t, bn_ctx = nnops.batchnorm_forward(t, self.bn)
-        act_in = t if self.bn.mode == "train" else None  # only a backward reads it
+        mask = None
+        if self.bn.mode == "train":  # only a backward reads it
+            mask = (nnops.backward_mask(t, "relu") if self.mode == "relu"
+                    else nnops.backward_mask(t, "tlu", TLU_THRESHOLD))
         t = nnops.relu(t) if self.mode == "relu" else nnops.tlu(t, TLU_THRESHOLD)
         pool_ctx = None
         if self.pool:
             t, pool_ctx = nnops.avg_pool(t, self.POOL_WIN, self.POOL_STRIDE, self.POOL_PAD)
-        return t, {"conv": conv_ctx, "bn": bn_ctx, "act_in": act_in, "pool": pool_ctx}
+        return t, {"conv": conv_ctx, "bn": bn_ctx, "mask": mask, "pool": pool_ctx}
 
     def backward(self, up: Tensor, ctx: dict) -> tuple[Tensor, tuple]:
         g = up
         if ctx["pool"] is not None:
             g = nnops.avg_pool_backward(g, ctx["pool"])
         if self.mode == "relu":
-            g = nnops.relu_backward(g, ctx["act_in"])
+            g = nnops.relu_backward(g, ctx["mask"])
         else:
-            g = nnops.tlu_backward(g, ctx["act_in"], TLU_THRESHOLD)
+            g = nnops.tlu_backward(g, ctx["mask"])
         g, g_gamma, g_beta = nnops.batchnorm_backward(g, ctx["bn"])
         g, g_w, _ = nnops.conv2d_backward(g, ctx["conv"])
         return g, (g_w, g_gamma, g_beta)
@@ -184,7 +211,9 @@ class BasicBlock:
 @dataclass
 class Head:
     """Spatial pyramid pooling to a fixed-length descriptor, then
-    fc1 -> ReLU -> fc2 to the two class logits."""
+    fc1 -> ReLU -> fc2 to the two class logits. The context keeps no fc1
+    output: the ReLU's mask is taken in backward from fc2's input, relu(h1),
+    which is positive exactly where h1 is."""
 
     fc1_w: Tensor  # [bins * C, hidden]
     fc1_b: Tensor
@@ -195,12 +224,13 @@ class Head:
         feat, spp_ctx = nnops.spp_forward(x, SPP_LEVELS)
         h1, fc1_ctx = nnops.linear_forward(feat, self.fc1_w, self.fc1_b)
         logits, fc2_ctx = nnops.linear_forward(nnops.relu(h1), self.fc2_w, self.fc2_b)
-        return logits, (spp_ctx, fc1_ctx, h1, fc2_ctx)
+        return logits, (spp_ctx, fc1_ctx, fc2_ctx)
 
     def backward(self, up: Tensor, ctx: tuple) -> tuple[Tensor, tuple]:
-        spp_ctx, fc1_ctx, h1, fc2_ctx = ctx
+        spp_ctx, fc1_ctx, fc2_ctx = ctx
         g, gw2, gb2 = nnops.linear_backward(up, fc2_ctx)
-        g, gw1, gb1 = nnops.linear_backward(nnops.relu_backward(g, h1), fc1_ctx)
+        mask = nnops.backward_mask(Tensor(fc2_ctx.x), "relu")
+        g, gw1, gb1 = nnops.linear_backward(nnops.relu_backward(g, mask), fc1_ctx)
         return nnops.spp_backward(g, spp_ctx), (gw1, gb1, gw2, gb2)
 
 
@@ -408,7 +438,8 @@ def _assemble(config: ModelConfig, value) -> ZhuNetModel:
     def xavier(stage: str, name: str, shape: tuple[int, ...], fan_in: int, fan_out: int) -> Tensor:
         return tensor(stage, name, shape, lambda: _xavier_uniform(rng, shape, fan_in, fan_out, dt))
 
-    def batchnorm(stage: str, name: str, c: int) -> nnops.BatchNormState:
+    def batchnorm(stage: str, name: str, c: int, out_frame: int = 0,
+                  grad_frame: int = 0) -> nnops.BatchNormState:
         def stat(key: str, fill: float, kind: str = PARAM) -> np.ndarray:
             return tensor(stage, f"{name}.{key}", (c,), lambda: np.full(c, fill, dtype=dt),
                           kind).array
@@ -417,7 +448,7 @@ def _assemble(config: ModelConfig, value) -> ZhuNetModel:
             gamma=stat("gamma", 1), beta=stat("beta", 0),
             running_mean=stat("running_mean", 0, BUFFER),
             running_var=stat("running_var", 1, BUFFER),
-            momentum=BN_MOMENTUM, eps=BN_EPS,
+            momentum=BN_MOMENTUM, eps=BN_EPS, out_frame=out_frame, grad_frame=grad_frame,
         )
 
     pre = srm.PreprocessingLayer.build(dtype=config.dtype)
@@ -427,22 +458,27 @@ def _assemble(config: ModelConfig, value) -> ZhuNetModel:
     pre.kernels5 = tensor("preprocessing", "pre.kernels5", k5.shape, lambda: k5, rule=pre_rule)
     c0 = pre.out_channels
 
-    def sepconv(name: str, has_abs: bool) -> tuple[str, SepconvBlock]:
+    # Frames (nnops.framed_empty) are one pixel wide, the padding of every
+    # 3x3 conv: a batchnorm whose output a 3x3 conv reads writes it into one,
+    # and a batchnorm after a 3x3 conv writes its input gradient into one.
+    def sepconv(name: str, has_abs: bool, out_frame: int) -> tuple[str, SepconvBlock]:
         return name, SepconvBlock(
             pw_w=xavier(name, f"{name}.pw.w", (c0, c0, 1, 1), c0, c0),
-            bn_pw=batchnorm(name, f"{name}.bn_pw", c0),
+            bn_pw=batchnorm(name, f"{name}.bn_pw", c0, out_frame=1),
             dw_w=xavier(name, f"{name}.dw.w", (c0, 1, 3, 3), 9, c0 * 9),
-            bn_dw=batchnorm(name, f"{name}.bn_dw", c0),
+            bn_dw=batchnorm(name, f"{name}.bn_dw", c0, out_frame=out_frame, grad_frame=1),
             has_abs=has_abs,
         )
 
-    stages = [("preprocessing", pre), sepconv("sep1", True), sepconv("sep2", False)]
+    # block1's conv reads sep2's output; blocks 1-3 end in avg_pool, which
+    # frames its output itself
+    stages = [("preprocessing", pre), sepconv("sep1", True, 0), sepconv("sep2", False, 1)]
     cin = c0
     for i, cout in enumerate(CHANNELS, start=1):
         name = f"block{i}"
         stages.append((name, BasicBlock(
             conv_w=xavier(name, f"{name}.conv.w", (cout, cin, 3, 3), cin * 9, cout * 9),
-            bn=batchnorm(name, f"{name}.bn", cout),
+            bn=batchnorm(name, f"{name}.bn", cout, grad_frame=1),
             pool=i <= 3,
             mode=config.activation_mode,
         )))

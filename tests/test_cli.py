@@ -145,6 +145,18 @@ def test_embed_usage_errors(tmp_path, small_rng):
     assert not (tmp_path / "out").exists()
 
 
+def test_embed_into_its_input_directory_overwrites_no_cover(tmp_path, small_rng, capsys):
+    covers = tmp_path / "covers"
+    write_covers(covers, small_rng, 1)
+    (covers / "img000.pgm").rename(covers / "x.pgm")
+    data.save_pgm(covers / "x_stego.pgm", textured_cover(small_rng, 16))
+    before = {p.name: p.read_bytes() for p in covers.iterdir()}
+    rc = cli.run(["embed", "--in", str(covers), "--out", str(covers), "--payload", "0.5"])
+    assert rc == 2
+    assert "x_stego.pgm" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in covers.iterdir()} == before
+
+
 def test_embed_rejects_in_and_out_paths_that_hold_whitespace(tmp_path, small_rng, capsys):
     # manifest lines split on whitespace, so such a path could not be read back
     write_covers(tmp_path / "my covers", small_rng, 1)

@@ -180,6 +180,40 @@ def test_conv2d_shape_mismatch_rejected():
         nnops.conv2d_forward(x, w, None, spec)
 
 
+def test_framed_empty_zeroes_the_border_of_reused_memory():
+    junk = np.full((2, 3, 8, 9), np.nan, np.float32)
+    del junk  # its block may come back below
+    inner = nnops.framed_empty((2, 3, 6, 7), 1, np.float32)
+    inner[...] = 5.0
+    buf = inner.base
+    assert buf.shape == (2, 3, 8, 9) and buf.flags.c_contiguous
+    assert np.count_nonzero(buf) == inner.size
+    assert np.all(buf[:, :, 1:-1, 1:-1] == 5.0)
+
+
+def test_a_framed_input_is_read_in_its_frame_and_any_other_is_copied():
+    rng = np.random.Generator(np.random.PCG64(31))
+    spec = nnops.Conv2dSpec(4, 4, 3, 3, padding=1, groups=4)
+    w = Tensor(rng.standard_normal((4, 1, 3, 3)))
+    x = rng.standard_normal((2, 4, 6, 6))
+    framed = nnops.framed(Tensor(x), 1)
+    out, ctx = nnops.conv2d_forward(framed, w, None, spec)
+    assert ctx.x_padded is framed.array.base and ctx.in_shape == x.shape
+    for other in (Tensor(x), nnops.framed(Tensor(x), 2)):  # no frame; a frame of another width
+        o, o_ctx = nnops.conv2d_forward(other, w, None, spec)
+        assert o_ctx.x_padded is not other.array.base
+        assert o.array.tobytes() == out.array.tobytes()
+    # a Tensor made from any other view of a larger array holds a copy, so
+    # a conv never takes a border that is not zero for its padding
+    big = rng.standard_normal((2, 4, 8, 8))
+    assert Tensor(big[:, :, 1:-1, 1:-1]).array.flags.c_contiguous
+    up = rng.standard_normal(out.shape)
+    gx, gw, _ = nnops.conv2d_backward(nnops.framed(Tensor(up), 1), ctx)
+    gx_plain, gw_plain, _ = nnops.conv2d_backward(Tensor(up), ctx)
+    assert gx.array.tobytes() == gx_plain.array.tobytes()
+    assert gw.array.tobytes() == gw_plain.array.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # avg_pool
 # ---------------------------------------------------------------------------
@@ -290,10 +324,11 @@ def test_tlu_with_huge_threshold_is_identity():
 def test_activation_subgradients_at_kinks():
     up = vec([1.0, 1.0, 1.0])
     x = vec([-1.0, 0.0, 1.0])
-    assert nnops.relu_backward(up, x).array.tolist() == [0.0, 0.0, 1.0]
-    assert nnops.abs_backward(up, x).array.tolist() == [-1.0, 0.0, 1.0]
+    assert nnops.relu_backward(up, nnops.backward_mask(x, "relu")).array.tolist() == [0.0, 0.0, 1.0]
+    assert nnops.abs_backward(up, nnops.backward_mask(x, "abs")).array.tolist() == [-1.0, 0.0, 1.0]
     edges = vec([-3.0, 0.0, 3.0])
-    assert nnops.tlu_backward(up, edges, 3.0).array.tolist() == [0.0, 1.0, 0.0]
+    mask = nnops.backward_mask(edges, "tlu", 3.0)
+    assert nnops.tlu_backward(up, mask).array.tolist() == [0.0, 1.0, 0.0]
 
 
 def test_relu_gradient_matches_finite_differences_away_from_kink():
@@ -301,7 +336,7 @@ def test_relu_gradient_matches_finite_differences_away_from_kink():
     x = rng.standard_normal((3, 4))
     x[np.abs(x) < 1e-3] = 0.5  # keep probes off the kink
     up = rng.standard_normal(x.shape)
-    analytic = nnops.relu_backward(Tensor(up), Tensor(x)).array
+    analytic = nnops.relu_backward(Tensor(up), nnops.backward_mask(Tensor(x), "relu")).array
 
     def loss(v):
         return float(np.sum(up * nnops.relu(Tensor(v)).array))
@@ -460,6 +495,33 @@ def test_batchnorm_f32_gradients_stay_accurate_far_from_zero_mean():
         assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-5
 
 
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_batchnorm_frames_change_no_byte(mode):
+    """Output and input gradient written into zero frames equal the plain
+    ones byte for byte. At this shape einsum sums a frame's interior in
+    another order than a contiguous map, so the statistics must come from
+    contiguous arrays."""
+    rng = np.random.Generator(np.random.PCG64(37))
+    x = (rng.standard_normal((2, 3, 128, 128)) * 3 + 1).astype(np.float32)
+    up = rng.standard_normal(x.shape).astype(np.float32)
+    results = []
+    for frame in (0, 1):
+        state = nnops.BatchNormState.create(3, "f32")
+        state.gamma[:] = [0.5, 1.5, -2.0]
+        state.mode, state.out_frame, state.grad_frame = mode, frame, frame
+        if mode == "eval":
+            state.running_mean[:], state.running_var[:] = [0.1, -0.2, 0.3], [1.5, 0.5, 2.0]
+        out, ctx = nnops.batchnorm_forward(Tensor(x), state)
+        arrays = [out.array, state.running_mean, state.running_var]
+        if mode == "train":
+            arrays += [g.array for g in nnops.batchnorm_backward(Tensor(up), ctx)]
+        if frame:
+            assert out.array.base.shape == (2, 3, 130, 130)
+            assert np.count_nonzero(out.array.base) == np.count_nonzero(out.array)
+        results.append([a.tobytes() for a in arrays])
+    assert results[0] == results[1]
+
+
 # ---------------------------------------------------------------------------
 # memory
 # ---------------------------------------------------------------------------
@@ -484,18 +546,20 @@ def test_held_outputs_and_contexts_survive_later_calls_byte_for_byte():
     spec = nnops.Conv2dSpec(6, 6, 3, 3, padding=1, groups=6)
     w = Tensor(rng.standard_normal((6, 1, 3, 3)).astype(np.float32))
     state = nnops.BatchNormState.create(6)
+    state.grad_frame = 1  # the conv's input gradient reads the frame as it is
 
     def step(x):
-        t, conv_ctx = nnops.conv2d_forward(Tensor(x), w, None, spec)
+        t, conv_ctx = nnops.conv2d_forward(nnops.framed(Tensor(x), 1), w, None, spec)
         t, bn_ctx = nnops.batchnorm_forward(t, state)
+        mask = nnops.backward_mask(t, "relu")
         act = nnops.relu(t)
         pooled, pool_ctx = nnops.avg_pool(act, 5, 2, 2)
         g = nnops.avg_pool_backward(Tensor(np.ones(pooled.shape, np.float32)), pool_ctx)
-        g = nnops.relu_backward(g, t)
+        g = nnops.relu_backward(g, mask)
         g, ggamma, _ = nnops.batchnorm_backward(g, bn_ctx)
         gx, gw, _ = nnops.conv2d_backward(g, conv_ctx)
         return [act.array, pooled.array, gx.array, gw.array, ggamma.array,
-                conv_ctx.x_padded, bn_ctx.x, bn_ctx.mean]
+                conv_ctx.x_padded, bn_ctx.x, bn_ctx.mean, mask, g.array.base]
 
     held = step(rng.standard_normal((4, 6, 32, 32)).astype(np.float32))
     before = [a.copy() for a in held]
