@@ -163,16 +163,10 @@ def check_conv2d(seed: int) -> CheckResult:
     ]
 
     def cases():
-        # the input comes pre-padded and the upstream pre-framed, as in the
-        # model, wherever the kernel and padding allow a frame of one width
         for spec in configs:
             shapes = ((2, spec.in_channels, 6, 7), spec.weight_shape(), (spec.out_channels,))
-            width = spec.kernel_h - 1 - spec.padding
-            framable = width == spec.kernel_w - 1 - spec.padding >= 0
-            yield (lambda x, w, b: nnops.conv2d_forward(
-                       nnops.framed(Tensor(x), spec.padding), Tensor(w), Tensor(b), spec),
-                   lambda up, ctx: nnops.conv2d_backward(
-                       nnops.framed(up, width) if framable else up, ctx),
+            yield (lambda x, w, b: nnops.conv2d_forward(Tensor(x), Tensor(w), Tensor(b), spec),
+                   nnops.conv2d_backward,
                    tuple(rng.standard_normal(s) for s in shapes))
 
     return _op_check("conv2d", rng, cases())

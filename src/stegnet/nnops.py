@@ -29,31 +29,23 @@ Convolution kernel
 ------------------
 ``conv2d_forward`` and ``conv2d_backward`` run every conv -- the
 preprocessing filter bank, the 1x1 pointwise, the 3x3 depthwise and the
-dense 3x3 convs -- through one band kernel. The padded map is walked per
-image and band of output rows, each band as many rows as keep its buffers
-in cache. A band's kh*kw shifted slices of the flattened padded map (tap
-(u, v) at offset u*wp+v) are copied into one [groups, cg*kh*kw, rows*wp]
-column buffer, multiplied by the [groups, og, cg*kh*kw] weights in one
-batched matmul, and written into the output with the kw-1 wrapped columns
-of each row cropped. The weight gradient gathers the same bands and
-multiplies each by the band's upstream rows, zero-filled to the padded
-width. The input gradient is the band forward of the framed upstream with
-the flipped kernel, input and output channels swapped within each group.
-
-The padded map is the input's zero frame: ``framed_empty`` returns the
-[N, C, H, W] interior of a buffer with a zero border of a given width, and
-an op that feeds a 3x3 conv at padding 1 writes its output there
-(``avg_pool`` always, ``batchnorm_forward`` when its state's ``out_frame``
-says so). ``conv2d_forward`` then reads the buffer as it is, and copies only
-an input that comes without a frame as wide as its padding. Likewise the
-framed upstream: a ``batchnorm_backward`` whose context's ``grad_frame``
-is 1 writes its input gradient into a frame, which the input gradient of
-the 3x3 conv before it reads as it is. Such an interior is the one
-non-contiguous array a Tensor holds (``Tensor.framed``); the Tensor
-constructor copies any other, so a conv never takes a border that is not
-zero for its frame. ``conv2d_output`` gives the output of a forward call
-again from its context, by the same band kernel on the same frame, for a
-caller that drops the output and rebuilds it for its backward.
+dense 3x3 convs -- through one band kernel. The map is walked per image
+and band of output rows, each band as many rows as keep its buffers in
+cache. The kernel pads each band itself: a conv with padding copies the
+band's padded rows into one band-sized buffer whose padding rows and
+columns are zero, and one without reads the map as it is, so no op makes a
+padded copy of a whole map. A band's kh*kw shifted slices of its flattened
+padded rows (tap (u, v) at offset u*wp+v) are copied into one [groups,
+cg*kh*kw, rows*wp] column buffer, multiplied by the [groups, og, cg*kh*kw]
+weights in one batched matmul, and written into the output with the kw-1
+wrapped columns of each row cropped. The weight gradient gathers the same
+bands and multiplies each by the band's upstream rows, zero-filled to the
+padded width. The input gradient is the band forward of the upstream at
+padding kernel-1-padding on each axis (a crop where that is negative)
+with the flipped kernel, input and output channels swapped within each
+group. ``conv2d_output`` gives the output of a forward call again from its
+context, by the same band kernel on the same input, for a caller that
+drops the output and rebuilds it for its backward.
 
 Average pooling sums its window separably (rows, then columns) and its
 backward spreads in the reverse order.
@@ -234,79 +226,21 @@ class Conv2dSpec:
 class Conv2dContext:
     """What conv2d_backward needs from the forward call.
 
-    ``x_padded`` is the zero-padded input: the frame the input arrived in
-    when it came pre-padded (see :func:`framed_empty`), else a padded copy.
-    The backward gathers the band kernel's bands from it a second time for
-    the weight gradient, and :func:`conv2d_output` rebuilds the output from
-    it. ``input_grad`` is False when the caller needs only the weight and
-    bias gradients; conv2d_backward then returns None for the input gradient
-    instead of computing it. ``spec`` and ``out_shape`` also let a caller
-    count the work of a call.
+    ``x`` is the unpadded input. The backward gathers the band kernel's
+    bands from it a second time for the weight gradient, and
+    :func:`conv2d_output` rebuilds the output from it. ``input_grad`` is
+    False when the caller needs only the weight and bias gradients;
+    conv2d_backward then returns None for the input gradient instead of
+    computing it. ``spec`` and ``out_shape`` also let a caller count the
+    work of a call.
     """
 
     spec: Conv2dSpec
-    x_padded: np.ndarray
+    x: np.ndarray
     weights: np.ndarray
     has_bias: bool
-    in_shape: tuple[int, ...]
     out_shape: tuple[int, ...]
     input_grad: bool = True
-
-
-def framed_empty(shape: tuple[int, ...], width: int, dtype) -> np.ndarray:
-    """The [N, C, H, W] interior of a new C-contiguous [N, C, H+2*width,
-    W+2*width] buffer whose border, ``width`` wide, is zero; the interior is
-    left for the caller to write. The buffer is the interior's ``base``."""
-    n, c, h, w = shape
-    buf = np.empty((n, c, h + 2 * width, w + 2 * width), dtype=dtype)
-    if width:
-        buf[:, :, :width] = buf[:, :, -width:] = 0
-        buf[..., :width] = buf[..., -width:] = 0
-    return buf[:, :, width : h + width, width : w + width]
-
-
-def framed(inp: Tensor, width: int) -> Tensor:
-    """A copy of ``inp`` in the interior of a new zero frame ``width``
-    wide, for callers whose map does not come pre-padded."""
-    _require_rank(inp, 4, "framed input")
-    out = framed_empty(inp.shape, width, inp.array.dtype)
-    out[...] = inp.array
-    return Tensor.framed(out)
-
-
-def _frame_of(a: np.ndarray, width: int) -> Optional[np.ndarray]:
-    """The buffer that ``a`` is the interior of when :func:`framed_empty`
-    made ``a`` with this width, else None; with width 0, ``a`` itself when
-    it is C-contiguous. Only a frame's interior is a non-contiguous array
-    in a Tensor, since the Tensor constructor copies every other one."""
-    if width == 0:
-        return a if a.flags.c_contiguous else None
-    base = a.base
-    if (a.flags.c_contiguous or not isinstance(base, np.ndarray) or base.ndim != 4
-            or not base.flags.c_contiguous):
-        return None
-    inner = base[:, :, width:-width, width:-width]
-    return base if inner.__array_interface__ == a.__array_interface__ else None
-
-
-def _full_upstream(up: np.ndarray, spec: Conv2dSpec, h: int, w: int) -> np.ndarray:
-    """The upstream gradient framed so that correlating it with the flipped
-    kernel gives the [h, w] input gradient directly: kernel-1-pad
-    zero rows and columns on each side, cropped where the padding exceeds
-    kernel-1. An upstream that already sits in such a frame is used as it
-    is."""
-    top, left = spec.kernel_h - 1 - spec.padding, spec.kernel_w - 1 - spec.padding
-    if top == left >= 0:
-        frame = _frame_of(up, top)
-        if frame is not None:
-            return frame
-    fh, fw = h + spec.kernel_h - 1, w + spec.kernel_w - 1
-    out = np.zeros(up.shape[:2] + (fh, fw), dtype=up.dtype)
-    r0, c0 = max(top, 0), max(left, 0)
-    src = up[:, :, r0 - top :, c0 - left :]
-    rows, cols = min(src.shape[2], fh - r0), min(src.shape[3], fw - c0)
-    out[:, :, r0 : r0 + rows, c0 : c0 + cols] = src[:, :, :rows, :cols]
-    return out
 
 
 # Elements of the padded input that one band of output rows reads. A band's
@@ -322,53 +256,84 @@ def _bands(cin: int, wp: int, oh: int) -> tuple[int, list[tuple[int, int]]]:
     return rows, [(r0, min(oh, r0 + rows)) for r0 in range(0, oh, rows)]
 
 
-def _band_cols(xf: np.ndarray, cols: np.ndarray, r0: int, r1: int,
+def _padded_bands(x: np.ndarray, groups: int, kh: int, ph: int, pw: int,
+                  bands: list[tuple[int, int]]):
+    """Yields (i, r0, r1, src) per image i of the C-contiguous [N, C, h, w]
+    map x and band (r0, r1) of output rows. src [groups, cg, ...] holds the
+    band's rows [r0, r1+kh-1) of the image padded by ph zero rows and pw
+    zero columns on each side (cropped where negative), flattened at the
+    padded width w+2*pw. With no padding, src is a view of x; with any, it
+    is one band-sized buffer, refilled for each band, whose padding columns
+    stay zero, so it is valid until the next band is yielded."""
+    n, cin, h, w = x.shape
+    if ph == pw == 0:
+        xf = x.reshape(n, groups, cin // groups, h * w)
+        for i in range(n):
+            for r0, r1 in bands:
+                yield i, r0, r1, xf[i, :, :, r0 * w :]
+        return
+    wp = w + 2 * pw
+    buf = np.zeros((cin, bands[0][1] - bands[0][0] + kh - 1, wp), dtype=x.dtype)
+    src = buf.reshape(groups, cin // groups, -1)
+    c0, c1 = max(pw, 0), min(w + pw, wp)  # the buffer columns that x fills
+    for i in range(n):
+        for r0, r1 in bands:
+            s0 = max(r0 - ph, 0)  # the rows [s0, s1) of x in the band, maybe none
+            s1 = max(s0, min(r1 + kh - 1 - ph, h))
+            d0, d1 = s0 - r0 + ph, s1 - r0 + ph
+            buf[:, :d0] = 0
+            buf[:, d1:] = 0
+            buf[:, d0:d1, c0:c1] = x[i, :, s0:s1, c0 - pw : c1 - pw]
+            yield i, r0, r1, src
+
+
+def _band_cols(src: np.ndarray, cols: np.ndarray, rows: int,
                kh: int, kw: int, wp: int) -> np.ndarray:
-    """Gathers the band of output rows [r0, r1) from one flattened padded
-    image xf [g, cg, hp*wp] into cols [g, cg, kh*kw, >= span]: tap (u, v)
-    is the contiguous slice at offset u*wp+v. Returns the [g, cg*kh*kw,
-    span] view; in every output row but the last, its last kw-1 columns
-    wrap into the next row, and the caller discards them."""
-    span = (r1 - r0 - 1) * wp + (wp - kw + 1)
-    base = r0 * wp
+    """Gathers a band of ``rows`` output rows from src [g, cg, ...], the
+    band's padded input rows flattened at width wp, into cols [g, cg,
+    kh*kw, >= span]: tap (u, v) is the contiguous slice at offset u*wp+v.
+    Returns the [g, cg*kh*kw, span] view; in every output row but the last,
+    its last kw-1 columns wrap into the next row, and the caller discards
+    them."""
+    span = (rows - 1) * wp + (wp - kw + 1)
     for u in range(kh):
         for v in range(kw):
-            off = base + u * wp + v
-            cols[:, :, u * kw + v, :span] = xf[:, :, off : off + span]
+            off = u * wp + v
+            cols[:, :, u * kw + v, :span] = src[:, :, off : off + span]
     g, cg = cols.shape[:2]
     return cols[:, :, :, :span].reshape(g, cg * kh * kw, span)
 
 
-def _band_conv(xp: np.ndarray, wmat: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Grouped correlation of a padded, C-contiguous [N, Cin, hp, wp]
-    map with weights wmat [groups, og, cg*kh*kw]: per image and band of
-    output rows, one gather of the kh*kw shifted slices and one batched
-    matmul, written straight into the cropped [N, groups*og, oh, ow] output."""
-    n, cin, hp, wp = xp.shape
+def _band_conv(x: np.ndarray, wmat: np.ndarray, kh: int, kw: int,
+               ph: int, pw: int) -> np.ndarray:
+    """Grouped correlation of a C-contiguous [N, Cin, h, w] map, padded by
+    ph zero rows and pw zero columns on each side (cropped where negative),
+    with weights wmat [groups, og, cg*kh*kw]: per image and band of output
+    rows, one gather of the kh*kw shifted slices and one batched matmul,
+    written straight into the cropped [N, groups*og, oh, ow] output."""
+    n, cin, h, w = x.shape
     g, og, _ = wmat.shape
-    cg = cin // g
-    oh, ow = hp - kh + 1, wp - kw + 1
+    wp = w + 2 * pw
+    oh, ow = h + 2 * ph - kh + 1, wp - kw + 1
     rows, bands = _bands(cin, wp, oh)
-    xf = xp.reshape(n, g, cg, hp * wp)
-    out = np.empty((n, g, og, oh, ow), dtype=xp.dtype)
-    cols = np.empty((g, cg, kh * kw, rows * wp), dtype=xp.dtype)
-    res = np.empty((g, og, rows * wp), dtype=xp.dtype)
-    for i in range(n):
-        for r0, r1 in bands:
-            band = _band_cols(xf[i], cols, r0, r1, kh, kw, wp)
-            np.matmul(wmat, band, out=res[:, :, : band.shape[2]])
-            out[i, :, :, r0:r1] = res[:, :, : (r1 - r0) * wp].reshape(g, og, r1 - r0, wp)[..., :ow]
+    out = np.empty((n, g, og, oh, ow), dtype=x.dtype)
+    cols = np.empty((g, cin // g, kh * kw, rows * wp), dtype=x.dtype)
+    res = np.empty((g, og, rows * wp), dtype=x.dtype)
+    for i, r0, r1, src in _padded_bands(x, g, kh, ph, pw, bands):
+        band = _band_cols(src, cols, r1 - r0, kh, kw, wp)
+        np.matmul(wmat, band, out=res[:, :, : band.shape[2]])
+        out[i, :, :, r0:r1] = res[:, :, : (r1 - r0) * wp].reshape(g, og, r1 - r0, wp)[..., :ow]
     return out.reshape(n, g * og, oh, ow)
 
 
 def conv2d_output(ctx: Conv2dContext) -> np.ndarray:
     """The output of the forward call that made ``ctx``, bias left out:
-    the band kernel on the same padded input and weights, so the same
-    bytes. A caller that keeps the context can drop the output and
-    rebuild it for its backward."""
+    the band kernel on the same input and weights, so the same bytes. A
+    caller that keeps the context can drop the output and rebuild it for
+    its backward."""
     spec = ctx.spec
     wmat = ctx.weights.reshape(spec.groups, spec.out_channels // spec.groups, -1)
-    return _band_conv(ctx.x_padded, wmat, spec.kernel_h, spec.kernel_w)
+    return _band_conv(ctx.x, wmat, spec.kernel_h, spec.kernel_w, spec.padding, spec.padding)
 
 
 def conv2d_forward(
@@ -378,9 +343,6 @@ def conv2d_forward(
 
     inp: [N, Cin, H, W]; weights: [Cout, Cin/groups, kh, kw]; bias: [Cout] or
     None. Returns the [N, Cout, oh, ow] output and the context for backward.
-    An input that is the interior of a zero frame as wide as the padding
-    (see :func:`framed_empty`) is read in its frame as it is; any other is
-    copied into one.
     """
     spec.validate()
     _require_rank(inp, 4, "conv2d input")
@@ -407,15 +369,11 @@ def conv2d_forward(
         b = bias.array
 
     oh, ow = spec.output_size(x.shape[2], x.shape[3])  # rejects an empty output
-    xp = _frame_of(x, spec.padding)
-    if xp is None:
-        xp = framed(inp, spec.padding).array.base
     ctx = Conv2dContext(
         spec=spec,
-        x_padded=xp,
+        x=x,
         weights=w,
         has_bias=b is not None,
-        in_shape=x.shape,
         out_shape=(x.shape[0], spec.out_channels, oh, ow),
     )
     out = conv2d_output(ctx)
@@ -425,9 +383,10 @@ def conv2d_forward(
 
 
 def _band_backward(up: np.ndarray, ctx: Conv2dContext) -> tuple[Optional[np.ndarray], np.ndarray]:
-    spec, xp = ctx.spec, ctx.x_padded
-    kh, kw, g = spec.kernel_h, spec.kernel_w, spec.groups
-    n, cin, hp, wp = xp.shape
+    spec, x = ctx.spec, ctx.x
+    kh, kw, g, p = spec.kernel_h, spec.kernel_w, spec.groups, spec.padding
+    n, cin, _, w = x.shape
+    wp = w + 2 * p
     oh, ow = up.shape[2], up.shape[3]
     og, cg = spec.out_channels // g, cin // g
     rows, bands = _bands(cin, wp, oh)
@@ -435,28 +394,26 @@ def _band_backward(up: np.ndarray, ctx: Conv2dContext) -> tuple[Optional[np.ndar
     # wrapped columns, so the weight gradient is one matmul against the
     # column buffer the forward gathers; it is accumulated transposed,
     # cols @ up_bandᵀ, since that GEMM runs faster than up_band @ colsᵀ
-    xf = xp.reshape(n, g, cg, hp * wp)
     upg = up.reshape(n, g, og, oh, ow)
     cols = np.empty((g, cg, kh * kw, rows * wp), dtype=up.dtype)
     up_band = np.zeros((g, og, rows, wp), dtype=up.dtype)
     up_flat = up_band.reshape(g, og, -1)
     grad_wt = np.zeros((g, cg * kh * kw, og), dtype=up.dtype)
     part = np.empty_like(grad_wt)
-    for i in range(n):
-        for r0, r1 in bands:
-            band = _band_cols(xf[i], cols, r0, r1, kh, kw, wp)
-            up_band[:, :, : r1 - r0, :ow] = upg[i, :, :, r0:r1]
-            np.matmul(band, up_flat[:, :, : band.shape[2]].swapaxes(1, 2), out=part)
-            grad_wt += part
+    for i, r0, r1, src in _padded_bands(x, g, kh, p, p, bands):
+        band = _band_cols(src, cols, r1 - r0, kh, kw, wp)
+        up_band[:, :, : r1 - r0, :ow] = upg[i, :, :, r0:r1]
+        np.matmul(band, up_flat[:, :, : band.shape[2]].swapaxes(1, 2), out=part)
+        grad_wt += part
     grad_w = np.ascontiguousarray(grad_wt.swapaxes(1, 2)).reshape(ctx.weights.shape)
     grad_x = None
     if ctx.input_grad:
-        # the input gradient is the upstream correlated with the flipped
-        # kernel, input and output channels swapped within each group
-        h, w_in = ctx.in_shape[2], ctx.in_shape[3]
+        # the input gradient is the upstream, padded by kernel-1-padding,
+        # correlated with the flipped kernel, input and output channels
+        # swapped within each group
         w_flip = ctx.weights.reshape(g, og, cg, kh, kw)[:, :, :, ::-1, ::-1]
         wmat = np.ascontiguousarray(w_flip.transpose(0, 2, 1, 3, 4)).reshape(g, cg, og * kh * kw)
-        grad_x = _band_conv(_full_upstream(up, spec, h, w_in), wmat, kh, kw)
+        grad_x = _band_conv(up, wmat, kh, kw, kh - 1 - p, kw - 1 - p)
     return grad_x, grad_w
 
 
@@ -474,7 +431,7 @@ def conv2d_backward(
             f"conv2d upstream shape {upstream.shape} does not match output {ctx.out_shape}"
         )
     up = upstream.array
-    if up.dtype != ctx.x_padded.dtype:
+    if up.dtype != ctx.x.dtype:
         raise ShapeError("conv2d upstream dtype differs from forward input")
 
     grad_b = Tensor(up.sum(axis=(0, 2, 3))) if ctx.has_bias else None
@@ -528,11 +485,6 @@ def _box_spread(g: np.ndarray, out: np.ndarray, axis: int, win: int, stride: int
     return out
 
 
-# The zero frame around every avg_pool output: in the network each pooled
-# map is the input of a 3x3 conv at padding 1, which reads the frame as it is.
-POOL_FRAME = 1
-
-
 def avg_pool(
     inp: Tensor, win: int, stride: int, padding: int = 0
 ) -> tuple[Tensor, AvgPoolContext]:
@@ -540,9 +492,8 @@ def avg_pool(
 
     Zero padding counts toward the window average (the pad pixels contribute
     zeros and the divisor stays win*win). The window sum is separable: rows
-    are summed first, then columns, into the interior of a zero frame
-    ``POOL_FRAME`` wide. It runs image by image, so that the row sums are
-    still in cache for the column pass.
+    are summed first, then columns. It runs image by image, so that the row
+    sums are still in cache for the column pass.
     """
     _require_rank(inp, 4, "avg_pool input")
     if not isinstance(win, int) or win < 1:
@@ -560,16 +511,15 @@ def avg_pool(
         )
     oh = (hp - win) // stride + 1
     ow = (wp - win) // stride + 1
-    n, c, f = x.shape[0], x.shape[1], POOL_FRAME
-    frame = np.zeros((n, c, oh + 2 * f, ow + 2 * f), dtype=x.dtype)
-    out = frame[:, :, f : oh + f, f : ow + f]
+    c = x.shape[1]
+    out = np.zeros((x.shape[0], c, oh, ow), dtype=x.dtype)
     rows, k = np.empty((c, oh, w), dtype=x.dtype), x.dtype.type(win * win)
     for x_i, out_i in zip(x, out):
         rows.fill(0)
         _box_sum(_box_sum(x_i, rows, 1, win, stride, padding), out_i, 2, win, stride, padding)
         out_i /= k
     ctx = AvgPoolContext(win, stride, padding, x.shape, out.shape, x.dtype)
-    return Tensor.framed(out), ctx
+    return Tensor(out), ctx
 
 
 def avg_pool_backward(upstream: Tensor, ctx: AvgPoolContext) -> Tensor:
@@ -684,11 +634,6 @@ class BatchNormState:
     ``mode`` selects train behaviour (batch statistics, running update) or
     eval behaviour (running statistics, no mutation). Variance is the biased
     batch variance (divide by the element count, not count-1).
-    ``out_frame`` and ``grad_frame`` are the widths of the zero frames that
-    batchnorm_forward writes its output into and batchnorm_backward its
-    input gradient into (see :func:`framed_empty`; 0 for a plain array): 1
-    where a 3x3 conv at padding 1 reads the output, and where the input is
-    the output of one, whose input gradient frames its upstream by 1.
     """
 
     gamma: np.ndarray
@@ -698,8 +643,6 @@ class BatchNormState:
     momentum: float = 0.1
     eps: float = 1e-5
     mode: str = "train"
-    out_frame: int = 0
-    grad_frame: int = 0
 
     @classmethod
     def create(cls, channels: int, dtype: str = "f32", momentum: float = 0.1,
@@ -734,7 +677,6 @@ class BatchNormContext:
     gamma: np.ndarray
     count: int
     mode: str
-    grad_frame: int = 0
 
 
 def _per_channel(v: np.ndarray) -> np.ndarray:
@@ -751,10 +693,7 @@ def batchnorm_forward(
     Eval mode normalizes with the running statistics, mutates nothing and
     returns None for the context, since nothing takes its backward. Either
     way gamma*inv_std is applied as one per-channel scale; in train mode
-    it scales x - mean, from which the variance is taken, in place. Only
-    the last step, adding the shift, writes into the frame of
-    ``state.out_frame``: a frame's rows are not contiguous, so each pass
-    over its interior costs more than one over a plain map.
+    it scales x - mean, from which the variance is taken, in place.
     """
     _require_rank(inp, 4, "batchnorm input")
     x = inp.array
@@ -769,19 +708,14 @@ def batchnorm_forward(
     if state.gamma.dtype != dt:
         raise ShapeError(f"batchnorm state dtype {state.gamma.dtype} differs from input {dt}")
 
-    # a frame lives on after the call and a temporary does not: allocating the
-    # frame first leaves the temporary's block free at the top of the heap
-    frame = framed_empty(x.shape, state.out_frame, dt) if state.out_frame else None
     if state.mode == "eval":
         scale = state.gamma * (1.0 / np.sqrt(state.running_var + dt.type(state.eps)))
         shift = state.beta - state.running_mean * scale
-        out = np.empty_like(x) if frame is None else frame
-        scratch = np.empty(x.shape[1:], dtype=dt)  # one image: a frame's scaled copy
+        out = np.empty_like(x)
         for x_i, out_i in zip(x, out):
-            scaled = out_i if frame is None else scratch
-            np.multiply(x_i, scale[:, None, None], out=scaled)
-            np.add(scaled, shift[:, None, None], out=out_i)
-        return Tensor.framed(out), None
+            np.multiply(x_i, scale[:, None, None], out=out_i)
+            out_i += shift[:, None, None]
+        return Tensor(out), None
     count = x.shape[0] * x.shape[2] * x.shape[3]
     if count < 2:
         raise DataError(
@@ -789,8 +723,6 @@ def batchnorm_forward(
         )
     mean = np.einsum("nchw->c", x) / dt.type(count)
     centred = x - _per_channel(mean)
-    # the sums run on C-contiguous arrays: at 256x256 einsum adds a frame's
-    # interior in another order
     var = np.einsum("nchw,nchw->c", centred, centred) / dt.type(count)  # biased
     m = dt.type(state.momentum)
     state.running_mean *= 1 - m
@@ -799,14 +731,12 @@ def batchnorm_forward(
     state.running_var += m * var
     inv_std = 1.0 / np.sqrt(var + dt.type(state.eps))
     scale = state.gamma * inv_std
-    out = centred if frame is None else frame
-    for c_i, out_i in zip(centred, out):  # per image, so the shift reads from cache
+    for c_i in centred:  # per image, so the shift reads from cache
         c_i *= scale[:, None, None]
-        np.add(c_i, state.beta[:, None, None], out=out_i)
+        c_i += state.beta[:, None, None]
     ctx = BatchNormContext(x=x, mean=mean, inv_std=inv_std.astype(dt, copy=False),
-                           gamma=state.gamma.copy(), count=count, mode=state.mode,
-                           grad_frame=state.grad_frame)
-    return Tensor.framed(out), ctx
+                           gamma=state.gamma.copy(), count=count, mode=state.mode)
+    return Tensor(centred), ctx
 
 
 def batchnorm_backward(
@@ -817,8 +747,7 @@ def batchnorm_backward(
 
     The sum of up * (x - mean) is taken from x - mean itself, centred again
     into the array that then becomes grad_input, so it keeps full precision
-    when |mean| is large against the spread. With ``ctx.grad_frame`` set,
-    the last pass writes grad_input into a frame of that width instead.
+    when |mean| is large against the spread.
     """
     _require_ctx(ctx, BatchNormContext, "batchnorm")
     _require_rank(upstream, 4, "batchnorm upstream")
@@ -829,7 +758,6 @@ def batchnorm_backward(
         raise ShapeError(
             f"batchnorm upstream shape {up.shape} does not match output {x.shape}"
         )
-    frame = framed_empty(x.shape, ctx.grad_frame, x.dtype) if ctx.grad_frame else None
     grad_beta = np.einsum("nchw->c", up)
     scale = ctx.gamma * ctx.inv_std
     grad_x = x - _per_channel(ctx.mean)  # centred
@@ -840,13 +768,12 @@ def batchnorm_backward(
     n = up.dtype.type(ctx.count)
     proj = (scale * ctx.inv_std * ctx.inv_std * dot / n)[:, None, None]
     shift = (scale * grad_beta / n)[:, None, None]
-    out = grad_x if frame is None else frame
-    for g_i, up_i, out_i in zip(grad_x, up, out):
+    for g_i, up_i in zip(grad_x, up):
         g_i *= proj
         np.subtract(up_i * scale[:, None, None], g_i, out=g_i)
-        np.subtract(g_i, shift, out=out_i)
+        g_i -= shift
     grad_gamma = dot * ctx.inv_std
-    return Tensor.framed(out), Tensor(grad_gamma), Tensor(grad_beta)
+    return Tensor(grad_x), Tensor(grad_gamma), Tensor(grad_beta)
 
 
 # ---------------------------------------------------------------------------

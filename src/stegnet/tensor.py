@@ -7,12 +7,11 @@ fastest), so image rows stream contiguously through convolution inner loops.
 Arithmetic happens on ``Tensor.array`` with numpy; the operators in nnops
 check shapes and raise instead of broadcasting.
 
-Tensors are thin: shape is fixed at construction. The rest of the package
-mutates a Tensor's array in place only for parameter updates inside the
-single-threaded trainer step, and where a layer adds into an op's fresh
-output that nothing else references. The one non-contiguous array a Tensor
-holds is the interior of a zero-bordered buffer that an op wrote for a
-following convolution (``Tensor.framed``, ``nnops.framed_empty``).
+Tensors are thin: shape is fixed at construction, and every Tensor holds a
+C-contiguous array. The rest of the package mutates a Tensor's array in
+place only for parameter updates inside the single-threaded trainer step,
+and where a layer adds into an op's fresh output that nothing else
+references.
 """
 from __future__ import annotations
 
@@ -42,16 +41,6 @@ class Tensor:
         if arr.ndim == 0:
             arr = arr.reshape(1)
         self.array = np.ascontiguousarray(arr)
-
-    @classmethod
-    def framed(cls, interior: np.ndarray) -> "Tensor":
-        """A Tensor over ``interior`` without the contiguity copy: the
-        interior view that ``nnops.framed_empty`` returns, kept as a view so
-        that a conv reads the whole buffer, or an op's own C-contiguous
-        output."""
-        t = cls.__new__(cls)
-        t.array = interior
-        return t
 
     @property
     def shape(self) -> tuple[int, ...]:

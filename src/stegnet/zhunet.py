@@ -106,8 +106,7 @@ class SepconvBlock:
     A train forward keeps the sign of the pointwise output in place of the
     abs input, and no input of the second batchnorm, nor of the first
     without abs: backward rebuilds each from the context of the conv that
-    made it (``_bn_input``). The first batchnorm writes into the zero frame
-    the depthwise conv reads.
+    made it (``_bn_input``).
     """
 
     pw_w: Tensor  # [C, C, 1, 1]
@@ -438,8 +437,7 @@ def _assemble(config: ModelConfig, value) -> ZhuNetModel:
     def xavier(stage: str, name: str, shape: tuple[int, ...], fan_in: int, fan_out: int) -> Tensor:
         return tensor(stage, name, shape, lambda: _xavier_uniform(rng, shape, fan_in, fan_out, dt))
 
-    def batchnorm(stage: str, name: str, c: int, out_frame: int = 0,
-                  grad_frame: int = 0) -> nnops.BatchNormState:
+    def batchnorm(stage: str, name: str, c: int) -> nnops.BatchNormState:
         def stat(key: str, fill: float, kind: str = PARAM) -> np.ndarray:
             return tensor(stage, f"{name}.{key}", (c,), lambda: np.full(c, fill, dtype=dt),
                           kind).array
@@ -448,7 +446,7 @@ def _assemble(config: ModelConfig, value) -> ZhuNetModel:
             gamma=stat("gamma", 1), beta=stat("beta", 0),
             running_mean=stat("running_mean", 0, BUFFER),
             running_var=stat("running_var", 1, BUFFER),
-            momentum=BN_MOMENTUM, eps=BN_EPS, out_frame=out_frame, grad_frame=grad_frame,
+            momentum=BN_MOMENTUM, eps=BN_EPS,
         )
 
     pre = srm.PreprocessingLayer.build(dtype=config.dtype)
@@ -458,27 +456,22 @@ def _assemble(config: ModelConfig, value) -> ZhuNetModel:
     pre.kernels5 = tensor("preprocessing", "pre.kernels5", k5.shape, lambda: k5, rule=pre_rule)
     c0 = pre.out_channels
 
-    # Frames (nnops.framed_empty) are one pixel wide, the padding of every
-    # 3x3 conv: a batchnorm whose output a 3x3 conv reads writes it into one,
-    # and a batchnorm after a 3x3 conv writes its input gradient into one.
-    def sepconv(name: str, has_abs: bool, out_frame: int) -> tuple[str, SepconvBlock]:
+    def sepconv(name: str, has_abs: bool) -> tuple[str, SepconvBlock]:
         return name, SepconvBlock(
             pw_w=xavier(name, f"{name}.pw.w", (c0, c0, 1, 1), c0, c0),
-            bn_pw=batchnorm(name, f"{name}.bn_pw", c0, out_frame=1),
+            bn_pw=batchnorm(name, f"{name}.bn_pw", c0),
             dw_w=xavier(name, f"{name}.dw.w", (c0, 1, 3, 3), 9, c0 * 9),
-            bn_dw=batchnorm(name, f"{name}.bn_dw", c0, out_frame=out_frame, grad_frame=1),
+            bn_dw=batchnorm(name, f"{name}.bn_dw", c0),
             has_abs=has_abs,
         )
 
-    # block1's conv reads sep2's output; blocks 1-3 end in avg_pool, which
-    # frames its output itself
-    stages = [("preprocessing", pre), sepconv("sep1", True, 0), sepconv("sep2", False, 1)]
+    stages = [("preprocessing", pre), sepconv("sep1", True), sepconv("sep2", False)]
     cin = c0
     for i, cout in enumerate(CHANNELS, start=1):
         name = f"block{i}"
         stages.append((name, BasicBlock(
             conv_w=xavier(name, f"{name}.conv.w", (cout, cin, 3, 3), cin * 9, cout * 9),
-            bn=batchnorm(name, f"{name}.bn", cout, grad_frame=1),
+            bn=batchnorm(name, f"{name}.bn", cout),
             pool=i <= 3,
             mode=config.activation_mode,
         )))

@@ -15,7 +15,6 @@ Pinned tolerances and budgets (asserted inside the tests):
  10  determinism         bitwise checkpoint round trip, identical metrics across reruns
  11  augmentation        8 distinct dihedral variants, cover/stego aligned
 """
-import itertools
 import time
 from fractions import Fraction
 from importlib import resources
@@ -47,26 +46,12 @@ def _f32_exact(a):
     return a.astype(np.float32).astype(np.float64)
 
 
-def _conv_args(x, up, spec, framed):
-    """The input and upstream Tensors of a conv call: as they are, or, as
-    the model passes them, the input pre-padded and the upstream in the
-    frame its input gradient reads, where one width fits both sides."""
-    inp, upstream = Tensor(x), Tensor(up)
-    if framed:
-        inp = nnops.framed(inp, spec.padding)
-        width = spec.kernel_h - 1 - spec.padding
-        if width == spec.kernel_w - 1 - spec.padding >= 0:
-            upstream = nnops.framed(upstream, width)
-    return inp, upstream
-
-
-def _adjoint_gaps(x, wgt, spec, up, ref, framed):
+def _adjoint_gaps(x, wgt, spec, up, ref):
     """Relative gaps of the two adjoint identities of a bias-free conv,
     sum(up * conv(x, w)) = sum(grad_x * x) = sum(grad_w * w), with the
     left side taken from the oracle's output ``ref``."""
-    inp, upstream = _conv_args(x, up, spec, framed)
-    _, ctx = nnops.conv2d_forward(inp, Tensor(wgt), None, spec)
-    gx, gw, gb = nnops.conv2d_backward(upstream, ctx)
+    _, ctx = nnops.conv2d_forward(Tensor(x), Tensor(wgt), None, spec)
+    gx, gw, gb = nnops.conv2d_backward(Tensor(up), ctx)
     assert gb is None and gx.shape == x.shape and gw.shape == wgt.shape
     target = float(np.sum(up * ref))
     scale = float(np.sum(np.abs(up * ref))) + 1e-30
@@ -76,9 +61,7 @@ def _adjoint_gaps(x, wgt, spec, up, ref, framed):
 
 def test_convolution_matches_a_nested_loop_reference_on_200_random_configs():
     """Forward output and both backward gradients of the band kernel, in
-    f64 and f32, against one f64 oracle per config. Each config runs with
-    plain arguments and with the input and upstream pre-framed, as the
-    model passes them."""
+    f64 and f32, against one f64 oracle per config."""
     t0 = time.time()
     rng = np.random.default_rng(0)
     worst = {"f64": [0.0, 0.0, 0.0], "f32": [0.0, 0.0, 0.0]}
@@ -99,16 +82,14 @@ def test_convolution_matches_a_nested_loop_reference_on_200_random_configs():
         spec = nnops.Conv2dSpec(cin, cout, kh, kw, padding=padding, groups=groups)
         ref = conv2d_reference(x, wgt, None, 1, padding, groups)
         up = _f32_exact(rng.standard_normal(ref.shape))
-        for (name, dt), framed in itertools.product(
-                (("f64", np.float64), ("f32", np.float32)), (False, True)):
+        for name, dt in (("f64", np.float64), ("f32", np.float32)):
             xd, wd = x.astype(dt), wgt.astype(dt)
             out, _ = nnops.conv2d_forward(
-                _conv_args(xd, up, spec, framed)[0], Tensor(wd),
-                None if bias is None else Tensor(bias.astype(dt)), spec
+                Tensor(xd), Tensor(wd), None if bias is None else Tensor(bias.astype(dt)), spec
             )
             full = ref if bias is None else ref + bias[None, :, None, None]
             worst[name][0] = max(worst[name][0], float(np.max(np.abs(out.array - full))))
-            gaps = _adjoint_gaps(xd, wd, spec, up.astype(dt), ref, framed)
+            gaps = _adjoint_gaps(xd, wd, spec, up.astype(dt), ref)
             worst[name][1] = max(worst[name][1], gaps[0])
             worst[name][2] = max(worst[name][2], gaps[1])
     elapsed = time.time() - t0

@@ -122,8 +122,9 @@ def test_conv2d_backward_matches_finite_differences():
 def test_band_kernel_matches_the_reference_across_band_boundaries(monkeypatch):
     """Forward and both adjoint identities of the band kernel against the
     nested-loop oracle, in f64 and f32, with the band size cut so the maps
-    split into several bands, with a partial last band, and into one-row
-    bands (cin*wp above the band size)."""
+    split into several bands, with a partial last band, into one-row bands
+    (cin*wp above the band size), and into bands that lie wholly in the
+    zero padding rows."""
     monkeypatch.setattr(nnops, "_BAND_ELEMS", 64)
     rng = np.random.Generator(np.random.PCG64(11))
     cases = [
@@ -133,6 +134,7 @@ def test_band_kernel_matches_the_reference_across_band_boundaries(monkeypatch):
         (nnops.Conv2dSpec(1, 4, 5, 5), 14, 8),                       # one input channel
         (nnops.Conv2dSpec(4, 6, 2, 3, padding=2, groups=2), 9, 5),   # grouped, asymmetric
         (nnops.Conv2dSpec(20, 2, 3, 3, padding=1), 5, 6),            # wide rows
+        (nnops.Conv2dSpec(8, 3, 1, 1, padding=2), 5, 6),             # 1x1 in 2 zero rows
     ]
     seen = set()
     for spec, h, w in cases:
@@ -145,6 +147,9 @@ def test_band_kernel_matches_the_reference_across_band_boundaries(monkeypatch):
         if spec.in_channels * (w + 2 * spec.padding) > nnops._BAND_ELEMS:
             seen.add("one row")
             assert rows == 1
+        if any(r1 + spec.kernel_h - 1 <= spec.padding or r0 >= spec.padding + h
+               for r0, r1 in bands):
+            seen.add("padding only")
         # values exact in f32, so one f64 oracle run serves both precisions
         x = rng.standard_normal((2, spec.in_channels, h, w)).astype(np.float32).astype(np.float64)
         wgt = rng.standard_normal(spec.weight_shape()).astype(np.float32).astype(np.float64)
@@ -159,7 +164,7 @@ def test_band_kernel_matches_the_reference_across_band_boundaries(monkeypatch):
             for grad, val in ((gx.array, x), (gw.array, wgt)):
                 gap = abs(float(np.sum(grad.astype(np.float64) * val)) - target) / scale
                 assert gap < adj_tol, (spec, dt, gap)
-    assert seen == {"several", "partial last", "one row"}
+    assert seen == {"several", "partial last", "one row", "padding only"}
 
 
 def test_conv2d_spec_validation_errors():
@@ -178,40 +183,6 @@ def test_conv2d_shape_mismatch_rejected():
     w = Tensor(np.zeros((2, 2, 3, 3)))
     with pytest.raises(ShapeError):
         nnops.conv2d_forward(x, w, None, spec)
-
-
-def test_framed_empty_zeroes_the_border_of_reused_memory():
-    junk = np.full((2, 3, 8, 9), np.nan, np.float32)
-    del junk  # its block may come back below
-    inner = nnops.framed_empty((2, 3, 6, 7), 1, np.float32)
-    inner[...] = 5.0
-    buf = inner.base
-    assert buf.shape == (2, 3, 8, 9) and buf.flags.c_contiguous
-    assert np.count_nonzero(buf) == inner.size
-    assert np.all(buf[:, :, 1:-1, 1:-1] == 5.0)
-
-
-def test_a_framed_input_is_read_in_its_frame_and_any_other_is_copied():
-    rng = np.random.Generator(np.random.PCG64(31))
-    spec = nnops.Conv2dSpec(4, 4, 3, 3, padding=1, groups=4)
-    w = Tensor(rng.standard_normal((4, 1, 3, 3)))
-    x = rng.standard_normal((2, 4, 6, 6))
-    framed = nnops.framed(Tensor(x), 1)
-    out, ctx = nnops.conv2d_forward(framed, w, None, spec)
-    assert ctx.x_padded is framed.array.base and ctx.in_shape == x.shape
-    for other in (Tensor(x), nnops.framed(Tensor(x), 2)):  # no frame; a frame of another width
-        o, o_ctx = nnops.conv2d_forward(other, w, None, spec)
-        assert o_ctx.x_padded is not other.array.base
-        assert o.array.tobytes() == out.array.tobytes()
-    # a Tensor made from any other view of a larger array holds a copy, so
-    # a conv never takes a border that is not zero for its padding
-    big = rng.standard_normal((2, 4, 8, 8))
-    assert Tensor(big[:, :, 1:-1, 1:-1]).array.flags.c_contiguous
-    up = rng.standard_normal(out.shape)
-    gx, gw, _ = nnops.conv2d_backward(nnops.framed(Tensor(up), 1), ctx)
-    gx_plain, gw_plain, _ = nnops.conv2d_backward(Tensor(up), ctx)
-    assert gx.array.tobytes() == gx_plain.array.tobytes()
-    assert gw.array.tobytes() == gw_plain.array.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -495,33 +466,6 @@ def test_batchnorm_f32_gradients_stay_accurate_far_from_zero_mean():
         assert np.max(np.abs(got - ref)) / np.max(np.abs(ref)) < 1e-5
 
 
-@pytest.mark.parametrize("mode", ["train", "eval"])
-def test_batchnorm_frames_change_no_byte(mode):
-    """Output and input gradient written into zero frames equal the plain
-    ones byte for byte. At this shape einsum sums a frame's interior in
-    another order than a contiguous map, so the statistics must come from
-    contiguous arrays."""
-    rng = np.random.Generator(np.random.PCG64(37))
-    x = (rng.standard_normal((2, 3, 128, 128)) * 3 + 1).astype(np.float32)
-    up = rng.standard_normal(x.shape).astype(np.float32)
-    results = []
-    for frame in (0, 1):
-        state = nnops.BatchNormState.create(3, "f32")
-        state.gamma[:] = [0.5, 1.5, -2.0]
-        state.mode, state.out_frame, state.grad_frame = mode, frame, frame
-        if mode == "eval":
-            state.running_mean[:], state.running_var[:] = [0.1, -0.2, 0.3], [1.5, 0.5, 2.0]
-        out, ctx = nnops.batchnorm_forward(Tensor(x), state)
-        arrays = [out.array, state.running_mean, state.running_var]
-        if mode == "train":
-            arrays += [g.array for g in nnops.batchnorm_backward(Tensor(up), ctx)]
-        if frame:
-            assert out.array.base.shape == (2, 3, 130, 130)
-            assert np.count_nonzero(out.array.base) == np.count_nonzero(out.array)
-        results.append([a.tobytes() for a in arrays])
-    assert results[0] == results[1]
-
-
 # ---------------------------------------------------------------------------
 # memory
 # ---------------------------------------------------------------------------
@@ -541,15 +485,41 @@ def test_a_freed_large_block_is_reused_without_faults():
     assert b[-1] == 1
 
 
+def test_a_padded_conv_and_its_input_gradient_copy_no_whole_map():
+    """A 3x3 conv at padding 1 on plain arguments pads band by band: the
+    forward and the backward each peak less than 4 MiB of band buffers
+    above their full-size result, where a padded copy of the whole
+    [8, 30, 128, 128] f32 input or upstream would add 16 MiB."""
+    import tracemalloc
+
+    rng = np.random.Generator(np.random.PCG64(41))
+    spec = nnops.Conv2dSpec(30, 30, 3, 3, padding=1)
+    x = Tensor(rng.standard_normal((8, 30, 128, 128), dtype=np.float32))
+    w = Tensor(rng.standard_normal(spec.weight_shape(), dtype=np.float32))
+    up = Tensor(rng.standard_normal(x.shape, dtype=np.float32))
+
+    def traced(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (out, ctx), fwd_peak = traced(lambda: nnops.conv2d_forward(x, w, None, spec))
+    (gx, _, _), bwd_peak = traced(lambda: nnops.conv2d_backward(up, ctx))
+    full = x.array.nbytes
+    assert out.array.nbytes == gx.array.nbytes == full
+    assert fwd_peak - full < 4 << 20 and bwd_peak - full < 4 << 20, (fwd_peak, bwd_peak)
+
+
 def test_held_outputs_and_contexts_survive_later_calls_byte_for_byte():
     rng = np.random.Generator(np.random.PCG64(29))
     spec = nnops.Conv2dSpec(6, 6, 3, 3, padding=1, groups=6)
     w = Tensor(rng.standard_normal((6, 1, 3, 3)).astype(np.float32))
     state = nnops.BatchNormState.create(6)
-    state.grad_frame = 1  # the conv's input gradient reads the frame as it is
 
     def step(x):
-        t, conv_ctx = nnops.conv2d_forward(nnops.framed(Tensor(x), 1), w, None, spec)
+        t, conv_ctx = nnops.conv2d_forward(Tensor(x), w, None, spec)
         t, bn_ctx = nnops.batchnorm_forward(t, state)
         mask = nnops.backward_mask(t, "relu")
         act = nnops.relu(t)
@@ -559,7 +529,7 @@ def test_held_outputs_and_contexts_survive_later_calls_byte_for_byte():
         g, ggamma, _ = nnops.batchnorm_backward(g, bn_ctx)
         gx, gw, _ = nnops.conv2d_backward(g, conv_ctx)
         return [act.array, pooled.array, gx.array, gw.array, ggamma.array,
-                conv_ctx.x_padded, bn_ctx.x, bn_ctx.mean, mask, g.array.base]
+                conv_ctx.x, bn_ctx.x, bn_ctx.mean, mask, g.array]
 
     held = step(rng.standard_normal((4, 6, 32, 32)).astype(np.float32))
     before = [a.copy() for a in held]
