@@ -38,14 +38,20 @@ padded copy of a whole map. A band's kh*kw shifted slices of its flattened
 padded rows (tap (u, v) at offset u*wp+v) are copied into one [groups,
 cg*kh*kw, rows*wp] column buffer, multiplied by the [groups, og, cg*kh*kw]
 weights in one batched matmul, and written into the output with the kw-1
-wrapped columns of each row cropped. The weight gradient gathers the same
-bands and multiplies each by the band's upstream rows, zero-filled to the
-padded width. The input gradient is the band forward of the upstream at
-padding kernel-1-padding on each axis (a crop where that is negative)
-with the flipped kernel, input and output channels swapped within each
-group. ``conv2d_output`` gives the output of a forward call again from its
-context, by the same band kernel on the same input, for a caller that
-drops the output and rebuilds it for its backward.
+wrapped columns of each row cropped. While the calling thread runs one of
+several shards (``shards_running``), each band of a forward, an input
+gradient or a rebuilt output joins up to ``_SHARED_BAND_SCALE`` whole
+bands, so the shards take the interpreter lock less often; the last,
+partial band stays alone, and the output bytes are the same as one
+shard's. The weight gradient gathers the one-shard bands at any shard
+count, since it adds their products in band order, and multiplies each by
+the band's upstream rows, zero-filled to the padded width. The input
+gradient is the band forward of the upstream at padding kernel-1-padding
+on each axis (a crop where that is negative) with the flipped kernel,
+input and output channels swapped within each group. ``conv2d_output``
+gives the output of a forward call again from its context, by the same
+band kernel on the same input, for a caller that drops the output and
+rebuilds it for its backward.
 
 Average pooling sums its window separably (rows, then columns) and its
 backward spreads in the reverse order.
@@ -75,7 +81,11 @@ thread cap (``stegnet --threads``, ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS``) or the core count gave it. The model's eval forward
 then runs up to ``WORKERS`` batch shards in Python threads, each op's
 matmul on one BLAS thread; numpy releases the interpreter lock inside its
-copies and matmuls. ``BLAS_SINGLE_THREADED`` says whether the setting
+copies and matmuls, but each thread takes it again between numpy calls.
+So each shard thread sets its shard count with ``shards_running``, and
+while more than one runs, the band kernel makes fewer, larger bands (see
+above): at the one-shard band size two shards spent their time handing the
+lock back and forth. ``BLAS_SINGLE_THREADED`` says whether the setting
 took; where no OpenBLAS is found ``WORKERS`` is 1 and BLAS keeps its own
 thread count. Like the allocator settings, both apply to the whole
 process.
@@ -84,6 +94,8 @@ from __future__ import annotations
 
 import ctypes
 import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -245,15 +257,56 @@ class Conv2dContext:
 
 # Elements of the padded input that one band of output rows reads. A band's
 # column buffer holds kh*kw times that and its output about as much, so the
-# GEMM's operands stay in cache; sizes from 2**14 to 2**16 measure the same.
+# GEMM's operands stay in cache; sizes from 2**14 to 2**16 measure the same
+# on one thread.
 _BAND_ELEMS = 1 << 15
+# Up to how many whole bands one band of _band_conv joins while more than one
+# shard runs. Each band costs about a dozen numpy calls, and between them a
+# thread takes the interpreter lock again, so with small bands the shards
+# queue on the lock. A two-shard 256x256 eval forward took about 0.9x the
+# time at 4x and 8x, less gain at 2x and none at 16x; one thread took 1.05x
+# the time at 4x, so a lone shard keeps scale 1.
+_SHARED_BAND_SCALE = 4
 
 
-def _bands(cin: int, wp: int, oh: int) -> tuple[int, list[tuple[int, int]]]:
-    """Rows per band, and the (first, last+1) output rows of each band: as
-    many rows as keep cin*rows*wp within _BAND_ELEMS, and at least one."""
+class _Shards(threading.local):
+    count = 1  # shards running at once, as the calling thread last set it
+
+
+_shards = _Shards()
+
+
+@contextmanager
+def shards_running(count: int):
+    """Within the block, the calling thread's band kernel sizes its bands
+    for ``count`` shards running at once; on leaving it, also by an
+    exception, the thread's previous count applies again. A thread that
+    never set a count runs as one shard."""
+    before = _shards.count
+    _shards.count = count
+    try:
+        yield
+    finally:
+        _shards.count = before
+
+
+def _bands(cin: int, wp: int, oh: int, scale: int = 1) -> tuple[int, list[tuple[int, int]]]:
+    """Rows of the largest band, and the (first, last+1) output rows of
+    each band. At scale 1 each band has as many rows as keep cin*rows*wp
+    within _BAND_ELEMS, and at least one, and the last band has the rows
+    left over. At a larger scale each band joins up to ``scale`` whole bands
+    of that partition, and its last band stays a band of its own. OpenBLAS
+    rounds a GEMM only a few columns wide otherwise than a wide one (a
+    [32, 270] by [270, n] sgemm for some n up to 115), so joining a short
+    last band would change the output bytes. A whole band at _BAND_ELEMS
+    is some hundreds of columns wide: joining 4 kept the bytes of every
+    model conv tested, and 8 those of a 256x256 eval forward; 16 did not."""
     rows = max(1, min(oh, _BAND_ELEMS // (cin * wp)))
-    return rows, [(r0, min(oh, r0 + rows)) for r0 in range(0, oh, rows)]
+    whole = oh - oh % rows  # the rows of the whole bands
+    bands = [(r0, min(whole, r0 + scale * rows)) for r0 in range(0, whole, scale * rows)]
+    if whole < oh:
+        bands.append((whole, oh))
+    return max(r1 - r0 for r0, r1 in bands), bands
 
 
 def _padded_bands(x: np.ndarray, groups: int, kh: int, ph: int, pw: int,
@@ -315,7 +368,7 @@ def _band_conv(x: np.ndarray, wmat: np.ndarray, kh: int, kw: int,
     g, og, _ = wmat.shape
     wp = w + 2 * pw
     oh, ow = h + 2 * ph - kh + 1, wp - kw + 1
-    rows, bands = _bands(cin, wp, oh)
+    rows, bands = _bands(cin, wp, oh, _SHARED_BAND_SCALE if _shards.count > 1 else 1)
     out = np.empty((n, g, og, oh, ow), dtype=x.dtype)
     cols = np.empty((g, cin // g, kh * kw, rows * wp), dtype=x.dtype)
     res = np.empty((g, og, rows * wp), dtype=x.dtype)

@@ -318,10 +318,14 @@ class ZhuNetModel:
         contiguous shards, one for an empty batch, and runs the stages
         before the head on each, the first on the calling thread and the
         others on a thread pool; every eval op works image by image, so the
-        joined result is bitwise the unsplit one. The head runs once on the joined batch: a one-row
-        shard would take BLAS's matrix-vector path in the linear layers
-        and round differently. A train forward is one shard, because
-        batchnorm takes the whole batch's statistics."""
+        joined result is bitwise the unsplit one. Each shard's thread tells
+        ``nnops.shards_running`` how many shards run, and the count is reset
+        when the shard ends or raises: with more than one, the band kernel
+        makes larger bands, so the shards queue less on the interpreter
+        lock, and it keeps the bytes. The head runs once on the joined
+        batch: a one-row shard would take BLAS's matrix-vector path in the
+        linear layers and round differently. A train forward is one shard,
+        because batchnorm takes the whole batch's statistics."""
         if mode not in ("train", "eval"):
             raise SpecError(f"forward mode must be 'train' or 'eval', got {mode!r}")
         self._check_admissible(images)
@@ -344,9 +348,10 @@ class ZhuNetModel:
             t = _eval_forward(images, body)
         else:
             with ThreadPoolExecutor(len(shards) - 1) as pool:
-                futures = [pool.submit(_eval_forward, Tensor(a), body) for a in shards[1:]]
+                futures = [pool.submit(_eval_forward, Tensor(a), body, len(shards))
+                           for a in shards[1:]]
                 try:
-                    first = _eval_forward(Tensor(shards[0]), body)
+                    first = _eval_forward(Tensor(shards[0]), body, len(shards))
                 finally:
                     rest = [f.result() for f in futures]
             t = Tensor(np.concatenate([first.array, *(r.array for r in rest)]))
@@ -393,9 +398,11 @@ class ZhuNetModel:
         return self._run(images, "eval", self.stages[: names.index(stage) + 1])
 
 
-def _eval_forward(t: Tensor, stages: list) -> Tensor:
-    for _, lyr in stages:
-        t = lyr.forward(t)[0]  # the context is freed before the next stage runs
+def _eval_forward(t: Tensor, stages: list, shards: int = 1) -> Tensor:
+    """``stages`` in eval mode on one of ``shards`` shards running at once."""
+    with nnops.shards_running(shards):
+        for _, lyr in stages:
+            t = lyr.forward(t)[0]  # the context is freed before the next stage runs
     return t
 
 

@@ -167,6 +167,55 @@ def test_band_kernel_matches_the_reference_across_band_boundaries(monkeypatch):
     assert seen == {"several", "partial last", "one row", "padding only"}
 
 
+# Each conv of the model: its spec, and the rows and columns its input has
+# beyond its output (the preprocessing convs read an edge-padded image).
+MODEL_CONVS = {
+    "srm 3x3": (nnops.Conv2dSpec(1, 25, 3, 3), 2),
+    "srm 5x5": (nnops.Conv2dSpec(1, 5, 5, 5), 4),
+    "pointwise": (nnops.Conv2dSpec(30, 30, 1, 1), 0),
+    "depthwise": (nnops.Conv2dSpec(30, 30, 3, 3, padding=1, groups=30), 0),
+    "block1": (nnops.Conv2dSpec(30, 32, 3, 3, padding=1), 0),
+    "block2": (nnops.Conv2dSpec(32, 32, 3, 3, padding=1), 0),
+    "block3": (nnops.Conv2dSpec(32, 64, 3, 3, padding=1), 0),
+    "block4": (nnops.Conv2dSpec(64, 128, 3, 3, padding=1), 0),
+}
+
+
+@pytest.mark.parametrize("band_elems", [1 << 15, 1 << 16])
+def test_each_model_conv_gives_the_same_bytes_at_every_shard_count(band_elems, monkeypatch):
+    """With more than one shard the band kernel joins whole bands and keeps
+    the last one apart; the forward bytes, and the input-gradient bytes
+    where cin > 1, stay those of one shard. The maps are the sizes at which
+    56x56, 64x64 and 256x256 images meet each conv. Below 2**15 elements,
+    joined bands changed the bytes of the dense convs at some sizes, so the
+    band size the model runs at is tested, and one above it."""
+    monkeypatch.setattr(nnops, "_BAND_ELEMS", band_elems)
+    rng = np.random.Generator(np.random.PCG64(61))
+    seen = set()
+    for kind, (spec, extra) in MODEL_CONVS.items():
+        downsampled = {"block2": 2, "block3": 4, "block4": 8}.get(kind, 1)
+        for size in (56 // downsampled, 64 // downsampled, 256 // downsampled):
+            w_in = size + extra
+            one, shared = (nnops._bands(spec.in_channels, w_in + 2 * spec.padding, size, scale)[1]
+                           for scale in (1, nnops._SHARED_BAND_SCALE))
+            if len(shared) < len(one):
+                seen.add("joined")
+            if one[-1][1] - one[-1][0] < one[0][1] - one[0][0]:
+                seen.add("partial last")
+            x = Tensor(rng.standard_normal((1, spec.in_channels, w_in, w_in), dtype=np.float32))
+            w = Tensor(rng.standard_normal(spec.weight_shape(), dtype=np.float32))
+            up = Tensor(rng.standard_normal((1, spec.out_channels, size, size), dtype=np.float32))
+            results = []
+            for shards in (1, 2, 3):
+                with nnops.shards_running(shards):
+                    out, ctx = nnops.conv2d_forward(x, w, None, spec)
+                    ctx.input_grad = spec.in_channels > 1
+                    gx, _, _ = nnops.conv2d_backward(up, ctx)
+                results.append((out.array.tobytes(), None if gx is None else gx.array.tobytes()))
+            assert results[1] == results[0] and results[2] == results[0], (kind, size)
+    assert seen == {"joined", "partial last"}
+
+
 def test_conv2d_spec_validation_errors():
     with pytest.raises(SpecError):
         nnops.Conv2dSpec(3, 4, 3, 3, padding=0, groups=2).validate()  # 3 % 2

@@ -175,6 +175,28 @@ def test_eval_outputs_are_bitwise_equal_for_every_worker_count(n, monkeypatch):
     assert outputs[3] == outputs[1]
 
 
+@pytest.mark.parametrize("size", [64, 96])
+def test_eval_outputs_of_maps_split_into_bands_are_bitwise_equal_for_every_worker_count(
+        size, monkeypatch):
+    """At these sizes the band kernel splits the maps into several bands,
+    which more than one shard joins into fewer. At 64 the last band of
+    block2's conv is two rows, a GEMM narrow enough to round otherwise, so
+    it must stay a band of its own. Three workers split 5 images 2/2/1."""
+    one, shared = (nnops._bands(30, size + 2, size, scale)[1]
+                   for scale in (1, nnops._SHARED_BAND_SCALE))  # block1's conv
+    assert len(one) > len(shared)
+    model = build(seed=1)
+    x = rand_images(np.random.default_rng(size), 5, size)
+    stages = [name for name, _ in model.stages[:-1]]
+    outputs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(nnops, "WORKERS", workers)
+        outputs[workers] = [model.forward(x, mode="eval").array.tobytes()] + [
+            model.dump_feature_maps(x, stage).array.tobytes() for stage in stages]
+    assert outputs[2] == outputs[1]
+    assert outputs[3] == outputs[1]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_an_empty_eval_batch_gives_empty_logits_and_feature_maps(workers, monkeypatch):
     """An empty batch runs as one empty shard; a train forward of it still
@@ -235,6 +257,7 @@ def test_an_exception_in_one_shard_reaches_the_caller(where, monkeypatch):
     monkeypatch.setattr(zhunet.BasicBlock, "forward", faulty)
     with pytest.raises(_ShardFault):
         model.forward(x, mode="eval")
+    assert nnops._shards.count == 1  # the calling thread's shard count is reset
     monkeypatch.setattr(zhunet.BasicBlock, "forward", real)
     assert model.forward(x, mode="eval").array.tobytes() == serial
 
@@ -593,6 +616,20 @@ def _train_step(model, images):
     return logits, model.backward(grad_logits)
 
 
+def test_a_train_step_gives_the_same_bytes_at_any_shard_count_its_thread_set():
+    """The bands of the forward and input-gradient convs join while a count
+    above one is set, but the weight gradients add the one-shard bands'
+    products in the same order."""
+    images = rand_images(np.random.default_rng(59), 4, 64)
+    steps = {}
+    for shards in (1, 2, 3):
+        with nnops.shards_running(shards):
+            logits, grads = _train_step(build(seed=1), images)
+        steps[shards] = [logits.array.tobytes(), *(g.array.tobytes() for g in grads.values())]
+    assert steps[2] == steps[1]
+    assert steps[3] == steps[1]
+
+
 @pytest.mark.skipif(not nnops.FREED_MEMORY_KEPT, reason="the C library has no mallopt")
 def test_train_steps_at_a_repeated_shape_fault_in_no_new_memory():
     """A 64x64 step at batch 8 touches about 13k pages; once the heap holds
@@ -655,7 +692,7 @@ def _base(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def test_a_train_forward_keeps_masks_signs_and_frames_for_backward():
+def test_a_train_forward_keeps_masks_and_signs_for_backward():
     """What a train forward keeps, counted as the benchmark's tracer counts
     it: the unique base arrays reachable from the context, parameters
     excluded, in [16, 30, 64, 64] f32 maps. Keeping the activation, abs and
