@@ -102,7 +102,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ContractError, DataError, ShapeError, SpecError
-from .tensor import DTYPES, Tensor
+from .tensor import Tensor, dtype_named
 
 
 def _require_rank(t: Tensor, rank: Optional[int], what: str) -> None:
@@ -606,8 +606,9 @@ def relu(inp: Tensor) -> Tensor:
 
 
 def relu_backward(upstream: Tensor, mask: np.ndarray) -> Tensor:
-    """The upstream where the input was positive; ``mask`` is
-    ``backward_mask(x, "relu")``."""
+    """The upstream where ``mask`` is set: relu's backward with ``mask`` =
+    ``backward_mask(x, "relu")``, and, as ``tlu_backward``, tlu's with
+    ``backward_mask(x, "tlu", T)``."""
     _require_mask(upstream, mask, "relu", np.bool_)
     return Tensor(upstream.array * mask)
 
@@ -620,11 +621,8 @@ def tlu(inp: Tensor, threshold: float) -> Tensor:
     return Tensor(np.clip(inp.array, -t, t))
 
 
-def tlu_backward(upstream: Tensor, mask: np.ndarray) -> Tensor:
-    """The upstream where the input was strictly inside (-T, T); ``mask`` is
-    ``backward_mask(x, "tlu", T)``."""
-    _require_mask(upstream, mask, "tlu", np.bool_)
-    return Tensor(upstream.array * mask)
+# the same masked product under its own name, which a caller can patch alone
+tlu_backward = relu_backward
 
 
 def abs_act(inp: Tensor) -> Tensor:
@@ -702,9 +700,7 @@ class BatchNormState:
                eps: float = 1e-5) -> "BatchNormState":
         if not isinstance(channels, int) or channels < 1:
             raise SpecError(f"batchnorm channels must be a positive integer, got {channels!r}")
-        if dtype not in DTYPES:
-            raise SpecError(f"unknown dtype {dtype!r}")
-        dt = DTYPES[dtype]
+        dt = dtype_named(dtype)
         return cls(
             gamma=np.ones(channels, dtype=dt),
             beta=np.zeros(channels, dtype=dt),
@@ -745,8 +741,8 @@ def batchnorm_forward(
     into the running averages: running = (1-momentum)*running + momentum*batch.
     Eval mode normalizes with the running statistics, mutates nothing and
     returns None for the context, since nothing takes its backward. Either
-    way gamma*inv_std is applied as one per-channel scale; in train mode
-    it scales x - mean, from which the variance is taken, in place.
+    way gamma*inv_std scales the whole map per channel; in train mode it
+    scales x - mean, from which the variance is taken, in place.
     """
     _require_rank(inp, 4, "batchnorm input")
     x = inp.array
@@ -764,10 +760,8 @@ def batchnorm_forward(
     if state.mode == "eval":
         scale = state.gamma * (1.0 / np.sqrt(state.running_var + dt.type(state.eps)))
         shift = state.beta - state.running_mean * scale
-        out = np.empty_like(x)
-        for x_i, out_i in zip(x, out):
-            np.multiply(x_i, scale[:, None, None], out=out_i)
-            out_i += shift[:, None, None]
+        out = x * _per_channel(scale)
+        out += _per_channel(shift)
         return Tensor(out), None
     count = x.shape[0] * x.shape[2] * x.shape[3]
     if count < 2:
@@ -784,9 +778,8 @@ def batchnorm_forward(
     state.running_var += m * var
     inv_std = 1.0 / np.sqrt(var + dt.type(state.eps))
     scale = state.gamma * inv_std
-    for c_i in centred:  # per image, so the shift reads from cache
-        c_i *= scale[:, None, None]
-        c_i += state.beta[:, None, None]
+    centred *= _per_channel(scale)
+    centred += _per_channel(state.beta)
     ctx = BatchNormContext(x=x, mean=mean, inv_std=inv_std.astype(dt, copy=False),
                            gamma=state.gamma.copy(), count=count, mode=state.mode)
     return Tensor(centred), ctx

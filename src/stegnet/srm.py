@@ -29,7 +29,7 @@ import numpy as np
 
 from . import nnops
 from .errors import ContractError, DataError, ShapeError, SpecError
-from .tensor import DTYPES, Tensor
+from .tensor import Tensor, dtype_named
 
 FILTER_COUNT = 30
 EMBED3X3_COUNT = 25
@@ -176,15 +176,11 @@ class PreprocessingLayer:
 
     @classmethod
     def build(cls, dtype: str = "f32") -> "PreprocessingLayer":
-        if dtype not in DTYPES:
-            raise SpecError(f"unknown dtype {dtype!r}")
-        bank = build_filter_bank()
-        small = [f for f in bank if f.size_class == "embed3x3"]
-        big = [f for f in bank if f.size_class == "keep5x5"]
-        k3 = np.concatenate([embed_kernel(f).array for f in small], axis=0)
-        k5 = np.concatenate([embed_kernel(f).array for f in big], axis=0)
-        dt = DTYPES[dtype]
-        return cls(kernels3=Tensor(k3.astype(dt)), kernels5=Tensor(k5.astype(dt)))
+        dt = dtype_named(dtype)
+        bank = build_filter_bank()  # validated: the small-support filters come first
+        k3, k5 = (np.concatenate([embed_kernel(f).array for f in part]).astype(dt)
+                  for part in (bank[:EMBED3X3_COUNT], bank[EMBED3X3_COUNT:]))
+        return cls(kernels3=Tensor(k3), kernels5=Tensor(k5))
 
     @property
     def out_channels(self) -> int:

@@ -17,10 +17,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, SpecError
 
-DTYPES = {"f32": np.float32, "f64": np.float64}
-_DTYPE_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+# The one dtype table; a name's position in it is its checkpoint dtype code.
+DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+_DTYPE_NAMES = {dt: name for name, dt in DTYPES.items()}
+
+
+def dtype_named(name: str) -> np.dtype:
+    """The numpy dtype of "f32" or "f64"; SpecError for any other name."""
+    if name not in DTYPES:
+        raise SpecError(f"unknown dtype {name!r}")
+    return DTYPES[name]
 
 
 class Tensor:

@@ -45,6 +45,7 @@ little-endian. A round trip restores bit-identical behaviour.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import struct
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
@@ -55,15 +56,13 @@ import numpy as np
 
 from . import nnops, srm
 from .errors import ContractError, DataError, FormatError, ShapeError, SpecError
-from .tensor import DTYPES, Tensor
+from .tensor import DTYPES, Tensor, dtype_named
 
 ACTIVATION_MODES = ("relu", "tlu3")
 TLU_THRESHOLD = 3.0
 
 CHECKPOINT_MAGIC = b"ZNET"
 CHECKPOINT_VERSION = 1
-_DTYPE_CODES = {"f32": 0, "f64": 1}
-_CODE_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 # The paper's architecture, and the momentum and eps of every batchnorm.
 CHANNELS = (32, 32, 64, 128)
@@ -89,8 +88,7 @@ class ModelConfig:
             raise SpecError(
                 f"activation_mode must be one of {ACTIVATION_MODES}, got {self.activation_mode!r}"
             )
-        if self.dtype not in DTYPES:
-            raise SpecError(f"unknown dtype {self.dtype!r}")
+        dtype_named(self.dtype)
         if not isinstance(self.seed, int) or self.seed < 0:
             raise SpecError(f"seed must be a non-negative integer, got {self.seed!r}")
 
@@ -430,7 +428,8 @@ def _assemble(config: ModelConfig, value) -> ZhuNetModel:
     row as it is asked for: the preprocessing kernels take the plain step
     unless the config freezes them, every other parameter momentum and
     weight decay, buffers and config rows no update. The tensors are asked
-    for in a fixed order, so build_model's random draws are too."""
+    for in a fixed order, so build_model's random draws are too. Only the
+    kernels' ``init`` builds the filter bank, once for both."""
     dt = DTYPES[config.dtype]
     rng = np.random.Generator(np.random.PCG64(config.seed))
     rows: dict[str, list] = {PARAM: [], BUFFER: [], CONFIG: []}
@@ -456,11 +455,13 @@ def _assemble(config: ModelConfig, value) -> ZhuNetModel:
             momentum=BN_MOMENTUM, eps=BN_EPS,
         )
 
-    pre = srm.PreprocessingLayer.build(dtype=config.dtype)
+    initial = functools.cache(lambda: srm.PreprocessingLayer.build(config.dtype))
     pre_rule = PLAIN if config.srm_trainable else FROZEN
-    k3, k5 = pre.kernels3.array, pre.kernels5.array
-    pre.kernels3 = tensor("preprocessing", "pre.kernels3", k3.shape, lambda: k3, rule=pre_rule)
-    pre.kernels5 = tensor("preprocessing", "pre.kernels5", k5.shape, lambda: k5, rule=pre_rule)
+    pre = srm.PreprocessingLayer(
+        tensor("preprocessing", "pre.kernels3", (srm.EMBED3X3_COUNT, 1, 3, 3),
+               lambda: initial().kernels3.array, rule=pre_rule),
+        tensor("preprocessing", "pre.kernels5", (srm.KEEP5X5_COUNT, 1, 5, 5),
+               lambda: initial().kernels5.array, rule=pre_rule))
     c0 = pre.out_channels
 
     def sepconv(name: str, has_abs: bool) -> tuple[str, SepconvBlock]:
@@ -512,19 +513,18 @@ def build_model(config: ModelConfig = ModelConfig()) -> ZhuNetModel:
 
 def serialize_model(model: ZhuNetModel) -> bytes:
     """Checkpoint bytes: magic, version, tensor count, then per tensor the
-    UTF-8 name (u16 length), dtype code (u8), rank (u8), u32 dims, and the
-    raw little-endian values."""
+    UTF-8 name (u16 length), dtype code (u8, its position in ``DTYPES``),
+    rank (u8), u32 dims, and the raw little-endian values."""
     state = model.state_tensors()
     parts = [CHECKPOINT_MAGIC, struct.pack("<II", CHECKPOINT_VERSION, len(state))]
     for name, t in state.items():
         nameb = name.encode("utf-8")
         arr = t.array
-        code = _DTYPE_CODES[t.dtype]
         parts.append(struct.pack("<H", len(nameb)))
         parts.append(nameb)
-        parts.append(struct.pack("<BB", code, arr.ndim))
+        parts.append(struct.pack("<BB", list(DTYPES).index(t.dtype), arr.ndim))
         parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(np.ascontiguousarray(arr, dtype=_CODE_DTYPES[code]).tobytes())
+        parts.append(np.ascontiguousarray(arr, dtype=DTYPES[t.dtype]).tobytes())
     return b"".join(parts)
 
 
@@ -568,13 +568,13 @@ def _read_tensor_table(data: bytes) -> "OrderedDict[str, np.ndarray]":
             raise FormatError("tensor name is not valid UTF-8", offset=name_off) from exc
         code_off = r.pos
         code, rank = r.unpack("<BB", "dtype/rank")
-        if code not in _CODE_DTYPES:
+        if code >= len(DTYPES):
             raise FormatError(f"unknown dtype code {code} for tensor {name!r}", offset=code_off)
         dims = r.unpack(f"<{rank}I", f"dims of {name!r}") if rank else ()
         n_values = 1
         for d in dims:
             n_values *= d
-        dtype = _CODE_DTYPES[code]
+        dtype = list(DTYPES.values())[code]
         raw = r.take(n_values * dtype.itemsize, f"values of {name!r}")
         if name in table:
             raise FormatError(f"duplicate tensor name {name!r}", offset=name_off)
@@ -611,10 +611,8 @@ def deserialize_model(data: bytes) -> ZhuNetModel:
     """Rebuild a model from checkpoint bytes (see serialize_model)."""
     table = _read_tensor_table(data)
     mode, srm_trainable = _read_config(table)
-    stored = _need(table, "fc1.w").dtype
-    dtype = "f32" if stored == np.float32 else "f64"
-    config = ModelConfig(activation_mode=mode, srm_trainable=srm_trainable, dtype=dtype)
-    dt = DTYPES[dtype]
+    fc1 = Tensor(_need(table, "fc1.w"))
+    config = ModelConfig(activation_mode=mode, srm_trainable=srm_trainable, dtype=fc1.dtype)
 
     def value(name: str, shape: tuple[int, ...], init) -> np.ndarray:
         array = _need(table, name)
@@ -622,10 +620,10 @@ def deserialize_model(data: bytes) -> ZhuNetModel:
             raise FormatError(
                 f"checkpoint tensor {name!r} has shape {array.shape}, expected {shape}"
             )
-        if array.dtype != stored:
-            raise FormatError(
-                f"checkpoint tensor {name!r} is {array.dtype.name}, but fc1.w is {stored.name}")
-        return array.astype(dt, copy=False)
+        if array.dtype != fc1.array.dtype:
+            raise FormatError(f"checkpoint tensor {name!r} is {array.dtype.name}, "
+                              f"but fc1.w is {fc1.array.dtype.name}")
+        return array
 
     model = _assemble(config, value)
     for name in table:

@@ -9,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from stegnet import nnops, zhunet
+from stegnet import nnops, srm, zhunet
 from stegnet.errors import ContractError, DataError, FormatError, ShapeError, SpecError
 from stegnet.tensor import Tensor
 
@@ -799,11 +799,25 @@ def test_loading_draws_no_init_and_keeps_the_arrays_it_read(monkeypatch):
         raise AssertionError("deserialize_model drew an initial weight")
 
     monkeypatch.setattr(zhunet, "_xavier_uniform", no_init)
+    monkeypatch.setattr(srm, "build_filter_bank", no_init)
     loaded = zhunet.deserialize_model(blob)
     assert zhunet.serialize_model(loaded) == blob
     for name, entry in loaded.table.items():
         if entry.kind != zhunet.CONFIG:
             assert np.shares_memory(entry.tensor.array, read[name]), name
+
+
+def test_build_model_builds_the_filter_bank_once(monkeypatch):
+    calls = []
+    real = srm.build_filter_bank
+
+    def counted():
+        calls.append(1)
+        return real()
+
+    monkeypatch.setattr(srm, "build_filter_bank", counted)
+    zhunet.build_model()
+    assert len(calls) == 1
 
 
 def test_a_tensor_of_the_wrong_shape_is_a_format_error():
