@@ -21,8 +21,16 @@ Conventions
 * Settings come in as arguments (a conv's ``Conv2dSpec``, the pooling
   window, the pyramid levels); the network's own values are ``zhunet``
   constants, such as ``zhunet.SPP_LEVELS``.
-* Forward/backward calls are pure functions of their arguments plus context;
-  the only mutation is the running-statistics update inside
+* Ownership: an op writes over no argument of its caller's, with two
+  exceptions that let a layer reuse the full-size maps it owns instead of
+  allocating one per op. ``batchnorm_forward`` and ``batchnorm_backward``
+  take ownership of their input map: an eval-mode forward writes its
+  output over its input, and the backward writes the input gradient over
+  the context's ``x`` and sets ``x`` to None, so a context takes one
+  backward. The activation ops and their backwards take an ``out=`` array
+  of their input's shape and dtype, which may be the input itself, and
+  write into it the bytes they would otherwise return in a fresh array.
+  The only other mutation is the running-statistics update inside
   ``batchnorm_forward`` in train mode.
 
 Convolution kernel
@@ -599,43 +607,60 @@ def avg_pool_backward(upstream: Tensor, ctx: AvgPoolContext) -> Tensor:
 # elementwise activations
 # ---------------------------------------------------------------------------
 
-def relu(inp: Tensor) -> Tensor:
-    """max(x, 0)."""
+def _out(out: Optional[np.ndarray], like: np.ndarray, what: str) -> Optional[np.ndarray]:
+    """``out`` if it is None or a C-contiguous array of ``like``'s shape
+    and dtype, which an activation op writes its result into."""
+    if out is not None and not (isinstance(out, np.ndarray) and out.shape == like.shape
+                                and out.dtype == like.dtype and out.flags.c_contiguous):
+        raise ShapeError(f"{what} out= must be a C-contiguous {like.dtype} array of shape "
+                         f"{like.shape}")
+    return out
+
+
+def relu(inp: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
+    """max(x, 0), written into ``out`` when one is given (see the module
+    doc on ownership)."""
     _require_rank(inp, None, "relu input")
-    return Tensor(np.maximum(inp.array, 0))
+    return Tensor(np.maximum(inp.array, 0, out=_out(out, inp.array, "relu")))
 
 
-def relu_backward(upstream: Tensor, mask: np.ndarray) -> Tensor:
-    """The upstream where ``mask`` is set: relu's backward with ``mask`` =
-    ``backward_mask(x, "relu")``, and, as ``tlu_backward``, tlu's with
-    ``backward_mask(x, "tlu", T)``."""
+def relu_backward(upstream: Tensor, mask: np.ndarray,
+                  out: Optional[np.ndarray] = None) -> Tensor:
+    """The upstream where ``mask`` is set, written into ``out`` when one is
+    given: relu's backward with ``mask`` = ``backward_mask(x, "relu")``,
+    and, as ``tlu_backward``, tlu's with ``backward_mask(x, "tlu", T)``."""
     _require_mask(upstream, mask, "relu", np.bool_)
-    return Tensor(upstream.array * mask)
+    up = upstream.array
+    return Tensor(np.multiply(up, mask, out=_out(out, up, "relu_backward")))
 
 
-def tlu(inp: Tensor, threshold: float) -> Tensor:
-    """Truncated linear unit: clamp(x, -T, T); T must be positive."""
+def tlu(inp: Tensor, threshold: float, out: Optional[np.ndarray] = None) -> Tensor:
+    """Truncated linear unit: clamp(x, -T, T), written into ``out`` when one
+    is given; T must be positive."""
     _require_rank(inp, None, "tlu input")
     _require_threshold(threshold)
     t = inp.array.dtype.type(threshold)
-    return Tensor(np.clip(inp.array, -t, t))
+    return Tensor(np.clip(inp.array, -t, t, out=_out(out, inp.array, "tlu")))
 
 
 # the same masked product under its own name, which a caller can patch alone
 tlu_backward = relu_backward
 
 
-def abs_act(inp: Tensor) -> Tensor:
-    """|x|; subgradient at 0 is taken as 0."""
+def abs_act(inp: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
+    """|x|, written into ``out`` when one is given; subgradient at 0 is
+    taken as 0."""
     _require_rank(inp, None, "abs input")
-    return Tensor(np.abs(inp.array))
+    return Tensor(np.abs(inp.array, out=_out(out, inp.array, "abs")))
 
 
-def abs_backward(upstream: Tensor, sign: np.ndarray) -> Tensor:
-    """The upstream times the input's sign; ``sign`` is
-    ``backward_mask(x, "abs")``."""
+def abs_backward(upstream: Tensor, sign: np.ndarray,
+                 out: Optional[np.ndarray] = None) -> Tensor:
+    """The upstream times the input's sign, written into ``out`` when one
+    is given; ``sign`` is ``backward_mask(x, "abs")``."""
     _require_mask(upstream, sign, "abs", np.int8)
-    return Tensor(upstream.array * sign)
+    up = upstream.array
+    return Tensor(np.multiply(up, sign, out=_out(out, up, "abs_backward")))
 
 
 def backward_mask(inp: Tensor, op: str, threshold: float = 0.0) -> np.ndarray:
@@ -715,10 +740,12 @@ class BatchNormState:
 class BatchNormContext:
     """What batchnorm_backward needs from a train-mode forward: the input
     and the batch mean it was normalized with. No centred copy is kept; the
-    backward centres again. A caller that can rebuild the input may set
-    ``x`` to None after the forward, and must give the backward a context
-    with it put back. ``mode`` is always "train", since an eval-mode
-    forward returns no context; perfbench's tracer reads it."""
+    backward centres again, over ``x`` itself: it writes the input gradient
+    there and sets ``x`` to None, so a context takes one backward. A caller
+    that can rebuild the input may set ``x`` to None after the forward, and
+    must give the backward a context with it put back. ``mode`` is always
+    "train", since an eval-mode forward returns no context; perfbench's
+    tracer reads it."""
 
     x: Optional[np.ndarray]
     mean: np.ndarray
@@ -739,10 +766,13 @@ def batchnorm_forward(
 
     Train mode normalizes with the biased batch statistics and folds them
     into the running averages: running = (1-momentum)*running + momentum*batch.
-    Eval mode normalizes with the running statistics, mutates nothing and
-    returns None for the context, since nothing takes its backward. Either
-    way gamma*inv_std scales the whole map per channel; in train mode it
-    scales x - mean, from which the variance is taken, in place.
+    It returns a fresh output and keeps the input in the context. Eval mode
+    normalizes with the running statistics, leaves the state alone, and
+    returns None for the context, since nothing takes its backward; it
+    takes ownership of the input map and writes its output over it, so the
+    returned Tensor holds the input's array. Either way gamma*inv_std
+    scales the whole map per channel; in train mode it scales x - mean,
+    from which the variance is taken, in place.
     """
     _require_rank(inp, 4, "batchnorm input")
     x = inp.array
@@ -760,9 +790,9 @@ def batchnorm_forward(
     if state.mode == "eval":
         scale = state.gamma * (1.0 / np.sqrt(state.running_var + dt.type(state.eps)))
         shift = state.beta - state.running_mean * scale
-        out = x * _per_channel(scale)
-        out += _per_channel(shift)
-        return Tensor(out), None
+        x *= _per_channel(scale)
+        x += _per_channel(shift)
+        return Tensor(x), None
     count = x.shape[0] * x.shape[2] * x.shape[3]
     if count < 2:
         raise DataError(
@@ -791,22 +821,28 @@ def batchnorm_backward(
     """Gradients (grad_input, grad_gamma, grad_beta) of a train-mode
     forward.
 
-    The sum of up * (x - mean) is taken from x - mean itself, centred again
-    into the array that then becomes grad_input, so it keeps full precision
-    when |mean| is large against the spread.
+    The backward takes ownership of the context's input map: grad_input is
+    written over ``ctx.x``, and ``ctx.x`` is set to None, so a second
+    backward on the same context is a ContractError. The upstream is only
+    read. The sum of up * (x - mean) is taken from x - mean itself, centred
+    in place into the array that then becomes grad_input, so it keeps full
+    precision when |mean| is large against the spread.
     """
     _require_ctx(ctx, BatchNormContext, "batchnorm")
     _require_rank(upstream, 4, "batchnorm upstream")
     up, x = upstream.array, ctx.x
     if x is None:
-        raise ContractError("batchnorm_backward needs the context's input; it was dropped")
+        raise ContractError("batchnorm_backward needs the context's input; it was dropped, "
+                            "or an earlier backward wrote its gradient over it")
     if up.shape != x.shape:
         raise ShapeError(
             f"batchnorm upstream shape {up.shape} does not match output {x.shape}"
         )
+    ctx.x = None
     grad_beta = np.einsum("nchw->c", up)
     scale = ctx.gamma * ctx.inv_std
-    grad_x = x - _per_channel(ctx.mean)  # centred
+    grad_x = x
+    grad_x -= _per_channel(ctx.mean)  # centred
     dot = np.einsum("nchw,nchw->c", up, grad_x)  # sum of up * (x - mean)
     # the batch statistics depend on x: subtract the mean of the scaled
     # upstream and its projection onto the normalized input; per image,

@@ -10,8 +10,11 @@ check shapes and raise instead of broadcasting.
 Tensors are thin: shape is fixed at construction, and every Tensor holds a
 C-contiguous array. The rest of the package mutates a Tensor's array in
 place only for parameter updates inside the single-threaded trainer step,
-and where a layer adds into an op's fresh output that nothing else
-references.
+and over the full-size maps a layer owns: a layer adds into an op's output
+that nothing else references, an eval-mode batchnorm writes its output over
+its input and a batchnorm backward its input gradient over its context's
+input, and a layer hands an activation op its own map as ``out=`` (see
+``nnops``).
 """
 from __future__ import annotations
 

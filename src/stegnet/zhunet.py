@@ -105,6 +105,14 @@ class SepconvBlock:
     abs input, and no input of the second batchnorm, nor of the first
     without abs: backward rebuilds each from the context of the conv that
     made it (``_bn_input``).
+
+    Each op writes over the maps the block owns: abs over the pointwise
+    output, and, in eval mode, each batchnorm over its conv's output. The
+    backward writes each batchnorm's input gradient over that batchnorm's
+    kept or rebuilt input, and abs's over that gradient, but never over
+    ``up``, which the skip path adds at the end. The backward consumes the
+    context: sep1's kept abs output is gone afterwards, and a second
+    backward on it would rebuild the batchnorm input without the abs.
     """
 
     pw_w: Tensor  # [C, C, 1, 1]
@@ -127,7 +135,7 @@ class SepconvBlock:
         if self.has_abs:
             if train:
                 sign = nnops.backward_mask(t, "abs")
-            t = nnops.abs_act(t)
+            t = nnops.abs_act(t, out=t.array)
         t, bn1_ctx = nnops.batchnorm_forward(t, self.bn_pw)
         t, dw_ctx = nnops.conv2d_forward(t, self.dw_w, None, dw_spec)
         t, bn2_ctx = nnops.batchnorm_forward(t, self.bn_dw)
@@ -135,7 +143,7 @@ class SepconvBlock:
             bn2_ctx.x = None
             if not self.has_abs:
                 bn1_ctx.x = None
-        t.array += x.array  # identity skip, into the batchnorm's fresh output
+        t.array += x.array  # identity skip, into the batchnorm's output
         ctx = {"pw": pw_ctx, "sign": sign, "bn1": bn1_ctx, "dw": dw_ctx, "bn2": bn2_ctx}
         return t, ctx
 
@@ -144,7 +152,7 @@ class SepconvBlock:
         g, g_dw, _ = nnops.conv2d_backward(g, ctx["dw"])
         g, g_gamma1, g_beta1 = nnops.batchnorm_backward(g, _bn_input(ctx["bn1"], ctx["pw"]))
         if self.has_abs:
-            g = nnops.abs_backward(g, ctx["sign"])
+            g = nnops.abs_backward(g, ctx["sign"], out=g.array)
         g, g_pw, _ = nnops.conv2d_backward(g, ctx["pw"])
         g.array += up.array  # skip path, into the conv's fresh input gradient
         return g, (g_pw, g_gamma1, g_beta1, g_dw, g_gamma2, g_beta2)
@@ -166,7 +174,11 @@ class BasicBlock:
     """3x3 conv -> batchnorm -> activation (ReLU, or TLU at threshold 3 when
     ``mode`` is "tlu3") -> average pool for the first three blocks: win 5,
     stride 2, pad 2, pad zeros count in the mean. A train forward keeps the
-    activation's bool mask in place of its input."""
+    activation's bool mask in place of its input. The batchnorm (in eval
+    mode) and the activation write over the conv's output; the backward
+    writes the activation's gradient over ``up``, or over the pooling's
+    gradient, and the batchnorm's over its kept input, so it takes an
+    ``up`` that the caller hands over and a context used once."""
 
     conv_w: Tensor  # [Cout, Cin, 3, 3]
     bn: nnops.BatchNormState
@@ -186,7 +198,8 @@ class BasicBlock:
         if self.bn.mode == "train":  # only a backward reads it
             mask = (nnops.backward_mask(t, "relu") if self.mode == "relu"
                     else nnops.backward_mask(t, "tlu", TLU_THRESHOLD))
-        t = nnops.relu(t) if self.mode == "relu" else nnops.tlu(t, TLU_THRESHOLD)
+        t = (nnops.relu(t, out=t.array) if self.mode == "relu"
+             else nnops.tlu(t, TLU_THRESHOLD, out=t.array))
         pool_ctx = None
         if self.pool:
             t, pool_ctx = nnops.avg_pool(t, self.POOL_WIN, self.POOL_STRIDE, self.POOL_PAD)
@@ -197,9 +210,9 @@ class BasicBlock:
         if ctx["pool"] is not None:
             g = nnops.avg_pool_backward(g, ctx["pool"])
         if self.mode == "relu":
-            g = nnops.relu_backward(g, ctx["mask"])
+            g = nnops.relu_backward(g, ctx["mask"], out=g.array)
         else:
-            g = nnops.tlu_backward(g, ctx["mask"])
+            g = nnops.tlu_backward(g, ctx["mask"], out=g.array)
         g, g_gamma, g_beta = nnops.batchnorm_backward(g, ctx["bn"])
         g, g_w, _ = nnops.conv2d_backward(g, ctx["conv"])
         return g, (g_w, g_gamma, g_beta)
@@ -208,9 +221,10 @@ class BasicBlock:
 @dataclass
 class Head:
     """Spatial pyramid pooling to a fixed-length descriptor, then
-    fc1 -> ReLU -> fc2 to the two class logits. The context keeps no fc1
-    output: the ReLU's mask is taken in backward from fc2's input, relu(h1),
-    which is positive exactly where h1 is."""
+    fc1 -> ReLU -> fc2 to the two class logits. The ReLU writes over fc1's
+    output h1, and its backward over fc2's input gradient. The context
+    keeps no fc1 output: the ReLU's mask is taken in backward from fc2's
+    input, relu(h1), which is positive exactly where h1 is."""
 
     fc1_w: Tensor  # [bins * C, hidden]
     fc1_b: Tensor
@@ -220,14 +234,14 @@ class Head:
     def forward(self, x: Tensor) -> tuple[Tensor, tuple]:
         feat, spp_ctx = nnops.spp_forward(x, SPP_LEVELS)
         h1, fc1_ctx = nnops.linear_forward(feat, self.fc1_w, self.fc1_b)
-        logits, fc2_ctx = nnops.linear_forward(nnops.relu(h1), self.fc2_w, self.fc2_b)
+        logits, fc2_ctx = nnops.linear_forward(nnops.relu(h1, out=h1.array), self.fc2_w, self.fc2_b)
         return logits, (spp_ctx, fc1_ctx, fc2_ctx)
 
     def backward(self, up: Tensor, ctx: tuple) -> tuple[Tensor, tuple]:
         spp_ctx, fc1_ctx, fc2_ctx = ctx
         g, gw2, gb2 = nnops.linear_backward(up, fc2_ctx)
         mask = nnops.backward_mask(Tensor(fc2_ctx.x), "relu")
-        g, gw1, gb1 = nnops.linear_backward(nnops.relu_backward(g, mask), fc1_ctx)
+        g, gw1, gb1 = nnops.linear_backward(nnops.relu_backward(g, mask, out=g.array), fc1_ctx)
         return nnops.spp_backward(g, spp_ctx), (gw1, gb1, gw2, gb2)
 
 
@@ -365,24 +379,33 @@ class ZhuNetModel:
         from the saved forward context. The stages run in reverse until
         every trainable parameter has its gradient, so frozen preprocessing
         kernels cost no backward. Each stage's gradient tuple is paired with
-        its PARAM rows of the table, in table order."""
+        its PARAM rows of the table, in table order.
+
+        The backward consumes the saved context: it is cleared before the
+        first stage runs, and each stage's context is dropped once that
+        stage's backward has run, so its maps are freed as it goes. Each
+        stage may write over the gradient the stage after it returned, and
+        over the maps in its context; ``grad_logits`` is only read. A
+        second backward needs another train forward, and raises
+        ContractError without one."""
         if self._ctx is None:
             raise ContractError(
                 "backward called with no saved forward context; only a train-mode "
-                "forward saves one"
+                "forward saves one, and a backward consumes it"
             )
         saved, logits_shape = self._ctx
         if not isinstance(grad_logits, Tensor) or grad_logits.shape != logits_shape:
             raise ShapeError(
                 f"grad_logits must be a Tensor of shape {logits_shape}"
             )
+        self._ctx = None
         params = self.parameters()
         grads: dict[str, Tensor] = {}
         g = grad_logits
-        for (stage, lyr), ctx in zip(reversed(self.stages), reversed(saved)):
+        for stage, lyr in reversed(self.stages):
             if params.keys() <= grads.keys():
                 break
-            g, stage_grads = lyr.backward(g, ctx)
+            g, stage_grads = lyr.backward(g, saved.pop())  # the context goes when it returns
             names = [n for n, e in self.table.items() if e.kind == PARAM and e.stage == stage]
             grads.update(zip(names, stage_grads, strict=True))
         return OrderedDict((name, grads[name]) for name in params)

@@ -1,5 +1,6 @@
 """Operator-level checks: worked examples, independent oracles, and
 finite-difference verification for every backward pass."""
+import dataclasses
 import resource
 
 import numpy as np
@@ -369,6 +370,44 @@ def test_tlu_rejects_non_positive_threshold():
         nnops.tlu(Tensor(np.zeros(1, dtype=np.float32)), 0.0)
 
 
+_ACTIVATION_CALLS = {
+    "relu": lambda x, up, out=None: nnops.relu(x, out=out),
+    "tlu": lambda x, up, out=None: nnops.tlu(x, 3.0, out=out),
+    "abs_act": lambda x, up, out=None: nnops.abs_act(x, out=out),
+    "relu_backward": lambda x, up, out=None: nnops.relu_backward(
+        up, nnops.backward_mask(x, "relu"), out=out),
+    "tlu_backward": lambda x, up, out=None: nnops.tlu_backward(
+        up, nnops.backward_mask(x, "tlu", 3.0), out=out),
+    "abs_backward": lambda x, up, out=None: nnops.abs_backward(
+        up, nnops.backward_mask(x, "abs"), out=out),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", sorted(_ACTIVATION_CALLS))
+def test_an_activation_op_writes_into_out_the_bytes_it_returns_without_it(op, dtype):
+    """Into a separate array, and over the op's own map operand (the input
+    of a forward, the upstream of a backward), which is how a layer calls
+    it."""
+    call = _ACTIVATION_CALLS[op]
+    rng = np.random.Generator(np.random.PCG64(19))
+    x = (rng.standard_normal((3, 4, 5, 6)) * 4).astype(dtype)
+    x[0, 0, 0, :3] = [0.0, 3.0, -3.0]  # the kinks
+    up = rng.standard_normal(x.shape).astype(dtype)
+    expected = call(Tensor(x), Tensor(up)).array
+    out = np.full_like(x, np.nan)
+    got = call(Tensor(x), Tensor(up), out)
+    assert got.array is out and got.array.tobytes() == expected.tobytes()
+    x2, up2 = x.copy(), up.copy()
+    out = x2 if op in ("relu", "tlu", "abs_act") else up2
+    got = call(Tensor(x2), Tensor(up2), out)
+    assert got.array is out and got.array.tobytes() == expected.tobytes()
+    for bad in (np.empty(x.shape, np.float16), np.empty(x.shape[1:], dtype),
+                np.empty(x.shape[::-1], dtype).T):
+        with pytest.raises(ShapeError):
+            call(Tensor(x), Tensor(up), bad)
+
+
 # ---------------------------------------------------------------------------
 # batchnorm
 # ---------------------------------------------------------------------------
@@ -399,7 +438,7 @@ def test_batchnorm_eval_identity_with_unit_running_stats():
     x = rng.standard_normal((2, 3, 4, 4))
     state = nnops.BatchNormState.create(3, dtype="f64", eps=0.0)
     state.mode = "eval"
-    out, _ = nnops.batchnorm_forward(Tensor(x), state)
+    out, _ = nnops.batchnorm_forward(Tensor(x.copy()), state)  # it writes over its input
     assert np.array_equal(out.array, x)
 
 
@@ -457,6 +496,39 @@ def test_batchnorm_eval_forward_keeps_no_context_for_a_backward():
         nnops.batchnorm_backward(Tensor(np.ones(out.shape)), ctx)
 
 
+def test_an_eval_batchnorm_forward_writes_its_output_over_its_input():
+    rng = np.random.Generator(np.random.PCG64(27))
+    x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
+    state = nnops.BatchNormState.create(3)
+    state.gamma[:], state.beta[:] = rng.standard_normal(3) + 1.5, rng.standard_normal(3)
+    state.running_mean[:], state.running_var[:] = rng.standard_normal(3), rng.uniform(0.5, 2, 3)
+    state.mode = "eval"
+    scale = state.gamma * (1.0 / np.sqrt(state.running_var + np.float32(state.eps)))
+    shift = state.beta - state.running_mean * scale
+    expected = x * scale[None, :, None, None]  # what a copy-based forward computes
+    expected += shift[None, :, None, None]
+    inp = Tensor(x.copy())
+    out, ctx = nnops.batchnorm_forward(inp, state)
+    assert ctx is None and out.array is inp.array
+    assert out.array.tobytes() == expected.tobytes()
+
+
+def test_a_batchnorm_backward_writes_over_its_context_input_and_takes_one_call():
+    rng = np.random.Generator(np.random.PCG64(31))
+    x = rng.standard_normal((2, 3, 4, 4))
+    state = nnops.BatchNormState.create(3, dtype="f64")
+    up = Tensor(rng.standard_normal(x.shape))
+    _, ctx = nnops.batchnorm_forward(Tensor(x.copy()), state)
+    expected = nnops.batchnorm_backward(up, dataclasses.replace(ctx, x=ctx.x.copy()))
+    held = ctx.x
+    got = nnops.batchnorm_backward(up, ctx)
+    assert ctx.x is None and got[0].array is held
+    for a, b in zip(got, expected):
+        assert a.array.tobytes() == b.array.tobytes()
+    with pytest.raises(ContractError):
+        nnops.batchnorm_backward(up, ctx)
+
+
 def test_batchnorm_degenerate_batch_rejected():
     state = nnops.BatchNormState.create(1, dtype="f64")
     with pytest.raises(DataError):
@@ -476,7 +548,8 @@ def test_batchnorm_backward_matches_finite_differences():
         st.beta = np.asarray(b, dtype=np.float64).copy()
         return st
 
-    out, ctx = nnops.batchnorm_forward(Tensor(x), fresh_state())
+    # a copy: the backward writes the input gradient over the forward's input
+    out, ctx = nnops.batchnorm_forward(Tensor(x.copy()), fresh_state())
     gx, ggamma, gbeta = nnops.batchnorm_backward(Tensor(up), ctx)
 
     def loss_x(v):
@@ -575,10 +648,12 @@ def test_held_outputs_and_contexts_survive_later_calls_byte_for_byte():
         pooled, pool_ctx = nnops.avg_pool(act, 5, 2, 2)
         g = nnops.avg_pool_backward(Tensor(np.ones(pooled.shape, np.float32)), pool_ctx)
         g = nnops.relu_backward(g, mask)
+        bn_x = bn_ctx.x  # the backward writes the input gradient over it
         g, ggamma, _ = nnops.batchnorm_backward(g, bn_ctx)
+        assert bn_ctx.x is None and g.array is bn_x
         gx, gw, _ = nnops.conv2d_backward(g, conv_ctx)
         return [act.array, pooled.array, gx.array, gw.array, ggamma.array,
-                conv_ctx.x, bn_ctx.x, bn_ctx.mean, mask, g.array]
+                conv_ctx.x, bn_x, bn_ctx.mean, mask, g.array]
 
     held = step(rng.standard_normal((4, 6, 32, 32)).astype(np.float32))
     before = [a.copy() for a in held]
