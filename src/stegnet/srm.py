@@ -14,10 +14,12 @@ exact rational. Families and counts:
 * square 5x5 and its four edge variants, normalized by 12.
 
 The 25 filters whose native support fits a 3x3 kernel are zero-embedded into
-3x3 (applied with padding 1); the five 5x5 filters stay 5x5 (padding 2).
-Channel order is the file order: the 25 small filters first, then the five
-5x5 filters. The preprocessing layer applies all 30 as a convolution over a
-single-channel image and can be trained (plain gradient steps) or frozen.
+3x3; the five 5x5 filters stay 5x5. Channel order is the file order: the 25
+small filters first, then the five 5x5 filters. The preprocessing layer
+trains and stores the 3x3 kernels as 3x3 (250 coefficients, not 625), and
+applies all 30 as one 5x5 convolution over a single-channel image, each 3x3
+kernel zero-padded to 5x5 on each call. It can be trained (plain gradient
+steps) or frozen.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from importlib import resources
 import numpy as np
 
 from . import nnops
-from .errors import ContractError, DataError, ShapeError, SpecError
+from .errors import DataError, ShapeError, SpecError
 from .tensor import Tensor, dtype_named
 
 FILTER_COUNT = 30
@@ -164,11 +166,11 @@ def embed_kernel(filt: SrmFilter) -> Tensor:
 class PreprocessingLayer:
     """The 30-filter residual extractor as two convolution weight stacks.
 
-    kernels3 is [25, 1, 3, 3] (applied with padding 1), kernels5 is
-    [5, 1, 5, 5] (padding 2); their outputs are stacked to 30 channels in
-    bank order. Whether training updates the kernels is the model's
-    business (see the state table in zhunet.py). The layer is the network's
-    first stage; its input takes no gradient, so backward returns None.
+    kernels3 is [25, 1, 3, 3] and kernels5 is [5, 1, 5, 5]; the forward
+    runs them as one 5x5 convolution with 30 output channels in bank order.
+    Whether training updates the kernels is the model's business (see the
+    state table in zhunet.py). The layer is the network's first stage; its
+    input takes no gradient, so backward returns None.
     """
 
     kernels3: Tensor
@@ -186,31 +188,26 @@ class PreprocessingLayer:
     def out_channels(self) -> int:
         return self.kernels3.shape[0] + self.kernels5.shape[0]
 
-    def forward(self, x: Tensor) -> tuple[Tensor, PreprocessContext]:
+    def forward(self, x: Tensor) -> tuple[Tensor, nnops.Conv2dContext]:
         return preprocess_forward(x, self)
 
-    def backward(self, up: Tensor, ctx: PreprocessContext) -> tuple[None, tuple]:
+    def backward(self, up: Tensor, ctx: nnops.Conv2dContext) -> tuple[None, tuple]:
         return None, preprocess_backward(up, ctx)
 
 
-@dataclass
-class PreprocessContext:
-    ctx3: nnops.Conv2dContext
-    ctx5: nnops.Conv2dContext
-
-
-def _edge_pad(images: np.ndarray, pad: int) -> np.ndarray:
-    return np.pad(images, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")
-
-
-def preprocess_forward(images: Tensor, layer: PreprocessingLayer) -> tuple[Tensor, PreprocessContext]:
+def preprocess_forward(images: Tensor, layer: PreprocessingLayer) -> tuple[Tensor, nnops.Conv2dContext]:
     """Residual maps for a batch of single-channel images.
 
     images: [N, 1, H, W] with H, W >= 5 (the 5x5 kernels must fit). Output
-    is [N, 30, H, W]: padding 1 for the 3x3 kernels and 2 for the 5x5 ones
-    preserves the spatial size. The padding replicates the edge pixels, so
-    the zero-sum bank stays exactly silent on constant images out to the
-    borders (zero filling would leave partial kernel sums there).
+    is [N, 30, H, W]. The whole bank runs as one 5x5 convolution with
+    padding 2, each 3x3 kernel zero-embedded at the centre of a 5x5 one, so
+    the spatial size is kept. Each output channel sums the same nonzero taps
+    in the same order as a 3x3 convolution with padding 1 would, and the
+    added taps are exact zeros, so in f32 the bytes are those of the two
+    convolutions; OpenBLAS's f64 GEMM rounds a few sums of the two shapes
+    apart, by an ulp. The padding replicates the edge pixels, so the zero-sum
+    bank stays exactly silent on constant images out to the borders (zero
+    filling would leave partial kernel sums there).
     """
     if not isinstance(images, Tensor) or len(images.shape) != 4:
         raise ShapeError("preprocessing expects a [N, 1, H, W] tensor")
@@ -221,32 +218,21 @@ def preprocess_forward(images: Tensor, layer: PreprocessingLayer) -> tuple[Tenso
         raise DataError(
             f"preprocessing stage needs images at least 5x5, got {h}x{w}"
         )
-    n3 = layer.kernels3.shape[0]
-    spec3 = nnops.Conv2dSpec(1, n3, 3, 3)
-    n5 = layer.kernels5.shape[0]
-    spec5 = nnops.Conv2dSpec(1, n5, 5, 5)
-    out3, ctx3 = nnops.conv2d_forward(Tensor(_edge_pad(images.array, 1)),
-                                      layer.kernels3, None, spec3)
-    out5, ctx5 = nnops.conv2d_forward(Tensor(_edge_pad(images.array, 2)),
-                                      layer.kernels5, None, spec5)
-    # the input images take no gradient
-    ctx3.input_grad = ctx5.input_grad = False
-    out = np.concatenate([out3.array, out5.array], axis=1)
-    return Tensor(out), PreprocessContext(ctx3=ctx3, ctx5=ctx5)
+    k3 = np.pad(layer.kernels3.array, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    k = np.concatenate([k3, layer.kernels5.array])
+    padded = np.pad(images.array, ((0, 0), (0, 0), (2, 2), (2, 2)), mode="edge")
+    out, ctx = nnops.conv2d_forward(Tensor(padded), Tensor(k), None,
+                                    nnops.Conv2dSpec(1, FILTER_COUNT, 5, 5))
+    ctx.input_grad = False  # the input images take no gradient
+    return out, ctx
 
 
 def preprocess_backward(
-    upstream: Tensor, ctx: PreprocessContext
+    upstream: Tensor, ctx: nnops.Conv2dContext
 ) -> tuple[Tensor, Tensor]:
-    """Gradients (grad_kernels3, grad_kernels5). The network's input images
-    take no gradient, so neither conv computes its input gradient."""
-    if not isinstance(ctx, PreprocessContext):
-        raise ContractError(
-            "preprocess_backward needs the context saved by preprocess_forward"
-        )
-    if not isinstance(upstream, Tensor) or len(upstream.shape) != 4:
-        raise ShapeError("preprocess upstream must be a [N, 30, H, W] tensor")
-    split = ctx.ctx3.spec.out_channels  # where the 5x5 outputs start
-    _, gk3, _ = nnops.conv2d_backward(Tensor(upstream.array[:, :split]), ctx.ctx3)
-    _, gk5, _ = nnops.conv2d_backward(Tensor(upstream.array[:, split:]), ctx.ctx5)
-    return gk3, gk5
+    """Gradients (grad_kernels3, grad_kernels5): one conv backward, whose
+    first 25 kernel gradients are cut back to their centre 3x3. The
+    network's input images take no gradient, so the conv computes none."""
+    _, gk, _ = nnops.conv2d_backward(upstream, ctx)
+    g = gk.array
+    return Tensor(g[:EMBED3X3_COUNT, :, 1:4, 1:4].copy()), Tensor(g[EMBED3X3_COUNT:])

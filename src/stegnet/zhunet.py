@@ -111,8 +111,8 @@ class SepconvBlock:
     backward writes each batchnorm's input gradient over that batchnorm's
     kept or rebuilt input, and abs's over that gradient, but never over
     ``up``, which the skip path adds at the end. The backward consumes the
-    context: sep1's kept abs output is gone afterwards, and a second
-    backward on it would rebuild the batchnorm input without the abs.
+    context: sep1's kept abs output is gone afterwards, so a second backward
+    on it raises ContractError.
     """
 
     pw_w: Tensor  # [C, C, 1, 1]
@@ -150,7 +150,9 @@ class SepconvBlock:
     def backward(self, up: Tensor, ctx: dict) -> tuple[Tensor, tuple]:
         g, g_gamma2, g_beta2 = nnops.batchnorm_backward(up, _bn_input(ctx["bn2"], ctx["dw"]))
         g, g_dw, _ = nnops.conv2d_backward(g, ctx["dw"])
-        g, g_gamma1, g_beta1 = nnops.batchnorm_backward(g, _bn_input(ctx["bn1"], ctx["pw"]))
+        # sep1 keeps the abs output: the pointwise conv would rebuild it without the abs
+        bn1 = ctx["bn1"] if self.has_abs else _bn_input(ctx["bn1"], ctx["pw"])
+        g, g_gamma1, g_beta1 = nnops.batchnorm_backward(g, bn1)
         if self.has_abs:
             g = nnops.abs_backward(g, ctx["sign"], out=g.array)
         g, g_pw, _ = nnops.conv2d_backward(g, ctx["pw"])

@@ -225,6 +225,38 @@ def test_preprocess_replicates_edges_on_random_image():
                        rtol=0, atol=1e-12)
 
 
+def _two_conv_preprocess(x: np.ndarray, layer) -> np.ndarray:
+    """The bank as two convolutions: the 3x3 kernels over the image
+    edge-padded by 1, the 5x5 kernels over it edge-padded by 2, the outputs
+    concatenated in bank order."""
+    outs = []
+    for kernels, pad in ((layer.kernels3, 1), (layer.kernels5, 2)):
+        xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="edge")
+        k = kernels.shape[0]
+        spec = nnops.Conv2dSpec(1, k, 2 * pad + 1, 2 * pad + 1)
+        outs.append(nnops.conv2d_forward(Tensor(xp), kernels, None, spec)[0].array)
+    return np.concatenate(outs, axis=1)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("shape", [(2, 1, 200, 200), (16, 1, 64, 64)])
+def test_the_one_conv_bank_gives_the_bytes_of_the_two_convs(shape, shards):
+    """The 3x3 kernels zero-padded to 5x5 add exact-zero taps only, so in
+    f32 the one 5x5 conv gives the bytes of the two convs, at either band
+    size. At 200x200 the band kernel runs two bands per image. (f64 is not
+    pinned: OpenBLAS's dgemm rounds a few sums of the two shapes apart.)"""
+    rng = np.random.default_rng(26)
+    layer = srm.PreprocessingLayer.build(dtype="f32")
+    for kernels in (layer.kernels3, layer.kernels5):  # off the exact rationals
+        kernels.array[...] += rng.standard_normal(kernels.shape).astype(np.float32) / 64
+    x = rng.uniform(0.0, 255.0, size=shape).astype(np.float32)
+    with nnops.shards_running(shards):
+        out, _ = srm.preprocess_forward(Tensor(x), layer)
+        expected = _two_conv_preprocess(x, layer)
+    assert out.array.dtype == np.float32
+    assert out.array.tobytes() == expected.tobytes()
+
+
 def test_preprocess_rejects_tiny_images():
     layer = srm.PreprocessingLayer.build(dtype="f64")
     with pytest.raises(DataError):
@@ -304,8 +336,8 @@ def test_preprocess_backward_matches_finite_differences():
 
 
 def test_preprocess_backward_returns_only_the_two_kernel_gradients(monkeypatch):
-    """The network's input images take no gradient, so neither conv
-    backward is asked for its input gradient."""
+    """The network's input images take no gradient, so the bank's one
+    conv backward is not asked for its input gradient."""
     asked = []
     real = nnops.conv2d_backward
 
@@ -320,4 +352,4 @@ def test_preprocess_backward_returns_only_the_two_kernel_gradients(monkeypatch):
     grads = srm.preprocess_backward(Tensor(np.ones(out.shape)), ctx)
     assert isinstance(grads, tuple) and len(grads) == 2
     assert [g.shape for g in grads] == [(25, 1, 3, 3), (5, 1, 5, 5)]
-    assert asked == [False, False]
+    assert asked == [False]

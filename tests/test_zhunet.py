@@ -723,6 +723,21 @@ def test_a_backward_consumes_the_context_of_its_train_forward():
         model.backward(grad_logits)
 
 
+def test_a_second_sep1_backward_on_one_context_raises():
+    """sep1's first batchnorm input is the kept abs output, which the first
+    backward writes its gradient over; a second backward must not rebuild
+    it from the pointwise conv, which gives it without the abs."""
+    sep = build(seed=1, dtype="f64").sep1
+    for bn in (sep.bn_pw, sep.bn_dw):
+        bn.mode = "train"
+    rng = np.random.default_rng(68)
+    _, ctx = sep.forward(Tensor(rng.normal(size=(2, 30, 32, 32))))
+    up = rng.normal(size=(2, 30, 32, 32))
+    sep.backward(Tensor(up), ctx)
+    with pytest.raises(ContractError):
+        sep.backward(Tensor(up), ctx)
+
+
 def _base(a: np.ndarray) -> np.ndarray:
     while isinstance(a.base, np.ndarray):
         a = a.base
