@@ -47,19 +47,21 @@ padded rows (tap (u, v) at offset u*wp+v) are copied into one [groups,
 cg*kh*kw, rows*wp] column buffer, multiplied by the [groups, og, cg*kh*kw]
 weights in one batched matmul, and written into the output with the kw-1
 wrapped columns of each row cropped. While the calling thread runs one of
-several shards (``shards_running``), each band of a forward, an input
-gradient or a rebuilt output joins up to ``_SHARED_BAND_SCALE`` whole
+several shards (``shards_running``), each band of an f32 forward, input
+gradient or rebuilt output joins up to ``_SHARED_BAND_SCALE`` whole
 bands, so the shards take the interpreter lock less often; the last,
 partial band stays alone, and the output bytes are the same as one
-shard's. The weight gradient gathers the one-shard bands at any shard
-count, since it adds their products in band order, and multiplies each by
-the band's upstream rows, zero-filled to the padded width. The input
-gradient is the band forward of the upstream at padding kernel-1-padding
-on each axis (a crop where that is negative) with the flipped kernel,
-input and output channels swapped within each group. ``conv2d_output``
-gives the output of a forward call again from its context, by the same
-band kernel on the same input, for a caller that drops the output and
-rebuilds it for its backward.
+shard's. An f64 map keeps the one-shard bands at any shard count, since
+OpenBLAS's dgemm rounds the wider, joined GEMM otherwise. The weight
+gradient gathers the one-shard bands at any shard count, since it adds
+their products in band order, and multiplies each by the band's upstream
+rows, zero-filled to the padded width. The input gradient is the band
+forward of the upstream at padding kernel-1-padding on each axis (a crop
+where that is negative) with the flipped kernel, input and output
+channels swapped within each group. ``conv2d_output`` gives the output of
+a forward call again from its context, by the same band kernel on the
+same input, for a caller that drops the output and rebuilds it for its
+backward.
 
 Average pooling sums its window separably (rows, then columns) and its
 backward spreads in the reverse order.
@@ -268,12 +270,12 @@ class Conv2dContext:
 # GEMM's operands stay in cache; sizes from 2**14 to 2**16 measure the same
 # on one thread.
 _BAND_ELEMS = 1 << 15
-# Up to how many whole bands one band of _band_conv joins while more than one
-# shard runs. Each band costs about a dozen numpy calls, and between them a
-# thread takes the interpreter lock again, so with small bands the shards
-# queue on the lock. A two-shard 256x256 eval forward took about 0.9x the
-# time at 4x and 8x, less gain at 2x and none at 16x; one thread took 1.05x
-# the time at 4x, so a lone shard keeps scale 1.
+# Up to how many whole bands one band of an f32 _band_conv joins while more
+# than one shard runs. Each band costs about a dozen numpy calls, and between
+# them a thread takes the interpreter lock again, so with small bands the
+# shards queue on the lock. A two-shard 256x256 eval forward took about 0.9x
+# the time at 4x and 8x, less gain at 2x and none at 16x; one thread took
+# 1.05x the time at 4x, so a lone shard keeps scale 1.
 _SHARED_BAND_SCALE = 4
 
 
@@ -376,7 +378,8 @@ def _band_conv(x: np.ndarray, wmat: np.ndarray, kh: int, kw: int,
     g, og, _ = wmat.shape
     wp = w + 2 * pw
     oh, ow = h + 2 * ph - kh + 1, wp - kw + 1
-    rows, bands = _bands(cin, wp, oh, _SHARED_BAND_SCALE if _shards.count > 1 else 1)
+    joined = _shards.count > 1 and x.dtype == np.float32  # dgemm rounds joined bands otherwise
+    rows, bands = _bands(cin, wp, oh, _SHARED_BAND_SCALE if joined else 1)
     out = np.empty((n, g, og, oh, ow), dtype=x.dtype)
     cols = np.empty((g, cin // g, kh * kw, rows * wp), dtype=x.dtype)
     res = np.empty((g, og, rows * wp), dtype=x.dtype)

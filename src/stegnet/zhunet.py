@@ -44,7 +44,6 @@ little-endian. A round trip restores bit-identical behaviour.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import struct
 from collections import OrderedDict
@@ -101,18 +100,18 @@ class SepconvBlock:
     batchnorm -> add block input. No bias on either convolution and no
     activation after the addition.
 
-    A train forward keeps the sign of the pointwise output in place of the
-    abs input, and no input of the second batchnorm, nor of the first
-    without abs: backward rebuilds each from the context of the conv that
-    made it (``_bn_input``).
+    A train forward keeps neither batchnorm's input nor an abs sign: the
+    backward rebuilds the depthwise output from the depthwise conv's
+    context, and the pointwise output once from the pointwise conv's,
+    takes sep1's abs sign from it and writes the abs over it. Both are
+    exact, so the gradients are those of kept maps.
 
     Each op writes over the maps the block owns: abs over the pointwise
     output, and, in eval mode, each batchnorm over its conv's output. The
     backward writes each batchnorm's input gradient over that batchnorm's
-    kept or rebuilt input, and abs's over that gradient, but never over
-    ``up``, which the skip path adds at the end. The backward consumes the
-    context: sep1's kept abs output is gone afterwards, so a second backward
-    on it raises ContractError.
+    rebuilt input, and abs's over that gradient, but never over ``up``,
+    which the skip path adds at the end. The backward consumes the
+    context, so a second backward on it raises ContractError.
     """
 
     pw_w: Tensor  # [C, C, 1, 1]
@@ -129,46 +128,41 @@ class SepconvBlock:
         c = self.channels
         pw_spec = nnops.Conv2dSpec(c, c, 1, 1)
         dw_spec = nnops.Conv2dSpec(c, c, 3, 3, padding=1, groups=c)
-        train = self.bn_pw.mode == "train"  # only a backward reads the sign and contexts
+        train = self.bn_pw.mode == "train"  # a train forward drops what the backward rebuilds
         t, pw_ctx = nnops.conv2d_forward(x, self.pw_w, None, pw_spec)
-        sign = None
         if self.has_abs:
-            if train:
-                sign = nnops.backward_mask(t, "abs")
             t = nnops.abs_act(t, out=t.array)
         t, bn1_ctx = nnops.batchnorm_forward(t, self.bn_pw)
+        if train:  # freed now, the pointwise output's block takes the depthwise output
+            bn1_ctx.x = None
         t, dw_ctx = nnops.conv2d_forward(t, self.dw_w, None, dw_spec)
         t, bn2_ctx = nnops.batchnorm_forward(t, self.bn_dw)
         if train:
             bn2_ctx.x = None
-            if not self.has_abs:
-                bn1_ctx.x = None
         t.array += x.array  # identity skip, into the batchnorm's output
-        ctx = {"pw": pw_ctx, "sign": sign, "bn1": bn1_ctx, "dw": dw_ctx, "bn2": bn2_ctx}
-        return t, ctx
+        return t, {"pw": pw_ctx, "bn1": bn1_ctx, "dw": dw_ctx, "bn2": bn2_ctx}
 
     def backward(self, up: Tensor, ctx: dict) -> tuple[Tensor, tuple]:
-        g, g_gamma2, g_beta2 = nnops.batchnorm_backward(up, _bn_input(ctx["bn2"], ctx["dw"]))
-        g, g_dw, _ = nnops.conv2d_backward(g, ctx["dw"])
-        # sep1 keeps the abs output: the pointwise conv would rebuild it without the abs
-        bn1 = ctx["bn1"] if self.has_abs else _bn_input(ctx["bn1"], ctx["pw"])
+        if not ctx:
+            raise ContractError("sepconv backward needs a train forward's context, "
+                                "and an earlier backward consumed this one")
+        pw, bn1, dw, bn2 = (ctx.pop(k) for k in ("pw", "bn1", "dw", "bn2"))
+        # the rebuilds call the band kernel and numpy, not conv2d_forward or
+        # abs_act, so a tracer that wraps those books no extra op
+        bn2.x = nnops.conv2d_output(dw)
+        g, g_gamma2, g_beta2 = nnops.batchnorm_backward(up, bn2)
+        g, g_dw, _ = nnops.conv2d_backward(g, dw)
+        bn1.x = nnops.conv2d_output(pw)
+        sign = None
+        if self.has_abs:
+            sign = nnops.backward_mask(Tensor(bn1.x), "abs")
+            np.abs(bn1.x, out=bn1.x)
         g, g_gamma1, g_beta1 = nnops.batchnorm_backward(g, bn1)
         if self.has_abs:
-            g = nnops.abs_backward(g, ctx["sign"], out=g.array)
-        g, g_pw, _ = nnops.conv2d_backward(g, ctx["pw"])
+            g = nnops.abs_backward(g, sign, out=g.array)
+        g, g_pw, _ = nnops.conv2d_backward(g, pw)
         g.array += up.array  # skip path, into the conv's fresh input gradient
         return g, (g_pw, g_gamma1, g_beta1, g_dw, g_gamma2, g_beta2)
-
-
-def _bn_input(bn_ctx: nnops.BatchNormContext,
-              conv_ctx: nnops.Conv2dContext) -> nnops.BatchNormContext:
-    """``bn_ctx`` as its backward needs it: with the input that the forward
-    dropped rebuilt from the context of the conv that made it. The rebuild
-    calls the band kernel, not ``conv2d_forward``, so a tracer that wraps
-    that books no extra conv."""
-    if bn_ctx.x is not None:
-        return bn_ctx
-    return dataclasses.replace(bn_ctx, x=nnops.conv2d_output(conv_ctx))
 
 
 @dataclass

@@ -184,14 +184,16 @@ MODEL_CONVS = {
 
 @pytest.mark.parametrize("band_elems", [1 << 15, 1 << 16])
 def test_each_model_conv_gives_the_same_bytes_at_every_shard_count(band_elems, monkeypatch):
-    """With more than one shard the band kernel joins whole bands and keeps
-    the last one apart; the forward bytes, and the input-gradient bytes
-    where cin > 1, stay those of one shard. The maps are the sizes at which
+    """With more than one shard the band kernel joins whole bands of an f32
+    map and keeps the last one apart, and keeps an f64 map's bands; the
+    forward bytes, and the input-gradient bytes where cin > 1, stay those
+    of one shard at either dtype. The maps are the sizes at which
     56x56, 64x64 and 256x256 images meet each conv. Below 2**15 elements,
     joined bands changed the bytes of the dense convs at some sizes, so the
     band size the model runs at is tested, and one above it."""
     monkeypatch.setattr(nnops, "_BAND_ELEMS", band_elems)
-    rng = np.random.Generator(np.random.PCG64(61))
+    rngs = {np.float32: np.random.Generator(np.random.PCG64(61)),
+            np.float64: np.random.Generator(np.random.PCG64(62))}
     seen = set()
     for kind, (spec, extra) in MODEL_CONVS.items():
         downsampled = {"block2": 2, "block3": 4, "block4": 8}.get(kind, 1)
@@ -203,17 +205,19 @@ def test_each_model_conv_gives_the_same_bytes_at_every_shard_count(band_elems, m
                 seen.add("joined")
             if one[-1][1] - one[-1][0] < one[0][1] - one[0][0]:
                 seen.add("partial last")
-            x = Tensor(rng.standard_normal((1, spec.in_channels, w_in, w_in), dtype=np.float32))
-            w = Tensor(rng.standard_normal(spec.weight_shape(), dtype=np.float32))
-            up = Tensor(rng.standard_normal((1, spec.out_channels, size, size), dtype=np.float32))
-            results = []
-            for shards in (1, 2, 3):
-                with nnops.shards_running(shards):
-                    out, ctx = nnops.conv2d_forward(x, w, None, spec)
-                    ctx.input_grad = spec.in_channels > 1
-                    gx, _, _ = nnops.conv2d_backward(up, ctx)
-                results.append((out.array.tobytes(), None if gx is None else gx.array.tobytes()))
-            assert results[1] == results[0] and results[2] == results[0], (kind, size)
+            for dt, rng in rngs.items():
+                x = Tensor(rng.standard_normal((1, spec.in_channels, w_in, w_in), dtype=dt))
+                w = Tensor(rng.standard_normal(spec.weight_shape(), dtype=dt))
+                up = Tensor(rng.standard_normal((1, spec.out_channels, size, size), dtype=dt))
+                results = []
+                for shards in (1, 2, 3):
+                    with nnops.shards_running(shards):
+                        out, ctx = nnops.conv2d_forward(x, w, None, spec)
+                        ctx.input_grad = spec.in_channels > 1
+                        gx, _, _ = nnops.conv2d_backward(up, ctx)
+                    results.append((out.array.tobytes(),
+                                    None if gx is None else gx.array.tobytes()))
+                assert results[1] == results[0] and results[2] == results[0], (kind, size, dt)
     assert seen == {"joined", "partial last"}
 
 

@@ -179,22 +179,25 @@ def test_eval_outputs_are_bitwise_equal_for_every_worker_count(n, monkeypatch):
 def test_eval_outputs_of_maps_split_into_bands_are_bitwise_equal_for_every_worker_count(
         size, monkeypatch):
     """At these sizes the band kernel splits the maps into several bands,
-    which more than one shard joins into fewer. At 64 the last band of
-    block2's conv is two rows, a GEMM narrow enough to round otherwise, so
-    it must stay a band of its own. Three workers split 5 images 2/2/1."""
+    which more than one shard joins into fewer for f32 maps. At 64 the last
+    band of block2's conv is two rows, a GEMM narrow enough to round
+    otherwise, so it must stay a band of its own. f64 maps keep the
+    one-shard bands, since dgemm rounds joined ones otherwise. Three
+    workers split 5 images 2/2/1."""
     one, shared = (nnops._bands(30, size + 2, size, scale)[1]
                    for scale in (1, nnops._SHARED_BAND_SCALE))  # block1's conv
     assert len(one) > len(shared)
-    model = build(seed=1)
-    x = rand_images(np.random.default_rng(size), 5, size)
-    stages = [name for name, _ in model.stages[:-1]]
-    outputs = {}
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(nnops, "WORKERS", workers)
-        outputs[workers] = [model.forward(x, mode="eval").array.tobytes()] + [
-            model.dump_feature_maps(x, stage).array.tobytes() for stage in stages]
-    assert outputs[2] == outputs[1]
-    assert outputs[3] == outputs[1]
+    for dtype in ("f32", "f64"):
+        model = build(seed=1, dtype=dtype)
+        x = rand_images(np.random.default_rng(size), 5, size, dtype)
+        stages = [name for name, _ in model.stages[:-1]]
+        outputs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(nnops, "WORKERS", workers)
+            outputs[workers] = [model.forward(x, mode="eval").array.tobytes()] + [
+                model.dump_feature_maps(x, stage).array.tobytes() for stage in stages]
+        assert outputs[2] == outputs[1], dtype
+        assert outputs[3] == outputs[1], dtype
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -692,9 +695,10 @@ def test_a_train_step_reuses_the_maps_each_layer_owns(monkeypatch):
     """The live peak of one train step (forward, loss and backward) at
     [16, 1, 64, 64] f32, in [16, 30, 64, 64] maps: batchnorm backwards
     write over their inputs, the activations over the maps their layers
-    own, and each stage's context goes once its backward has run. A fresh
-    map per op and every context kept to the end made 14.17; this makes
-    10.76."""
+    own, each stage's context goes once its backward has run, and the
+    sepconv blocks keep no batchnorm input for their backward. A fresh map
+    per op and every context kept to the end made 14.17; keeping sep1's
+    abs output and sign made 10.72; this makes 9.47."""
     import tracemalloc
 
     monkeypatch.setattr(nnops, "WORKERS", 1)
@@ -706,13 +710,12 @@ def test_a_train_step_reuses_the_maps_each_layer_owns(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 11.5 * (16 * 30 * 64 * 64 * 4), peak / (16 * 30 * 64 * 64 * 4)
+    assert peak < 10.0 * (16 * 30 * 64 * 64 * 4), peak / (16 * 30 * 64 * 64 * 4)
 
 
 def test_a_backward_consumes_the_context_of_its_train_forward():
-    """A second backward raises instead of rebuilding sep1's first
-    batchnorm input, which the first backward wrote its gradient over,
-    from the pointwise output without the abs."""
+    """A second backward raises instead of running the stages again on
+    maps that the first backward wrote its gradients over."""
     model = build(seed=1)
     images = rand_images(np.random.default_rng(67), 2, 32)
     logits = model.forward(images, mode="train")
@@ -723,11 +726,13 @@ def test_a_backward_consumes_the_context_of_its_train_forward():
         model.backward(grad_logits)
 
 
-def test_a_second_sep1_backward_on_one_context_raises():
-    """sep1's first batchnorm input is the kept abs output, which the first
-    backward writes its gradient over; a second backward must not rebuild
-    it from the pointwise conv, which gives it without the abs."""
-    sep = build(seed=1, dtype="f64").sep1
+@pytest.mark.parametrize("stage", ["sep1", "sep2"])
+def test_a_second_sep1_backward_on_one_context_raises(stage):
+    """A sepconv block keeps nothing that its backward consumes: it
+    rebuilds both batchnorm inputs from the conv contexts, so it consumes
+    the context itself, and a second backward on it raises instead of
+    returning the gradient again."""
+    sep = getattr(build(seed=1, dtype="f64"), stage)
     for bn in (sep.bn_pw, sep.bn_dw):
         bn.mode = "train"
     rng = np.random.default_rng(68)
@@ -749,24 +754,28 @@ def test_a_train_forward_keeps_masks_and_signs_for_backward():
     it: the unique base arrays reachable from the context, parameters
     excluded, in [16, 30, 64, 64] f32 maps. Keeping the activation, abs and
     batchnorm inputs made 13.81; 1-byte masks and signs and three batchnorm
-    inputs rebuilt in backward make 8.64."""
+    inputs rebuilt in backward made 8.60; rebuilding sep1's abs output and
+    sign too makes 7.35."""
     model = build(seed=1)
     model.forward(rand_images(np.random.default_rng(47), 16, 64), mode="train")
     params = {id(_base(t.array)) for t in model.state_tensors().values()}
     held = {id(b): b.nbytes for b in map(_base, _arrays(model._ctx)) if id(b) not in params}
-    assert sum(held.values()) / (16 * 30 * 64 * 64 * 4) < 9.0
+    assert sum(held.values()) / (16 * 30 * 64 * 64 * 4) < 7.6
 
 
 @pytest.mark.parametrize("mode, op", [("relu", "relu"), ("tlu3", "tlu")])
 def test_only_a_train_forward_builds_masks_and_signs(mode, op, monkeypatch):
+    """A train step builds one mask per block activation in its forward,
+    and, in its backward, sep1's abs sign and the head's ReLU mask, both
+    from maps rebuilt there."""
     calls = []
     real = nnops.backward_mask
     monkeypatch.setattr(nnops, "backward_mask",
                         lambda inp, kind, *a: calls.append(kind) or real(inp, kind, *a))
     model = build(activation_mode=mode)
     images = rand_images(np.random.default_rng(53), 2, 32)
-    model.forward(images, mode="train")
-    assert sorted(calls) == sorted(["abs"] + [op] * 4)
+    _train_step(model, images)
+    assert sorted(calls) == sorted(["abs", "relu"] + [op] * 4)
     calls.clear()
     model.forward(images, mode="eval")
     model.dump_feature_maps(images, "block4")

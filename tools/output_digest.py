@@ -7,7 +7,8 @@ at --threads 1 and 2, eval, infer and dump-features at every stage, and
 gradcheck at both scales and seeds 0 and 3 (each command's stdout and exit
 code go to WORKDIR/stdout/). Then it saves the logits and every stage's
 maps of one seeded 8-image 64x64 eval forward, in a process at one BLAS
-thread and in one at two (WORKDIR/eval64_t1/, eval64_t2/). Prints
+thread and in one at two, of an f32 model (WORKDIR/eval64_t1/, eval64_t2/)
+and of an f64 one (eval64_f64_t1/, eval64_f64_t2/). Prints
 "sha256  path" for every file and a total. Paths written into the outputs
 are absolute, so compare two trees by running both in the same WORKDIR,
 emptied in between.
@@ -25,20 +26,21 @@ STAGES = ("preprocessing", "sep1", "sep2", "block1", "block2", "block3", "block4
 # The CLI runs of run_all cannot show the eval forward's band partition: a
 # sharded eval ends in an error rate, infer and dump-features run one image,
 # and a 32x32 map fits one forward band. At 64x64 block2's conv splits into
-# bands, and at two threads the forward runs two shards, whose bands join.
+# bands, and at two threads the forward runs two shards, whose bands join
+# for f32 maps only.
 EVAL_FORWARD = """
 import sys
 from pathlib import Path
 import numpy as np
 from stegnet import zhunet
-from stegnet.tensor import Tensor
-out = Path(sys.argv[1])
+from stegnet.tensor import DTYPES, Tensor
+out, dtype = Path(sys.argv[1]), sys.argv[2]
 out.mkdir()
-model = zhunet.build_model(zhunet.ModelConfig(seed=0))
+model = zhunet.build_model(zhunet.ModelConfig(seed=0, dtype=dtype))
 pixels = np.random.default_rng(0).integers(0, 256, size=(8, 1, 64, 64))
-images = Tensor(pixels.astype(np.float32))
+images = Tensor(pixels.astype(DTYPES[dtype]))
 np.save(out / "logits.npy", model.forward(images, mode="eval").array)
-for stage in sys.argv[2:]:
+for stage in sys.argv[3:]:
     np.save(out / f"{stage}.npy", model.dump_feature_maps(images, stage).array)
 """
 TRAIN_RUNS = {
@@ -90,10 +92,11 @@ def run_all(work: Path) -> None:
         for seed in (0, 3):
             stegnet(work, f"gradcheck_{scale}_{seed}", "--threads", 1, "gradcheck",
                     "--scale", scale, "--seed", seed, exits=(0, 3))
-    for threads in (1, 2):
-        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=str(threads))
-        subprocess.run([sys.executable, "-c", EVAL_FORWARD, work / f"eval64_t{threads}", *STAGES],
-                       env=env, check=True)
+    for dtype, prefix in (("f32", "eval64"), ("f64", "eval64_f64")):
+        for threads in (1, 2):
+            env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=str(threads))
+            subprocess.run([sys.executable, "-c", EVAL_FORWARD, work / f"{prefix}_t{threads}",
+                            dtype, *STAGES], env=env, check=True)
 
 
 def main() -> None:
