@@ -391,9 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stegnet", description=__doc__.split("\n\n")[0])
     parser.add_argument("--threads", type=int, default=None,
                         help="cap the cores used: eval forwards split their batch "
-                             "into up to N shards, BLAS runs on one thread (every cap "
-                             "gives the same bytes); without it, OPENBLAS_NUM_THREADS "
-                             "or OMP_NUM_THREADS sets the cap")
+                             "into up to N shards, each streaming its images one at a "
+                             "time, BLAS runs on one thread (every cap gives the same "
+                             "bytes); without it, OPENBLAS_NUM_THREADS or "
+                             "OMP_NUM_THREADS sets the cap")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("embed", help="simulate embedding over a directory of cover PGMs")

@@ -89,10 +89,11 @@ library whose path contains "openblas"), records its thread count as
 ``WORKERS`` and sets OpenBLAS to one thread. That count is whatever the
 thread cap (``stegnet --threads``, ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS``) or the core count gave it. The model's eval forward
-then runs up to ``WORKERS`` batch shards in Python threads, each op's
-matmul on one BLAS thread; numpy releases the interpreter lock inside its
-copies and matmuls, but each thread takes it again between numpy calls.
-So each shard thread sets its shard count with ``shards_running``, and
+then runs up to ``WORKERS`` batch shards in Python threads; each shard
+streams its images one at a time, so its working maps are one image's,
+and each op's matmul runs on one BLAS thread. numpy releases the
+interpreter lock inside its copies and matmuls, but each thread takes it
+again between numpy calls. So each shard thread sets its shard count with ``shards_running``, and
 while more than one runs, the band kernel makes fewer, larger bands (see
 above): at the one-shard band size two shards spent their time handing the
 lock back and forth. ``BLAS_SINGLE_THREADED`` says whether the setting

@@ -325,13 +325,15 @@ class ZhuNetModel:
         An eval forward splits the images into up to ``nnops.WORKERS``
         contiguous shards, one for an empty batch, and runs the stages
         before the head on each, the first on the calling thread and the
-        others on a thread pool; every eval op works image by image, so the
+        others on a thread pool. Each shard streams its images through them
+        one at a time (``_eval_forward``), so the forward's memory does not
+        grow with the batch. Every eval op works image by image, so the
         joined result is bitwise the unsplit one. Each shard's thread tells
         ``nnops.shards_running`` how many shards run, and the count is reset
         when the shard ends or raises: with more than one, the band kernel
         makes larger bands, so the shards queue less on the interpreter
         lock, and it keeps the bytes. The head runs once on the joined
-        batch: a one-row shard would take BLAS's matrix-vector path in the
+        batch: a one-row batch would take BLAS's matrix-vector path in the
         linear layers and round differently. A train forward is one shard,
         because batchnorm takes the whole batch's statistics."""
         if mode not in ("train", "eval"):
@@ -353,17 +355,18 @@ class ZhuNetModel:
         body, head = stages[: len(self.stages) - 1], stages[len(self.stages) - 1 :]
         shards = np.array_split(images.array, max(1, min(nnops.WORKERS, images.shape[0])))
         if len(shards) == 1:
-            t = _eval_forward(images, body)
+            t = Tensor(_eval_forward(shards[0], body))
         else:
             with ThreadPoolExecutor(len(shards) - 1) as pool:
-                futures = [pool.submit(_eval_forward, Tensor(a), body, len(shards))
-                           for a in shards[1:]]
+                futures = [pool.submit(_eval_forward, a, body, len(shards)) for a in shards[1:]]
                 try:
-                    first = _eval_forward(Tensor(shards[0]), body, len(shards))
+                    first = _eval_forward(shards[0], body, len(shards))
                 finally:
                     rest = [f.result() for f in futures]
-            t = Tensor(np.concatenate([first.array, *(r.array for r in rest)]))
-        return _eval_forward(t, head)
+            t = Tensor(np.concatenate([first, *rest]))
+        for _, lyr in head:
+            t = lyr.forward(t)[0]
+        return t
 
     def forward(self, images: Tensor, mode: str = "train") -> Tensor:
         """Class logits [N, 2]. A train forward saves the context consumed
@@ -415,12 +418,21 @@ class ZhuNetModel:
         return self._run(images, "eval", self.stages[: names.index(stage) + 1])
 
 
-def _eval_forward(t: Tensor, stages: list, shards: int = 1) -> Tensor:
-    """``stages`` in eval mode on one of ``shards`` shards running at once."""
+def _eval_forward(images: np.ndarray, stages: list, shards: int = 1) -> np.ndarray:
+    """``stages`` in eval mode on one of ``shards`` shards running at once,
+    one image at a time: each image's output is copied into the shard's,
+    made once the first image has given its shape, so the shard holds one
+    image's working maps besides it. An empty shard runs once, to give its
+    empty output a shape."""
     with nnops.shards_running(shards):
-        for _, lyr in stages:
-            t = lyr.forward(t)[0]  # the context is freed before the next stage runs
-    return t
+        for i in range(max(1, len(images))):
+            t = Tensor(images[i : i + 1])
+            for _, lyr in stages:
+                t = lyr.forward(t)[0]  # the context is freed before the next stage runs
+            if i == 0:
+                out = np.empty((len(images), *t.shape[1:]), dtype=t.array.dtype)
+            out[i : i + 1] = t.array
+    return out
 
 
 def _xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],

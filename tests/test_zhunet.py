@@ -5,6 +5,7 @@ import hashlib
 import resource
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -669,26 +670,70 @@ def test_sharded_eval_forwards_reuse_the_heap_and_then_fault_in_no_new_memory(mo
     assert np.median(faults[4:]) < 100, faults
 
 
-def test_an_eval_forward_keeps_no_map_that_only_a_backward_reads(monkeypatch):
-    """Around sep1's depthwise conv an eval forward needs three full-size
-    maps and the band buffers (3.36 maps in all): the block input, the
-    first batchnorm's output, which abs and that batchnorm wrote over the
-    pointwise output, and the depthwise output, which the second batchnorm
-    writes over. A fresh map per batchnorm made 4.01; keeping the pointwise
-    output for the abs backward would add one more."""
-    import tracemalloc
+ONE_IMAGE_MAP = 30 * 64 * 64 * 4  # bytes of one image's [30, 64, 64] f32 map
 
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_eval_forward_keeps_no_map_that_only_a_backward_reads(monkeypatch):
+    """An 8-image block1 dump streams its images one at a time. Around
+    sep1's depthwise conv it holds one image's three full-size maps (the
+    block input, the first batchnorm's output, which abs and that batchnorm
+    wrote over the pointwise output, and the depthwise output, which the
+    second batchnorm writes over) and the band buffers, 5.88 one-image
+    [30, 64, 64] maps, besides the 8 images' block1 output, 2.13: 8.02 in
+    all. Running the whole batch at once made 26.9; keeping the pointwise
+    output for the abs backward would add one more."""
     monkeypatch.setattr(nnops, "WORKERS", 1)
     model = build(seed=1)
     images = rand_images(np.random.default_rng(43), 8, 64)
-    full_map = 8 * 30 * 64 * 64 * 4
-    tracemalloc.start()
-    try:
-        model.dump_feature_maps(images, "block1")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3.5 * full_map, peak / full_map
+    peak = _traced_peak(lambda: model.dump_feature_maps(images, "block1"))
+    assert peak < 8.5 * ONE_IMAGE_MAP, peak / ONE_IMAGE_MAP
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_eval_forward_memory_does_not_grow_with_the_batch(workers, monkeypatch):
+    """Each shard streams its images through the body one at a time, so an
+    eval forward's peak grows only by the body's outputs (128x8x8 per image
+    at 64x64) and the head's rows. Running each shard's images at once grew
+    the peak by 42.0 one-image [30, 64, 64] maps from 2 images to 16. With
+    two workers the peak depends on where the shards' band buffers
+    overlap, so each batch size takes the largest of three forwards."""
+    monkeypatch.setattr(nnops, "WORKERS", workers)
+    model = build(seed=1)
+    peaks = {}
+    for n in (2, 16):
+        images = rand_images(np.random.default_rng(71), n, 64)
+        model.forward(images, mode="eval")  # warm-up
+        peaks[n] = max(_traced_peak(lambda: model.forward(images, mode="eval"))
+                       for _ in range(3))
+    assert peaks[16] - peaks[2] < 2 * ONE_IMAGE_MAP, (peaks[16] - peaks[2]) / ONE_IMAGE_MAP
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_every_stage_maps_a_batch_to_the_bytes_of_its_images_one_at_a_time(
+        dtype, workers, monkeypatch):
+    """The invariant that lets an eval forward stream its images: no eval
+    op mixes images, so a 5-image batch (two shards of 3 and 2 images at
+    two workers, with joined f32 bands) gives each body stage the bytes of
+    its images run as 1-image batches (one shard). The logits are left
+    out: the head runs once on the whole batch."""
+    monkeypatch.setattr(nnops, "WORKERS", workers)
+    model = build(seed=1, dtype=dtype)
+    images = rand_images(np.random.default_rng(73), 5, 64, dtype)
+    for stage, _ in model.stages[:-1]:
+        batch = model.dump_feature_maps(images, stage).array
+        alone = [model.dump_feature_maps(Tensor(images.array[i : i + 1]), stage).array
+                 for i in range(5)]
+        assert batch.tobytes() == np.concatenate(alone).tobytes(), stage
 
 
 def test_a_train_step_reuses_the_maps_each_layer_owns(monkeypatch):
@@ -699,17 +744,10 @@ def test_a_train_step_reuses_the_maps_each_layer_owns(monkeypatch):
     sepconv blocks keep no batchnorm input for their backward. A fresh map
     per op and every context kept to the end made 14.17; keeping sep1's
     abs output and sign made 10.72; this makes 9.47."""
-    import tracemalloc
-
     monkeypatch.setattr(nnops, "WORKERS", 1)
     model = build(seed=1)
     images = rand_images(np.random.default_rng(61), 16, 64)
-    tracemalloc.start()
-    try:
-        _train_step(model, images)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: _train_step(model, images))
     assert peak < 10.0 * (16 * 30 * 64 * 64 * 4), peak / (16 * 30 * 64 * 64 * 4)
 
 
