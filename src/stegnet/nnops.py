@@ -30,8 +30,15 @@ Conventions
   backward. The activation ops and their backwards take an ``out=`` array
   of their input's shape and dtype, which may be the input itself, and
   write into it the bytes they would otherwise return in a fresh array.
-  The only other mutation is the running-statistics update inside
-  ``batchnorm_forward`` in train mode.
+  The only other mutations are the running-statistics update inside
+  ``batchnorm_forward`` in train mode, and the backwards consuming their
+  contexts: ``conv2d_backward`` sets its context's ``x`` to None once the
+  weight gradient is taken, before it makes the input gradient, so an
+  input that only the context held is freed first. A caller may drop a
+  context's ``x`` after the forward and rebuild it for the backward:
+  ``conv2d_output`` and ``batchnorm_output`` give the output of the
+  forward that made a context again, in the same bytes, and each raises
+  ContractError once the context's input is gone.
 
 Convolution kernel
 ------------------
@@ -129,6 +136,14 @@ def _require_ctx(ctx, cls, op: str):
         raise ContractError(
             f"{op}_backward needs the context saved by {op}_forward; got {type(ctx).__name__}"
         )
+
+
+def _ctx_input(ctx, op: str) -> np.ndarray:
+    """The input a conv or batchnorm context holds for ``op``."""
+    if ctx.x is None:
+        raise ContractError(f"{op} needs the context's input; it was dropped, "
+                            "or a backward consumed the context")
+    return ctx.x
 
 
 # ---------------------------------------------------------------------------
@@ -251,15 +266,20 @@ class Conv2dContext:
 
     ``x`` is the unpadded input. The backward gathers the band kernel's
     bands from it a second time for the weight gradient, and
-    :func:`conv2d_output` rebuilds the output from it. ``input_grad`` is
-    False when the caller needs only the weight and bias gradients;
-    conv2d_backward then returns None for the input gradient instead of
-    computing it. ``spec`` and ``out_shape`` also let a caller count the
-    work of a call.
+    :func:`conv2d_output` rebuilds the output from it. The backward
+    consumes it: once the weight gradient is taken it sets ``x`` to None,
+    before it makes the input gradient, so an input that the caller handed
+    over is freed first, and a second backward or ``conv2d_output`` on the
+    context is a ContractError. A caller that can rebuild the input may set
+    ``x`` to None after the forward, and must put it back before either
+    call. ``input_grad`` is False when the caller needs only the weight
+    and bias gradients; conv2d_backward then returns None for the input
+    gradient instead of computing it. ``spec`` and ``out_shape`` also let
+    a caller count the work of a call.
     """
 
     spec: Conv2dSpec
-    x: np.ndarray
+    x: Optional[np.ndarray]
     weights: np.ndarray
     has_bias: bool
     out_shape: tuple[int, ...]
@@ -396,9 +416,9 @@ def conv2d_output(ctx: Conv2dContext) -> np.ndarray:
     the band kernel on the same input and weights, so the same bytes. A
     caller that keeps the context can drop the output and rebuild it for
     its backward."""
-    spec = ctx.spec
+    x, spec = _ctx_input(ctx, "conv2d_output"), ctx.spec
     wmat = ctx.weights.reshape(spec.groups, spec.out_channels // spec.groups, -1)
-    return _band_conv(ctx.x, wmat, spec.kernel_h, spec.kernel_w, spec.padding, spec.padding)
+    return _band_conv(x, wmat, spec.kernel_h, spec.kernel_w, spec.padding, spec.padding)
 
 
 def conv2d_forward(
@@ -447,7 +467,7 @@ def conv2d_forward(
     return Tensor(out), ctx
 
 
-def _band_backward(up: np.ndarray, ctx: Conv2dContext) -> tuple[Optional[np.ndarray], np.ndarray]:
+def _weight_grad(up: np.ndarray, ctx: Conv2dContext) -> np.ndarray:
     spec, x = ctx.spec, ctx.x
     kh, kw, g, p = spec.kernel_h, spec.kernel_w, spec.groups, spec.padding
     n, cin, _, w = x.shape
@@ -470,16 +490,18 @@ def _band_backward(up: np.ndarray, ctx: Conv2dContext) -> tuple[Optional[np.ndar
         up_band[:, :, : r1 - r0, :ow] = upg[i, :, :, r0:r1]
         np.matmul(band, up_flat[:, :, : band.shape[2]].swapaxes(1, 2), out=part)
         grad_wt += part
-    grad_w = np.ascontiguousarray(grad_wt.swapaxes(1, 2)).reshape(ctx.weights.shape)
-    grad_x = None
-    if ctx.input_grad:
-        # the input gradient is the upstream, padded by kernel-1-padding,
-        # correlated with the flipped kernel, input and output channels
-        # swapped within each group
-        w_flip = ctx.weights.reshape(g, og, cg, kh, kw)[:, :, :, ::-1, ::-1]
-        wmat = np.ascontiguousarray(w_flip.transpose(0, 2, 1, 3, 4)).reshape(g, cg, og * kh * kw)
-        grad_x = _band_conv(up, wmat, kh, kw, kh - 1 - p, kw - 1 - p)
-    return grad_x, grad_w
+    return np.ascontiguousarray(grad_wt.swapaxes(1, 2)).reshape(ctx.weights.shape)
+
+
+def _input_grad(up: np.ndarray, ctx: Conv2dContext) -> np.ndarray:
+    """The upstream, padded by kernel-1-padding, correlated with the
+    flipped kernel, input and output channels swapped within each group."""
+    spec = ctx.spec
+    kh, kw, g, p = spec.kernel_h, spec.kernel_w, spec.groups, spec.padding
+    og, cg = spec.out_channels // g, spec.in_channels // g
+    w_flip = ctx.weights.reshape(g, og, cg, kh, kw)[:, :, :, ::-1, ::-1]
+    wmat = np.ascontiguousarray(w_flip.transpose(0, 2, 1, 3, 4)).reshape(g, cg, og * kh * kw)
+    return _band_conv(up, wmat, kh, kw, kh - 1 - p, kw - 1 - p)
 
 
 def conv2d_backward(
@@ -488,6 +510,8 @@ def conv2d_backward(
     """Gradients (grad_input, grad_weights, grad_bias-or-None) for conv2d.
 
     grad_input is None when the context was made with ``input_grad=False``.
+    It consumes the context (see :class:`Conv2dContext`); the upstream is
+    only read.
     """
     _require_ctx(ctx, Conv2dContext, "conv2d")
     _require_rank(upstream, 4, "conv2d upstream")
@@ -496,12 +520,14 @@ def conv2d_backward(
             f"conv2d upstream shape {upstream.shape} does not match output {ctx.out_shape}"
         )
     up = upstream.array
-    if up.dtype != ctx.x.dtype:
+    if up.dtype != _ctx_input(ctx, "conv2d_backward").dtype:
         raise ShapeError("conv2d upstream dtype differs from forward input")
 
     grad_b = Tensor(up.sum(axis=(0, 2, 3))) if ctx.has_bias else None
-    grad_x, grad_w = _band_backward(up, ctx)
-    return (None if grad_x is None else Tensor(grad_x)), Tensor(grad_w), grad_b
+    grad_w = _weight_grad(up, ctx)
+    ctx.x = None  # the input gradient reads only the upstream and the weights
+    grad_x = Tensor(_input_grad(up, ctx)) if ctx.input_grad else None
+    return grad_x, Tensor(grad_w), grad_b
 
 
 # ---------------------------------------------------------------------------
@@ -747,14 +773,18 @@ class BatchNormContext:
     backward centres again, over ``x`` itself: it writes the input gradient
     there and sets ``x`` to None, so a context takes one backward. A caller
     that can rebuild the input may set ``x`` to None after the forward, and
-    must give the backward a context with it put back. ``mode`` is always
-    "train", since an eval-mode forward returns no context; perfbench's
-    tracer reads it."""
+    must give the backward a context with it put back. ``gamma`` and
+    ``beta`` are copies of the state's, taken at the forward, so that
+    :func:`batchnorm_output` rebuilds the forward's output from ``x`` and
+    the kept statistics even after the state has changed. ``mode`` is
+    always "train", since an eval-mode forward returns no context;
+    perfbench's tracer reads it."""
 
     x: Optional[np.ndarray]
     mean: np.ndarray
     inv_std: np.ndarray  # per channel
     gamma: np.ndarray
+    beta: np.ndarray
     count: int
     mode: str
 
@@ -811,12 +841,27 @@ def batchnorm_forward(
     state.running_var *= 1 - m
     state.running_var += m * var
     inv_std = 1.0 / np.sqrt(var + dt.type(state.eps))
-    scale = state.gamma * inv_std
-    centred *= _per_channel(scale)
-    centred += _per_channel(state.beta)
     ctx = BatchNormContext(x=x, mean=mean, inv_std=inv_std.astype(dt, copy=False),
-                           gamma=state.gamma.copy(), count=count, mode=state.mode)
-    return Tensor(centred), ctx
+                           gamma=state.gamma.copy(), beta=state.beta.copy(), count=count,
+                           mode=state.mode)
+    return Tensor(_normalize(centred, ctx)), ctx
+
+
+def _normalize(centred: np.ndarray, ctx: BatchNormContext) -> np.ndarray:
+    """x - mean, scaled by gamma*inv_std and shifted by beta, in place."""
+    centred *= _per_channel(ctx.gamma * ctx.inv_std)
+    centred += _per_channel(ctx.beta)
+    return centred
+
+
+def batchnorm_output(ctx: BatchNormContext) -> np.ndarray:
+    """The output of the train-mode forward that made ``ctx``, in a fresh
+    array: the forward's three elementwise passes over ``ctx.x`` with the
+    kept statistics (subtract the mean, multiply by gamma*inv_std, add
+    beta), so the same bytes. The batchnorm counterpart of
+    :func:`conv2d_output`: a caller that puts the input back into the
+    context can drop the output and rebuild it for its backward."""
+    return _normalize(_ctx_input(ctx, "batchnorm_output") - _per_channel(ctx.mean), ctx)
 
 
 def batchnorm_backward(
@@ -834,10 +879,7 @@ def batchnorm_backward(
     """
     _require_ctx(ctx, BatchNormContext, "batchnorm")
     _require_rank(upstream, 4, "batchnorm upstream")
-    up, x = upstream.array, ctx.x
-    if x is None:
-        raise ContractError("batchnorm_backward needs the context's input; it was dropped, "
-                            "or an earlier backward wrote its gradient over it")
+    up, x = upstream.array, _ctx_input(ctx, "batchnorm_backward")
     if up.shape != x.shape:
         raise ShapeError(
             f"batchnorm upstream shape {up.shape} does not match output {x.shape}"

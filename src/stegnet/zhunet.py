@@ -100,18 +100,24 @@ class SepconvBlock:
     batchnorm -> add block input. No bias on either convolution and no
     activation after the addition.
 
-    A train forward keeps neither batchnorm's input nor an abs sign: the
-    backward rebuilds the depthwise output from the depthwise conv's
-    context, and the pointwise output once from the pointwise conv's,
-    takes sep1's abs sign from it and writes the abs over it. Both are
+    A train forward keeps only the block's input, in the pointwise conv's
+    context, and sep1 not even that: given ``source``, the context of the
+    conv whose output the input is (``ZhuNetModel._run`` hands sep1 the
+    preprocessing conv's), it keeps that context instead and its backward
+    rebuilds the input from it. The backward first rebuilds the pointwise
+    output from the pointwise conv's context, takes sep1's abs sign from it
+    and writes the abs over it; then the depthwise input from that with the
+    first batchnorm's kept statistics (``nnops.batchnorm_output``), and the
+    depthwise output from the depthwise conv's context. Every rebuild is
     exact, so the gradients are those of kept maps.
 
     Each op writes over the maps the block owns: abs over the pointwise
     output, and, in eval mode, each batchnorm over its conv's output. The
     backward writes each batchnorm's input gradient over that batchnorm's
     rebuilt input, and abs's over that gradient, but never over ``up``,
-    which the skip path adds at the end. The backward consumes the
-    context, so a second backward on it raises ContractError.
+    which the skip path adds at the end; each conv backward frees its
+    rebuilt input before it makes its input gradient. The backward
+    consumes the context, so a second backward on it raises ContractError.
     """
 
     pw_w: Tensor  # [C, C, 1, 1]
@@ -124,39 +130,48 @@ class SepconvBlock:
     def channels(self) -> int:
         return self.pw_w.shape[0]
 
-    def forward(self, x: Tensor) -> tuple[Tensor, dict]:
+    def forward(self, x: Tensor,
+                source: Optional[nnops.Conv2dContext] = None) -> tuple[Tensor, dict]:
         c = self.channels
         pw_spec = nnops.Conv2dSpec(c, c, 1, 1)
         dw_spec = nnops.Conv2dSpec(c, c, 3, 3, padding=1, groups=c)
         train = self.bn_pw.mode == "train"  # a train forward drops what the backward rebuilds
         t, pw_ctx = nnops.conv2d_forward(x, self.pw_w, None, pw_spec)
+        if source is not None:
+            pw_ctx.x = None
         if self.has_abs:
             t = nnops.abs_act(t, out=t.array)
         t, bn1_ctx = nnops.batchnorm_forward(t, self.bn_pw)
         if train:  # freed now, the pointwise output's block takes the depthwise output
             bn1_ctx.x = None
         t, dw_ctx = nnops.conv2d_forward(t, self.dw_w, None, dw_spec)
+        if train:  # the first batchnorm's output, freed now, its block takes the second's
+            dw_ctx.x = None
         t, bn2_ctx = nnops.batchnorm_forward(t, self.bn_dw)
         if train:
             bn2_ctx.x = None
         t.array += x.array  # identity skip, into the batchnorm's output
-        return t, {"pw": pw_ctx, "bn1": bn1_ctx, "dw": dw_ctx, "bn2": bn2_ctx}
+        return t, {"pw": pw_ctx, "bn1": bn1_ctx, "dw": dw_ctx, "bn2": bn2_ctx, "source": source}
 
     def backward(self, up: Tensor, ctx: dict) -> tuple[Tensor, tuple]:
         if not ctx:
             raise ContractError("sepconv backward needs a train forward's context, "
                                 "and an earlier backward consumed this one")
-        pw, bn1, dw, bn2 = (ctx.pop(k) for k in ("pw", "bn1", "dw", "bn2"))
-        # the rebuilds call the band kernel and numpy, not conv2d_forward or
-        # abs_act, so a tracer that wraps those books no extra op
-        bn2.x = nnops.conv2d_output(dw)
-        g, g_gamma2, g_beta2 = nnops.batchnorm_backward(up, bn2)
-        g, g_dw, _ = nnops.conv2d_backward(g, dw)
+        pw, bn1, dw, bn2, source = (ctx.pop(k) for k in ("pw", "bn1", "dw", "bn2", "source"))
+        # the rebuilds call the band kernel and numpy, not conv2d_forward,
+        # abs_act or batchnorm_forward, so a tracer that wraps those books
+        # no extra op; each goes into a context, which holds it alone
+        if source is not None:
+            pw.x = nnops.conv2d_output(source)
         bn1.x = nnops.conv2d_output(pw)
         sign = None
         if self.has_abs:
             sign = nnops.backward_mask(Tensor(bn1.x), "abs")
             np.abs(bn1.x, out=bn1.x)
+        dw.x = nnops.batchnorm_output(bn1)
+        bn2.x = nnops.conv2d_output(dw)
+        g, g_gamma2, g_beta2 = nnops.batchnorm_backward(up, bn2)
+        g, g_dw, _ = nnops.conv2d_backward(g, dw)
         g, g_gamma1, g_beta1 = nnops.batchnorm_backward(g, bn1)
         if self.has_abs:
             g = nnops.abs_backward(g, sign, out=g.array)
@@ -320,7 +335,10 @@ class ZhuNetModel:
     def _run(self, images: Tensor, mode: str, stages: list) -> Tensor:
         """Run ``stages``, a prefix of the stage list. Only a train forward
         keeps the backward contexts; an eval forward drops each one as soon
-        as its stage returns, and leaves no context for a backward.
+        as its stage returns, and leaves no context for a backward. A train
+        forward hands sep1 the preprocessing stage's context, a conv
+        context, so sep1 keeps it in place of the preprocessing output and
+        rebuilds that output in its own backward.
 
         An eval forward splits the images into up to ``nnops.WORKERS``
         contiguous shards, one for an empty batch, and runs the stages
@@ -347,8 +365,9 @@ class ZhuNetModel:
         if mode == "train":
             saved = []
             t = images
-            for _, lyr in stages:
-                t, ctx = lyr.forward(t)
+            for name, lyr in stages:
+                # sep1 keeps the preprocessing conv's context, not its output
+                t, ctx = lyr.forward(t, saved[-1]) if name == "sep1" else lyr.forward(t)
                 saved.append(ctx)
             self._ctx = (saved, t.shape)
             return t
@@ -384,9 +403,11 @@ class ZhuNetModel:
         first stage runs, and each stage's context is dropped once that
         stage's backward has run, so its maps are freed as it goes. Each
         stage may write over the gradient the stage after it returned, and
-        over the maps in its context; ``grad_logits`` is only read. A
-        second backward needs another train forward, and raises
-        ContractError without one."""
+        over the maps in its context; ``grad_logits`` is only read. sep1's
+        backward rebuilds its input from the preprocessing stage's context,
+        which is still saved then, since that stage runs after it or, with
+        frozen kernels, not at all. A second backward needs another train
+        forward, and raises ContractError without one."""
         if self._ctx is None:
             raise ContractError(
                 "backward called with no saved forward context; only a train-mode "

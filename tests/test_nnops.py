@@ -533,6 +533,26 @@ def test_a_batchnorm_backward_writes_over_its_context_input_and_takes_one_call()
         nnops.batchnorm_backward(up, ctx)
 
 
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_batchnorm_output_rebuilds_the_forward_output_from_the_context(dtype):
+    """The kept statistics and copies of gamma and beta give the train
+    forward's bytes again, after the state's gamma and beta have moved; once
+    a backward has written over the context's input, it raises."""
+    rng = np.random.Generator(np.random.PCG64(33))
+    dt = np.float32 if dtype == "f32" else np.float64
+    x = (rng.standard_normal((3, 4, 5, 6)) * 3 + 2).astype(dt)
+    state = nnops.BatchNormState.create(4, dtype=dtype)
+    state.gamma[:], state.beta[:] = rng.standard_normal(4) + 1.5, rng.standard_normal(4)
+    out, ctx = nnops.batchnorm_forward(Tensor(x), state)
+    state.gamma += 1
+    state.beta -= 1
+    rebuilt = nnops.batchnorm_output(ctx)
+    assert rebuilt is not out.array and rebuilt.tobytes() == out.array.tobytes()
+    nnops.batchnorm_backward(Tensor(np.ones_like(x)), ctx)
+    with pytest.raises(ContractError):
+        nnops.batchnorm_output(ctx)
+
+
 def test_batchnorm_degenerate_batch_rejected():
     state = nnops.BatchNormState.create(1, dtype="f64")
     with pytest.raises(DataError):
@@ -638,6 +658,50 @@ def test_a_padded_conv_and_its_input_gradient_copy_no_whole_map():
     assert fwd_peak - full < 4 << 20 and bwd_peak - full < 4 << 20, (fwd_peak, bwd_peak)
 
 
+def test_a_conv_backward_consumes_its_context():
+    """The backward drops the context's input once the weight gradient is
+    taken, so a second backward, or rebuilding the output, raises."""
+    rng = np.random.Generator(np.random.PCG64(43))
+    spec = nnops.Conv2dSpec(4, 6, 3, 3, padding=1)
+    x = Tensor(rng.standard_normal((2, 4, 7, 7)))
+    w = Tensor(rng.standard_normal(spec.weight_shape()))
+    out, ctx = nnops.conv2d_forward(x, w, None, spec)
+    assert nnops.conv2d_output(ctx).tobytes() == out.array.tobytes()
+    up = Tensor(rng.standard_normal(out.shape))
+    nnops.conv2d_backward(up, ctx)
+    assert ctx.x is None
+    with pytest.raises(ContractError, match="consumed"):
+        nnops.conv2d_backward(up, ctx)
+    with pytest.raises(ContractError, match="consumed"):
+        nnops.conv2d_output(ctx)
+
+
+def test_a_conv_backward_frees_a_handed_over_input_before_its_input_gradient():
+    """When the context holds the only reference to the input, the input is
+    freed before the input gradient is made, so the backward's live bytes
+    peak at one [8, 30, 128, 128] f32 map (the input, then its gradient)
+    plus less than 4 MiB of band buffers, besides the caller's upstream.
+    Keeping the input to the end would add the 16 MiB map."""
+    import tracemalloc
+
+    rng = np.random.Generator(np.random.PCG64(45))
+    spec = nnops.Conv2dSpec(30, 30, 3, 3, padding=1)
+    w = Tensor(rng.standard_normal(spec.weight_shape(), dtype=np.float32))
+    up = Tensor(rng.standard_normal((8, 30, 128, 128), dtype=np.float32))
+    full = up.array.nbytes
+    tracemalloc.start()
+    try:
+        ctx = nnops.conv2d_forward(
+            Tensor(rng.standard_normal(up.shape, dtype=np.float32)), w, None, spec)[1]
+        tracemalloc.reset_peak()
+        gx, _, _ = nnops.conv2d_backward(up, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gx.array.nbytes == full
+    assert peak - full < 4 << 20, (peak - full) / full
+
+
 def test_held_outputs_and_contexts_survive_later_calls_byte_for_byte():
     rng = np.random.Generator(np.random.PCG64(29))
     spec = nnops.Conv2dSpec(6, 6, 3, 3, padding=1, groups=6)
@@ -655,9 +719,10 @@ def test_held_outputs_and_contexts_survive_later_calls_byte_for_byte():
         bn_x = bn_ctx.x  # the backward writes the input gradient over it
         g, ggamma, _ = nnops.batchnorm_backward(g, bn_ctx)
         assert bn_ctx.x is None and g.array is bn_x
-        gx, gw, _ = nnops.conv2d_backward(g, conv_ctx)
+        gx, gw, _ = nnops.conv2d_backward(g, conv_ctx)  # consumes the context's input
+        assert conv_ctx.x is None
         return [act.array, pooled.array, gx.array, gw.array, ggamma.array,
-                conv_ctx.x, bn_x, bn_ctx.mean, mask, g.array]
+                x, bn_x, bn_ctx.mean, mask, g.array]
 
     held = step(rng.standard_normal((4, 6, 32, 32)).astype(np.float32))
     before = [a.copy() for a in held]

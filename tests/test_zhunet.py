@@ -743,12 +743,15 @@ def test_a_train_step_reuses_the_maps_each_layer_owns(monkeypatch):
     own, each stage's context goes once its backward has run, and the
     sepconv blocks keep no batchnorm input for their backward. A fresh map
     per op and every context kept to the end made 14.17; keeping sep1's
-    abs output and sign made 10.72; this makes 9.47."""
+    abs output and sign made 10.72; keeping the preprocessing output and
+    the depthwise inputs, and each conv's input through its input
+    gradient, made 9.47 (in block1's backward); this makes 6.93, in sep1's
+    backward, where the rebuilt maps are live."""
     monkeypatch.setattr(nnops, "WORKERS", 1)
     model = build(seed=1)
     images = rand_images(np.random.default_rng(61), 16, 64)
     peak = _traced_peak(lambda: _train_step(model, images))
-    assert peak < 10.0 * (16 * 30 * 64 * 64 * 4), peak / (16 * 30 * 64 * 64 * 4)
+    assert peak < 7.3 * (16 * 30 * 64 * 64 * 4), peak / (16 * 30 * 64 * 64 * 4)
 
 
 def test_a_backward_consumes_the_context_of_its_train_forward():
@@ -781,6 +784,66 @@ def test_a_second_sep1_backward_on_one_context_raises(stage):
         sep.backward(Tensor(up), ctx)
 
 
+@pytest.mark.parametrize("dtype, mode, trainable", [
+    ("f32", "relu", True), ("f64", "relu", False), ("f32", "tlu3", False), ("f64", "tlu3", True)])
+def test_every_map_a_sepconv_backward_rebuilds_is_the_forward_map(
+        dtype, mode, trainable, monkeypatch):
+    """The invariant the backward's bytes rest on. A train forward keeps
+    none of the maps below, and the backward rebuilds each from a context
+    before a conv or batchnorm backward reads it: sep1's input, which is
+    the preprocessing output, and each sepconv block's pointwise output
+    (after abs for sep1), depthwise input and depthwise output. Each
+    rebuilt map has the bytes the forward made."""
+    model = build(seed=1, dtype=dtype, activation_mode=mode, srm_trainable=trainable)
+    made, rebuilt, block = {}, {}, []
+    names = {id(model.sep1): "sep1", id(model.sep2): "sep2"}
+
+    def within(method):
+        def run(self, *args):
+            block.append(names[id(self)])
+            try:
+                return method(self, *args)
+            finally:
+                block.pop()
+        return run
+
+    def conv_kind(spec):
+        return "input" if spec.kernel_h == 1 else "depthwise input"
+
+    def recording(real, record):
+        def call(*args):
+            if block:
+                record(*args)
+            return real(*args)
+        return call
+
+    def conv_forward(inp, w, b, spec):
+        made[block[-1], conv_kind(spec)] = inp.array.copy()
+
+    def bn_forward(inp, state):
+        kind = "pointwise output" if state is getattr(model, block[-1]).bn_pw else "depthwise output"
+        made[block[-1], kind] = inp.array.copy()
+
+    def conv_backward(up, ctx):
+        rebuilt[block[-1], conv_kind(ctx.spec)] = ctx.x.copy()
+
+    def bn_backward(up, ctx):
+        # the second batchnorm's backward runs first
+        done = (block[-1], "depthwise output") in rebuilt
+        rebuilt[block[-1], "pointwise output" if done else "depthwise output"] = ctx.x.copy()
+
+    for attr in ("forward", "backward"):
+        monkeypatch.setattr(zhunet.SepconvBlock, attr, within(getattr(zhunet.SepconvBlock, attr)))
+    for attr, record in (("conv2d_forward", conv_forward), ("batchnorm_forward", bn_forward),
+                         ("conv2d_backward", conv_backward), ("batchnorm_backward", bn_backward)):
+        monkeypatch.setattr(nnops, attr, recording(getattr(nnops, attr), record))
+    _train_step(model, rand_images(np.random.default_rng(75), 4, 32, dtype))
+    del made["sep2", "input"], rebuilt["sep2", "input"]  # sep1's output, which sep2 keeps
+    assert made.keys() == rebuilt.keys() and len(made) == 7
+    for key, a in made.items():
+        assert rebuilt[key].tobytes() == a.tobytes(), key
+
+
 def _base(a: np.ndarray) -> np.ndarray:
     while isinstance(a.base, np.ndarray):
         a = a.base
@@ -793,12 +856,13 @@ def test_a_train_forward_keeps_masks_and_signs_for_backward():
     excluded, in [16, 30, 64, 64] f32 maps. Keeping the activation, abs and
     batchnorm inputs made 13.81; 1-byte masks and signs and three batchnorm
     inputs rebuilt in backward made 8.60; rebuilding sep1's abs output and
-    sign too makes 7.35."""
+    sign too made 7.35; rebuilding the preprocessing output and both
+    depthwise inputs too makes 4.35."""
     model = build(seed=1)
     model.forward(rand_images(np.random.default_rng(47), 16, 64), mode="train")
     params = {id(_base(t.array)) for t in model.state_tensors().values()}
     held = {id(b): b.nbytes for b in map(_base, _arrays(model._ctx)) if id(b) not in params}
-    assert sum(held.values()) / (16 * 30 * 64 * 64 * 4) < 7.6
+    assert sum(held.values()) / (16 * 30 * 64 * 64 * 4) < 4.5
 
 
 @pytest.mark.parametrize("mode, op", [("relu", "relu"), ("tlu3", "tlu")])
