@@ -53,16 +53,16 @@ padded copy of a whole map. A band's kh*kw shifted slices of its flattened
 padded rows (tap (u, v) at offset u*wp+v) are copied into one [groups,
 cg*kh*kw, rows*wp] column buffer, multiplied by the [groups, og, cg*kh*kw]
 weights in one batched matmul, and written into the output with the kw-1
-wrapped columns of each row cropped. While the calling thread runs one of
-several shards (``shards_running``), each band of an f32 forward, input
-gradient or rebuilt output joins up to ``_SHARED_BAND_SCALE`` whole
-bands, so the shards take the interpreter lock less often; the last,
-partial band stays alone, and the output bytes are the same as one
-shard's. An f64 map keeps the one-shard bands at any shard count, since
-OpenBLAS's dgemm rounds the wider, joined GEMM otherwise. The weight
-gradient gathers the one-shard bands at any shard count, since it adds
-their products in band order, and multiplies each by the band's upstream
-rows, zero-filled to the padded width. The input gradient is the band
+wrapped columns of each row cropped. When ``WORKERS`` is above 1 and the
+map is one f32 image, each band of a forward, input gradient or rebuilt
+output joins up to ``_SHARED_BAND_SCALE`` whole bands, so the eval shards
+that run such maps side by side take the interpreter lock less often; the
+last, partial band stays alone, and the output bytes are the same as with
+the smaller bands. An f64 map keeps the smaller bands, since OpenBLAS's
+dgemm rounds the wider, joined GEMM otherwise. The weight gradient always
+gathers the smaller bands, since it adds their products in band order,
+and multiplies each by the band's upstream rows, zero-filled to the
+padded width. The input gradient is the band
 forward of the upstream at padding kernel-1-padding on each axis (a crop
 where that is negative) with the flipped kernel, input and output
 channels swapped within each group. ``conv2d_output`` gives the output of
@@ -100,10 +100,10 @@ then runs up to ``WORKERS`` batch shards in Python threads; each shard
 streams its images one at a time, so its working maps are one image's,
 and each op's matmul runs on one BLAS thread. numpy releases the
 interpreter lock inside its copies and matmuls, but each thread takes it
-again between numpy calls. So each shard thread sets its shard count with ``shards_running``, and
-while more than one runs, the band kernel makes fewer, larger bands (see
-above): at the one-shard band size two shards spent their time handing the
-lock back and forth. ``BLAS_SINGLE_THREADED`` says whether the setting
+again between numpy calls. So at a ``WORKERS`` above 1 the band kernel
+makes fewer, larger bands for a one-image f32 map (see above): at the
+smaller band size two shards spent their time handing the lock back and
+forth. ``BLAS_SINGLE_THREADED`` says whether the setting
 took; where no OpenBLAS is found ``WORKERS`` is 1 and BLAS keeps its own
 thread count. Like the allocator settings, both apply to the whole
 process.
@@ -112,8 +112,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -291,34 +289,13 @@ class Conv2dContext:
 # GEMM's operands stay in cache; sizes from 2**14 to 2**16 measure the same
 # on one thread.
 _BAND_ELEMS = 1 << 15
-# Up to how many whole bands one band of an f32 _band_conv joins while more
-# than one shard runs. Each band costs about a dozen numpy calls, and between
-# them a thread takes the interpreter lock again, so with small bands the
-# shards queue on the lock. A two-shard 256x256 eval forward took about 0.9x
-# the time at 4x and 8x, less gain at 2x and none at 16x; one thread took
-# 1.05x the time at 4x, so a lone shard keeps scale 1.
+# Up to how many whole bands one band of a one-image f32 _band_conv joins
+# when WORKERS is above 1. Each band costs about a dozen numpy calls, and
+# between them a thread takes the interpreter lock again, so with small bands
+# the eval shards queue on the lock. A two-shard 256x256 eval forward took
+# about 0.9x the time at 4x and 8x, less gain at 2x and none at 16x; one
+# thread took 1.05x the time at 4x, so a train step keeps scale 1.
 _SHARED_BAND_SCALE = 4
-
-
-class _Shards(threading.local):
-    count = 1  # shards running at once, as the calling thread last set it
-
-
-_shards = _Shards()
-
-
-@contextmanager
-def shards_running(count: int):
-    """Within the block, the calling thread's band kernel sizes its bands
-    for ``count`` shards running at once; on leaving it, also by an
-    exception, the thread's previous count applies again. A thread that
-    never set a count runs as one shard."""
-    before = _shards.count
-    _shards.count = count
-    try:
-        yield
-    finally:
-        _shards.count = before
 
 
 def _bands(cin: int, wp: int, oh: int, scale: int = 1) -> tuple[int, list[tuple[int, int]]]:
@@ -399,7 +376,10 @@ def _band_conv(x: np.ndarray, wmat: np.ndarray, kh: int, kw: int,
     g, og, _ = wmat.shape
     wp = w + 2 * pw
     oh, ow = h + 2 * ph - kh + 1, wp - kw + 1
-    joined = _shards.count > 1 and x.dtype == np.float32  # dgemm rounds joined bands otherwise
+    # a one-image map stands for an eval shard: a train batch holds two images
+    # or more, and eval shards run side by side only when WORKERS > 1. An f64
+    # map keeps the smaller bands, since dgemm rounds joined ones otherwise
+    joined = WORKERS > 1 and n == 1 and x.dtype == np.float32
     rows, bands = _bands(cin, wp, oh, _SHARED_BAND_SCALE if joined else 1)
     out = np.empty((n, g, og, oh, ow), dtype=x.dtype)
     cols = np.empty((g, cin // g, kh * kw, rows * wp), dtype=x.dtype)

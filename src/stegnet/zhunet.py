@@ -345,15 +345,14 @@ class ZhuNetModel:
         before the head on each, the first on the calling thread and the
         others on a thread pool. Each shard streams its images through them
         one at a time (``_eval_forward``), so the forward's memory does not
-        grow with the batch. Every eval op works image by image, so the
-        joined result is bitwise the unsplit one. Each shard's thread tells
-        ``nnops.shards_running`` how many shards run, and the count is reset
-        when the shard ends or raises: with more than one, the band kernel
-        makes larger bands, so the shards queue less on the interpreter
-        lock, and it keeps the bytes. The head runs once on the joined
-        batch: a one-row batch would take BLAS's matrix-vector path in the
-        linear layers and round differently. A train forward is one shard,
-        because batchnorm takes the whole batch's statistics."""
+        grow with the batch, and at a ``WORKERS`` above 1 the band kernel
+        makes larger bands for those one-image maps, so the shards queue
+        less on the interpreter lock, in the same bytes. Every eval op works
+        image by image, so the joined result is bitwise the unsplit one; a
+        lone shard's output is used as it is. The head runs once on the
+        joined batch: a one-row batch would take BLAS's matrix-vector path
+        in the linear layers and round differently. A train forward is one
+        shard, because batchnorm takes the whole batch's statistics."""
         if mode not in ("train", "eval"):
             raise SpecError(f"forward mode must be 'train' or 'eval', got {mode!r}")
         self._check_admissible(images)
@@ -373,16 +372,11 @@ class ZhuNetModel:
             return t
         body, head = stages[: len(self.stages) - 1], stages[len(self.stages) - 1 :]
         shards = np.array_split(images.array, max(1, min(nnops.WORKERS, images.shape[0])))
-        if len(shards) == 1:
-            t = Tensor(_eval_forward(shards[0], body))
-        else:
-            with ThreadPoolExecutor(len(shards) - 1) as pool:
-                futures = [pool.submit(_eval_forward, a, body, len(shards)) for a in shards[1:]]
-                try:
-                    first = _eval_forward(shards[0], body, len(shards))
-                finally:
-                    rest = [f.result() for f in futures]
-            t = Tensor(np.concatenate([first, *rest]))
+        run = functools.partial(_eval_forward, stages=body)
+        with ThreadPoolExecutor(max(1, len(shards) - 1)) as pool:  # its exit waits for every shard
+            rest = pool.map(run, shards[1:])
+            outs = [run(shards[0]), *rest]
+        t = Tensor(outs[0] if len(outs) == 1 else np.concatenate(outs))
         for _, lyr in head:
             t = lyr.forward(t)[0]
         return t
@@ -439,20 +433,19 @@ class ZhuNetModel:
         return self._run(images, "eval", self.stages[: names.index(stage) + 1])
 
 
-def _eval_forward(images: np.ndarray, stages: list, shards: int = 1) -> np.ndarray:
-    """``stages`` in eval mode on one of ``shards`` shards running at once,
-    one image at a time: each image's output is copied into the shard's,
-    made once the first image has given its shape, so the shard holds one
-    image's working maps besides it. An empty shard runs once, to give its
-    empty output a shape."""
-    with nnops.shards_running(shards):
-        for i in range(max(1, len(images))):
-            t = Tensor(images[i : i + 1])
-            for _, lyr in stages:
-                t = lyr.forward(t)[0]  # the context is freed before the next stage runs
-            if i == 0:
-                out = np.empty((len(images), *t.shape[1:]), dtype=t.array.dtype)
-            out[i : i + 1] = t.array
+def _eval_forward(images: np.ndarray, stages: list) -> np.ndarray:
+    """``stages`` in eval mode on one shard, one image at a time: each
+    image's output is copied into the shard's, made once the first image
+    has given its shape, so the shard holds one image's working maps
+    besides it. An empty shard runs once, to give its empty output a
+    shape."""
+    for i in range(max(1, len(images))):
+        t = Tensor(images[i : i + 1])
+        for _, lyr in stages:
+            t = lyr.forward(t)[0]  # the context is freed before the next stage runs
+        if i == 0:
+            out = np.empty((len(images), *t.shape[1:]), dtype=t.array.dtype)
+        out[i : i + 1] = t.array
     return out
 
 

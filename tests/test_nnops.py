@@ -184,10 +184,10 @@ MODEL_CONVS = {
 
 @pytest.mark.parametrize("band_elems", [1 << 15, 1 << 16])
 def test_each_model_conv_gives_the_same_bytes_at_every_shard_count(band_elems, monkeypatch):
-    """With more than one shard the band kernel joins whole bands of an f32
-    map and keeps the last one apart, and keeps an f64 map's bands; the
-    forward bytes, and the input-gradient bytes where cin > 1, stay those
-    of one shard at either dtype. The maps are the sizes at which
+    """At a WORKERS above 1 the band kernel joins whole bands of a
+    one-image f32 map and keeps the last one apart, and keeps an f64 map's
+    bands; the forward bytes, and the input-gradient bytes where cin > 1,
+    stay those of WORKERS 1 at either dtype. The maps are the sizes at which
     56x56, 64x64 and 256x256 images meet each conv. Below 2**15 elements,
     joined bands changed the bytes of the dense convs at some sizes, so the
     band size the model runs at is tested, and one above it."""
@@ -210,15 +210,47 @@ def test_each_model_conv_gives_the_same_bytes_at_every_shard_count(band_elems, m
                 w = Tensor(rng.standard_normal(spec.weight_shape(), dtype=dt))
                 up = Tensor(rng.standard_normal((1, spec.out_channels, size, size), dtype=dt))
                 results = []
-                for shards in (1, 2, 3):
-                    with nnops.shards_running(shards):
-                        out, ctx = nnops.conv2d_forward(x, w, None, spec)
-                        ctx.input_grad = spec.in_channels > 1
-                        gx, _, _ = nnops.conv2d_backward(up, ctx)
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(nnops, "WORKERS", workers)
+                    out, ctx = nnops.conv2d_forward(x, w, None, spec)
+                    ctx.input_grad = spec.in_channels > 1
+                    gx, _, _ = nnops.conv2d_backward(up, ctx)
                     results.append((out.array.tobytes(),
                                     None if gx is None else gx.array.tobytes()))
                 assert results[1] == results[0] and results[2] == results[0], (kind, size, dt)
     assert seen == {"joined", "partial last"}
+
+
+@pytest.mark.parametrize("workers, n, dtype, scales", [
+    (1, 1, np.float32, (1, 1, 1)),
+    (2, 1, np.float32, (4, 1, 4)),
+    (3, 1, np.float32, (4, 1, 4)),
+    (2, 2, np.float32, (1, 1, 1)),
+    (2, 1, np.float64, (1, 1, 1)),
+])
+def test_only_a_one_image_f32_map_at_more_than_one_worker_joins_bands(
+        workers, n, dtype, scales, monkeypatch):
+    """The band scale that one conv's forward, weight gradient and input
+    gradient ask _bands for, in that order. Only an eval shard runs a
+    one-image map, so its forward and input gradient join bands when
+    WORKERS is above 1; a train batch holds two images or more, and an f64
+    map and the weight gradient keep the smaller bands."""
+    monkeypatch.setattr(nnops, "WORKERS", workers)
+    asked = []
+    real = nnops._bands
+
+    def spy(cin, wp, oh, scale=1):
+        asked.append(scale)
+        return real(cin, wp, oh, scale)
+
+    monkeypatch.setattr(nnops, "_bands", spy)
+    rng = np.random.default_rng(67)
+    spec = nnops.Conv2dSpec(4, 4, 3, 3, padding=1)
+    x = Tensor(rng.standard_normal((n, 4, 16, 16)).astype(dtype))
+    w = Tensor(rng.standard_normal(spec.weight_shape()).astype(dtype))
+    out, ctx = nnops.conv2d_forward(x, w, None, spec)
+    nnops.conv2d_backward(out, ctx)
+    assert tuple(asked) == scales
 
 
 def test_conv2d_spec_validation_errors():

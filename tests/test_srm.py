@@ -238,21 +238,22 @@ def _two_conv_preprocess(x: np.ndarray, layer) -> np.ndarray:
     return np.concatenate(outs, axis=1)
 
 
-@pytest.mark.parametrize("shards", [1, 2])
-@pytest.mark.parametrize("shape", [(2, 1, 200, 200), (16, 1, 64, 64)])
-def test_the_one_conv_bank_gives_the_bytes_of_the_two_convs(shape, shards):
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("shape", [(2, 1, 200, 200), (16, 1, 64, 64), (1, 1, 200, 200)])
+def test_the_one_conv_bank_gives_the_bytes_of_the_two_convs(shape, workers, monkeypatch):
     """The 3x3 kernels zero-padded to 5x5 add exact-zero taps only, so in
     f32 the one 5x5 conv gives the bytes of the two convs, at either band
-    size. At 200x200 the band kernel runs two bands per image. (f64 is not
-    pinned: OpenBLAS's dgemm rounds a few sums of the two shapes apart.)"""
+    size: the one-image map at two workers runs the joined bands. At
+    200x200 the band kernel runs two bands per image. (f64 is not pinned:
+    OpenBLAS's dgemm rounds a few sums of the two shapes apart.)"""
     rng = np.random.default_rng(26)
     layer = srm.PreprocessingLayer.build(dtype="f32")
     for kernels in (layer.kernels3, layer.kernels5):  # off the exact rationals
         kernels.array[...] += rng.standard_normal(kernels.shape).astype(np.float32) / 64
     x = rng.uniform(0.0, 255.0, size=shape).astype(np.float32)
-    with nnops.shards_running(shards):
-        out, _ = srm.preprocess_forward(Tensor(x), layer)
-        expected = _two_conv_preprocess(x, layer)
+    monkeypatch.setattr(nnops, "WORKERS", workers)
+    out, _ = srm.preprocess_forward(Tensor(x), layer)
+    expected = _two_conv_preprocess(x, layer)
     assert out.array.dtype == np.float32
     assert out.array.tobytes() == expected.tobytes()
 

@@ -157,7 +157,7 @@ def test_eval_forward_is_repeatable_bitwise():
                           model.forward(x, mode="eval").array)
 
 
-def test_identical_rows_get_identical_eval_logits_across_two_shards(monkeypatch):
+def test_identical_rows_get_identical_eval_logits_at_two_workers(monkeypatch):
     monkeypatch.setattr(nnops, "WORKERS", 2)
     test_identical_rows_get_identical_eval_logits()
 
@@ -261,7 +261,6 @@ def test_an_exception_in_one_shard_reaches_the_caller(where, monkeypatch):
     monkeypatch.setattr(zhunet.BasicBlock, "forward", faulty)
     with pytest.raises(_ShardFault):
         model.forward(x, mode="eval")
-    assert nnops._shards.count == 1  # the calling thread's shard count is reset
     monkeypatch.setattr(zhunet.BasicBlock, "forward", real)
     assert model.forward(x, mode="eval").array.tobytes() == serial
 
@@ -616,22 +615,24 @@ def _arrays(obj) -> list:
 
 def _train_step(model, images):
     logits = model.forward(images, mode="train")
-    _, grad_logits = nnops.softmax_xent(logits, [0, 1] * (images.shape[0] // 2))
+    _, grad_logits = nnops.softmax_xent(logits, [i % 2 for i in range(images.shape[0])])
     return logits, model.backward(grad_logits)
 
 
-def test_a_train_step_gives_the_same_bytes_at_any_shard_count_its_thread_set():
-    """The bands of the forward and input-gradient convs join while a count
-    above one is set, but the weight gradients add the one-shard bands'
-    products in the same order."""
-    images = rand_images(np.random.default_rng(59), 4, 64)
-    steps = {}
-    for shards in (1, 2, 3):
-        with nnops.shards_running(shards):
+def test_a_train_step_gives_the_same_bytes_at_any_shard_count_its_thread_set(monkeypatch):
+    """A 1-image step at a WORKERS above 1 joins the bands of its forward
+    convs, the maps its backward rebuilds and its input gradients, but the
+    weight gradients add the smaller bands' products in the same order. A
+    4-image step keeps the smaller bands at any WORKERS."""
+    for n in (1, 4):
+        images = rand_images(np.random.default_rng(59), n, 64)
+        steps = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(nnops, "WORKERS", workers)
             logits, grads = _train_step(build(seed=1), images)
-        steps[shards] = [logits.array.tobytes(), *(g.array.tobytes() for g in grads.values())]
-    assert steps[2] == steps[1]
-    assert steps[3] == steps[1]
+            steps[workers] = [logits.array.tobytes(), *(g.array.tobytes() for g in grads.values())]
+        assert steps[2] == steps[1], n
+        assert steps[3] == steps[1], n
 
 
 @pytest.mark.skipif(not nnops.FREED_MEMORY_KEPT, reason="the C library has no mallopt")
@@ -696,6 +697,18 @@ def test_an_eval_forward_keeps_no_map_that_only_a_backward_reads(monkeypatch):
     images = rand_images(np.random.default_rng(43), 8, 64)
     peak = _traced_peak(lambda: model.dump_feature_maps(images, "block1"))
     assert peak < 8.5 * ONE_IMAGE_MAP, peak / ONE_IMAGE_MAP
+
+
+def test_a_lone_eval_shard_hands_over_its_output_without_a_copy(monkeypatch):
+    """An 8-image preprocessing dump at one worker runs one shard, whose
+    output is the 8 images' [30, 64, 64] maps. The forward peaks at 11.0
+    one-image maps: the output, and one image's working maps and band
+    buffers. Copying the lone shard's output into a joined one made 16.0."""
+    monkeypatch.setattr(nnops, "WORKERS", 1)
+    model = build(seed=1)
+    images = rand_images(np.random.default_rng(79), 8, 64)
+    peak = _traced_peak(lambda: model.dump_feature_maps(images, "preprocessing"))
+    assert peak < 11.5 * ONE_IMAGE_MAP, peak / ONE_IMAGE_MAP
 
 
 @pytest.mark.parametrize("workers", [1, 2])
