@@ -10,7 +10,7 @@ thread variables of the environment set the cap. The flag sets those
 variables, which must take effect before numpy is first imported, so this
 module defers all heavy imports into the command bodies. Importing
 ``nnops`` then takes OpenBLAS's thread count as the number of eval-forward
-shards and sets OpenBLAS to one thread, so every cap gives the same bytes.
+threads and sets OpenBLAS to one thread, so every cap gives the same bytes.
 """
 from __future__ import annotations
 
@@ -390,11 +390,11 @@ def cmd_dump_features(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="stegnet", description=__doc__.split("\n\n")[0])
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap the cores used: eval forwards split their batch "
-                             "into up to N shards, each streaming its images one at a "
-                             "time, BLAS runs on one thread (every cap gives the same "
-                             "bytes); without it, OPENBLAS_NUM_THREADS or "
-                             "OMP_NUM_THREADS sets the cap")
+                        help="cap the cores used: eval forwards run their images on "
+                             "up to N threads, one image per thread at a time, BLAS "
+                             "runs on one thread (every cap gives the same bytes); "
+                             "without it, OPENBLAS_NUM_THREADS or OMP_NUM_THREADS "
+                             "sets the cap")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("embed", help="simulate embedding over a directory of cover PGMs")

@@ -55,7 +55,7 @@ cg*kh*kw, rows*wp] column buffer, multiplied by the [groups, og, cg*kh*kw]
 weights in one batched matmul, and written into the output with the kw-1
 wrapped columns of each row cropped. When ``WORKERS`` is above 1 and the
 map is one f32 image, each band of a forward, input gradient or rebuilt
-output joins up to ``_SHARED_BAND_SCALE`` whole bands, so the eval shards
+output joins up to ``_SHARED_BAND_SCALE`` whole bands, so the eval threads
 that run such maps side by side take the interpreter lock less often; the
 last, partial band stays alone, and the output bytes are the same as with
 the smaller bands. An f64 map keeps the smaller bands, since OpenBLAS's
@@ -96,17 +96,19 @@ library whose path contains "openblas"), records its thread count as
 ``WORKERS`` and sets OpenBLAS to one thread. That count is whatever the
 thread cap (``stegnet --threads``, ``OPENBLAS_NUM_THREADS`` or
 ``OMP_NUM_THREADS``) or the core count gave it. The model's eval forward
-then runs up to ``WORKERS`` batch shards in Python threads; each shard
-streams its images one at a time, so its working maps are one image's,
-and each op's matmul runs on one BLAS thread. numpy releases the
-interpreter lock inside its copies and matmuls, but each thread takes it
-again between numpy calls. So at a ``WORKERS`` above 1 the band kernel
-makes fewer, larger bands for a one-image f32 map (see above): at the
-smaller band size two shards spent their time handing the lock back and
-forth. ``BLAS_SINGLE_THREADED`` says whether the setting
-took; where no OpenBLAS is found ``WORKERS`` is 1 and BLAS keeps its own
-thread count. Like the allocator settings, both apply to the whole
-process.
+then runs each image as one task of a pool of ``WORKERS`` Python threads,
+so a thread's working maps are one image's, and each op's matmul runs on
+one BLAS thread. numpy releases the interpreter lock inside its copies
+and matmuls, but each thread takes it again between numpy calls. So at a
+``WORKERS`` above 1 the band kernel makes fewer, larger bands for a
+one-image f32 map (see above): at the smaller band size two threads spent
+their time handing the lock back and forth. A second copy of this
+package imported into the same process reads OpenBLAS's count after the
+first copy has set it to 1, so it takes ``WORKERS`` 1 unless its
+``WORKERS`` is set by hand. ``BLAS_SINGLE_THREADED`` says whether the
+setting took; where no OpenBLAS is found ``WORKERS`` is 1 and BLAS keeps
+its own thread count. Like the allocator settings, both apply to the
+whole process.
 """
 from __future__ import annotations
 
@@ -292,7 +294,7 @@ _BAND_ELEMS = 1 << 15
 # Up to how many whole bands one band of a one-image f32 _band_conv joins
 # when WORKERS is above 1. Each band costs about a dozen numpy calls, and
 # between them a thread takes the interpreter lock again, so with small bands
-# the eval shards queue on the lock. A two-shard 256x256 eval forward took
+# the eval threads queue on the lock. A two-thread 256x256 eval forward took
 # about 0.9x the time at 4x and 8x, less gain at 2x and none at 16x; one
 # thread took 1.05x the time at 4x, so a train step keeps scale 1.
 _SHARED_BAND_SCALE = 4
@@ -376,8 +378,8 @@ def _band_conv(x: np.ndarray, wmat: np.ndarray, kh: int, kw: int,
     g, og, _ = wmat.shape
     wp = w + 2 * pw
     oh, ow = h + 2 * ph - kh + 1, wp - kw + 1
-    # a one-image map stands for an eval shard: a train batch holds two images
-    # or more, and eval shards run side by side only when WORKERS > 1. An f64
+    # a one-image map stands for an eval image: a train batch holds two images
+    # or more, and eval images run side by side only when WORKERS > 1. An f64
     # map keeps the smaller bands, since dgemm rounds joined ones otherwise
     joined = WORKERS > 1 and n == 1 and x.dtype == np.float32
     rows, bands = _bands(cin, wp, oh, _SHARED_BAND_SCALE if joined else 1)

@@ -340,19 +340,16 @@ class ZhuNetModel:
         context, so sep1 keeps it in place of the preprocessing output and
         rebuilds that output in its own backward.
 
-        An eval forward splits the images into up to ``nnops.WORKERS``
-        contiguous shards, one for an empty batch, and runs the stages
-        before the head on each, the first on the calling thread and the
-        others on a thread pool. Each shard streams its images through them
-        one at a time (``_eval_forward``), so the forward's memory does not
-        grow with the batch, and at a ``WORKERS`` above 1 the band kernel
-        makes larger bands for those one-image maps, so the shards queue
-        less on the interpreter lock, in the same bytes. Every eval op works
-        image by image, so the joined result is bitwise the unsplit one; a
-        lone shard's output is used as it is. The head runs once on the
-        joined batch: a one-row batch would take BLAS's matrix-vector path
-        in the linear layers and round differently. A train forward is one
-        shard, because batchnorm takes the whole batch's statistics."""
+        An eval forward runs each image through the stages before the head
+        as one task of a pool of ``nnops.WORKERS`` threads, into its slot of
+        one output shaped by running those stages on zero images. So it
+        holds one image's working maps per thread besides that output, and
+        at a ``WORKERS`` above 1 the band kernel makes larger bands for those
+        one-image maps, in the same bytes. No eval op mixes images, so the
+        output is bitwise the whole batch's. The head runs once on the whole
+        output: a one-row batch would take BLAS's matrix-vector path in the
+        linear layers and round differently. A train forward runs the whole
+        batch on the calling thread, since batchnorm takes batch statistics."""
         if mode not in ("train", "eval"):
             raise SpecError(f"forward mode must be 'train' or 'eval', got {mode!r}")
         self._check_admissible(images)
@@ -371,12 +368,16 @@ class ZhuNetModel:
             self._ctx = (saved, t.shape)
             return t
         body, head = stages[: len(self.stages) - 1], stages[len(self.stages) - 1 :]
-        shards = np.array_split(images.array, max(1, min(nnops.WORKERS, images.shape[0])))
-        run = functools.partial(_eval_forward, stages=body)
-        with ThreadPoolExecutor(max(1, len(shards) - 1)) as pool:  # its exit waits for every shard
-            rest = pool.map(run, shards[1:])
-            outs = [run(shards[0]), *rest]
-        t = Tensor(outs[0] if len(outs) == 1 else np.concatenate(outs))
+        x = images.array
+        empty = _eval_stages(x[:0], body)
+        out = np.empty((len(x), *empty.shape[1:]), dtype=empty.dtype)
+
+        def run(i: int) -> None:
+            out[i : i + 1] = _eval_stages(x[i : i + 1], body)
+
+        with ThreadPoolExecutor(nnops.WORKERS) as pool:  # its exit waits for every image
+            list(pool.map(run, range(len(x))))  # raises the first failed image's exception
+        t = Tensor(out)
         for _, lyr in head:
             t = lyr.forward(t)[0]
         return t
@@ -433,20 +434,12 @@ class ZhuNetModel:
         return self._run(images, "eval", self.stages[: names.index(stage) + 1])
 
 
-def _eval_forward(images: np.ndarray, stages: list) -> np.ndarray:
-    """``stages`` in eval mode on one shard, one image at a time: each
-    image's output is copied into the shard's, made once the first image
-    has given its shape, so the shard holds one image's working maps
-    besides it. An empty shard runs once, to give its empty output a
-    shape."""
-    for i in range(max(1, len(images))):
-        t = Tensor(images[i : i + 1])
-        for _, lyr in stages:
-            t = lyr.forward(t)[0]  # the context is freed before the next stage runs
-        if i == 0:
-            out = np.empty((len(images), *t.shape[1:]), dtype=t.array.dtype)
-        out[i : i + 1] = t.array
-    return out
+def _eval_stages(x: np.ndarray, stages: list) -> np.ndarray:
+    """``stages`` in eval mode on ``x``; no stage keeps its context."""
+    t = Tensor(x)
+    for _, lyr in stages:
+        t = lyr.forward(t)[0]
+    return t.array
 
 
 def _xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],

@@ -286,8 +286,9 @@ def test_train_subprocess_reruns_are_byte_identical(tmp_path, small_rng):
 @pytest.mark.skipif(not nnops.BLAS_SINGLE_THREADED,
                     reason="no OpenBLAS thread count to take the workers from")
 def test_thread_caps_of_one_and_two_give_the_same_bytes(tmp_path):
-    """BLAS runs on one thread at every cap; a cap of 2 only splits eval
-    forwards, here the validation and test batches, into two shards."""
+    """BLAS runs on one thread at every cap; a cap of 2 only runs the images
+    of eval forwards, here the validation and test batches, on two
+    threads."""
     manifest = write_dataset(tmp_path / "data", np.random.default_rng(61), n_test=3)
     printed = []
     for threads in (1, 2):

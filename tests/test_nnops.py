@@ -231,10 +231,10 @@ def test_each_model_conv_gives_the_same_bytes_at_every_shard_count(band_elems, m
 def test_only_a_one_image_f32_map_at_more_than_one_worker_joins_bands(
         workers, n, dtype, scales, monkeypatch):
     """The band scale that one conv's forward, weight gradient and input
-    gradient ask _bands for, in that order. Only an eval shard runs a
-    one-image map, so its forward and input gradient join bands when
-    WORKERS is above 1; a train batch holds two images or more, and an f64
-    map and the weight gradient keep the smaller bands."""
+    gradient ask _bands for, in that order. Only an eval forward runs
+    one-image maps, one image per task, so its forward and input gradient
+    join bands when WORKERS is above 1; a train batch holds two images or
+    more, and an f64 map and the weight gradient keep the smaller bands."""
     monkeypatch.setattr(nnops, "WORKERS", workers)
     asked = []
     real = nnops._bands

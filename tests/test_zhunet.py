@@ -5,6 +5,7 @@ import hashlib
 import resource
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -180,11 +181,11 @@ def test_eval_outputs_are_bitwise_equal_for_every_worker_count(n, monkeypatch):
 def test_eval_outputs_of_maps_split_into_bands_are_bitwise_equal_for_every_worker_count(
         size, monkeypatch):
     """At these sizes the band kernel splits the maps into several bands,
-    which more than one shard joins into fewer for f32 maps. At 64 the last
+    which a WORKERS above 1 joins into fewer for f32 maps. At 64 the last
     band of block2's conv is two rows, a GEMM narrow enough to round
     otherwise, so it must stay a band of its own. f64 maps keep the
-    one-shard bands, since dgemm rounds joined ones otherwise. Three
-    workers split 5 images 2/2/1."""
+    smaller bands, since dgemm rounds joined ones otherwise. Three workers
+    run 5 images on three threads."""
     one, shared = (nnops._bands(30, size + 2, size, scale)[1]
                    for scale in (1, nnops._SHARED_BAND_SCALE))  # block1's conv
     assert len(one) > len(shared)
@@ -203,8 +204,9 @@ def test_eval_outputs_of_maps_split_into_bands_are_bitwise_equal_for_every_worke
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_an_empty_eval_batch_gives_empty_logits_and_feature_maps(workers, monkeypatch):
-    """An empty batch runs as one empty shard; a train forward of it still
-    fails in batchnorm, which needs batch statistics."""
+    """An empty batch runs only the zero-image run that gives the output
+    its shape; a train forward of it still fails in batchnorm, which needs
+    batch statistics."""
     monkeypatch.setattr(nnops, "WORKERS", workers)
     model = build(seed=1)
     x = Tensor(np.zeros((0, 1, 32, 32), dtype=np.float32))
@@ -239,30 +241,63 @@ def test_sharded_eval_forwards_under_fast_thread_switching_match_the_serial_byte
     assert all(r == serial for r in results)
 
 
-class _ShardFault(Exception):
+class _ImageFault(Exception):
     pass
 
 
-@pytest.mark.parametrize("where", ["calling thread", "pool thread"])
-def test_an_exception_in_one_shard_reaches_the_caller(where, monkeypatch):
+@pytest.mark.parametrize("which", ["first image", "last image"])
+def test_an_exception_in_one_image_reaches_the_caller(which, monkeypatch):
+    """block1 raises on one image of seven at four workers, after the
+    zero-image run that gives the output its shape; the forward raises it,
+    and the next forward gives the serial bytes."""
     model = build(seed=1)
     x = rand_images(np.random.default_rng(47), 7, 32)
     monkeypatch.setattr(nnops, "WORKERS", 1)
     serial = model.forward(x, mode="eval").array.tobytes()
+    i = 0 if which == "first image" else 6
+    block1_input = model.dump_feature_maps(Tensor(x.array[i : i + 1]), "sep2").array
     monkeypatch.setattr(nnops, "WORKERS", 4)
-    caller = threading.current_thread()
     real = zhunet.BasicBlock.forward
 
     def faulty(blk, t):
-        if (threading.current_thread() is caller) == (where == "calling thread"):
-            raise _ShardFault(where)
+        if np.array_equal(t.array, block1_input):
+            raise _ImageFault(which)
         return real(blk, t)
 
     monkeypatch.setattr(zhunet.BasicBlock, "forward", faulty)
-    with pytest.raises(_ShardFault):
+    with pytest.raises(_ImageFault, match=which):
         model.forward(x, mode="eval")
     monkeypatch.setattr(zhunet.BasicBlock, "forward", real)
     assert model.forward(x, mode="eval").array.tobytes() == serial
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4, 8])
+def test_an_eval_forward_runs_one_image_per_worker_at_once(workers, monkeypatch):
+    """A spy holds each basic block of each image 5 ms. Over 7 images it
+    sees at most min(WORKERS, 7) images at once, and at some moment
+    exactly that many, each on a thread of its own."""
+    model = build(seed=1)
+    x = rand_images(np.random.default_rng(83), 7, 32)
+    monkeypatch.setattr(nnops, "WORKERS", workers)
+    real = zhunet.BasicBlock.forward
+    lock = threading.Lock()
+    running, most, threads = [0], [0], set()
+
+    def spy(blk, t):
+        if t.shape[0]:  # not the zero-image run
+            with lock:
+                running[0] += 1
+                most[0] = max(most[0], running[0])
+                threads.add(threading.get_ident())
+            time.sleep(0.005)
+            with lock:
+                running[0] -= 1
+        return real(blk, t)
+
+    monkeypatch.setattr(zhunet.BasicBlock, "forward", spy)
+    model.forward(x, mode="eval")
+    assert most[0] == min(workers, 7)
+    assert len(threads) == min(workers, 7)
 
 
 def test_forward_mode_must_be_train_or_eval():
@@ -639,7 +674,7 @@ def test_a_train_step_gives_the_same_bytes_at_any_shard_count_its_thread_set(mon
 def test_train_steps_at_a_repeated_shape_fault_in_no_new_memory():
     """A 64x64 step at batch 8 touches about 13k pages; once the heap holds
     them, the next steps reuse them. Each warm-up step runs an eval forward
-    too, so that a sharded one has started its thread before the count."""
+    too, so that its pool has started a thread before the count."""
     model = build(seed=1)
     images = rand_images(np.random.default_rng(31), 8, 64)
     for _ in range(2):
@@ -653,7 +688,7 @@ def test_train_steps_at_a_repeated_shape_fault_in_no_new_memory():
 
 @pytest.mark.skipif(not nnops.FREED_MEMORY_KEPT, reason="the C library has no mallopt")
 def test_sharded_eval_forwards_reuse_the_heap_and_then_fault_in_no_new_memory(monkeypatch):
-    """Worker threads allocate from the main arena, so a sharded forward
+    """Worker threads allocate from the main arena, so a two-worker forward
     reuses the blocks that serial forwards of the same batch freed. A
     thread's own arena would first fault in about 2,400 pages at 64x64,
     batch 8. The two threads' allocations interleave differently from call
@@ -699,11 +734,11 @@ def test_an_eval_forward_keeps_no_map_that_only_a_backward_reads(monkeypatch):
     assert peak < 8.5 * ONE_IMAGE_MAP, peak / ONE_IMAGE_MAP
 
 
-def test_a_lone_eval_shard_hands_over_its_output_without_a_copy(monkeypatch):
-    """An 8-image preprocessing dump at one worker runs one shard, whose
-    output is the 8 images' [30, 64, 64] maps. The forward peaks at 11.0
+def test_an_eval_forward_writes_each_image_into_its_output_without_a_copy(monkeypatch):
+    """An 8-image preprocessing dump at one worker writes each image into
+    one output, the 8 images' [30, 64, 64] maps. The forward peaks at 11.0
     one-image maps: the output, and one image's working maps and band
-    buffers. Copying the lone shard's output into a joined one made 16.0."""
+    buffers. Copying that output once more at the end made 16.0."""
     monkeypatch.setattr(nnops, "WORKERS", 1)
     model = build(seed=1)
     images = rand_images(np.random.default_rng(79), 8, 64)
@@ -713,12 +748,13 @@ def test_a_lone_eval_shard_hands_over_its_output_without_a_copy(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_eval_forward_memory_does_not_grow_with_the_batch(workers, monkeypatch):
-    """Each shard streams its images through the body one at a time, so an
-    eval forward's peak grows only by the body's outputs (128x8x8 per image
-    at 64x64) and the head's rows. Running each shard's images at once grew
-    the peak by 42.0 one-image [30, 64, 64] maps from 2 images to 16. With
-    two workers the peak depends on where the shards' band buffers
-    overlap, so each batch size takes the largest of three forwards."""
+    """Each worker runs one image through the body at a time, so an eval
+    forward's peak grows only by the body's outputs (128x8x8 per image at
+    64x64) and the head's rows. Running all the images a thread takes at
+    once grew the peak by 42.0 one-image [30, 64, 64] maps from 2 images
+    to 16. With two workers the peak depends on where the
+    threads' band buffers overlap, so each batch size takes the largest of
+    three forwards."""
     monkeypatch.setattr(nnops, "WORKERS", workers)
     model = build(seed=1)
     peaks = {}
@@ -735,10 +771,10 @@ def test_eval_forward_memory_does_not_grow_with_the_batch(workers, monkeypatch):
 def test_every_stage_maps_a_batch_to_the_bytes_of_its_images_one_at_a_time(
         dtype, workers, monkeypatch):
     """The invariant that lets an eval forward stream its images: no eval
-    op mixes images, so a 5-image batch (two shards of 3 and 2 images at
-    two workers, with joined f32 bands) gives each body stage the bytes of
-    its images run as 1-image batches (one shard). The logits are left
-    out: the head runs once on the whole batch."""
+    op mixes images, so a 5-image batch (on two threads at two workers,
+    with joined f32 bands) gives each body stage the bytes of its images
+    run as 1-image batches. The logits are left out: the head runs once on
+    the whole batch."""
     monkeypatch.setattr(nnops, "WORKERS", workers)
     model = build(seed=1, dtype=dtype)
     images = rand_images(np.random.default_rng(73), 5, 64, dtype)

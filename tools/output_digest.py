@@ -24,10 +24,10 @@ import numpy as np
 SRC = Path(__file__).resolve().parent.parent / "src"
 STAGES = ("preprocessing", "sep1", "sep2", "block1", "block2", "block3", "block4")
 # The CLI runs of run_all cannot show the eval forward's band partition: a
-# sharded eval ends in an error rate, infer and dump-features run one image,
-# and a 32x32 map fits one forward band. At 64x64 block2's conv splits into
-# bands, and at two threads each conv of the two shards runs on a one-image
-# map, whose bands join for f32 maps only.
+# multi-threaded eval ends in an error rate, infer and dump-features run one
+# image, and a 32x32 map fits one forward band. At 64x64 block2's conv splits
+# into bands, and at two threads each conv runs on a one-image map, whose
+# bands join for f32 maps only.
 EVAL_FORWARD = """
 import sys
 from pathlib import Path
