@@ -199,11 +199,11 @@ def _away_from(values: np.ndarray, kinks: list[float]) -> np.ndarray:
 def _check_elementwise(name: str, seed: int, stream: int, fwd, bwd,
                        kinks: list[float], threshold: float = 0.0) -> CheckResult:
     """An activation's backward takes ``nnops.backward_mask`` of the input
-    as its context."""
+    as its context; its forward writes over its input, so it takes a copy."""
     rng = np.random.Generator(np.random.PCG64([seed, stream]))
     x = _away_from(rng.standard_normal((2, 3, 4, 4)) * 2.5, kinks)
     return _op_check(name, rng, [(
-        lambda v: (fwd(Tensor(v)), nnops.backward_mask(Tensor(v), name, threshold)),
+        lambda v: (fwd(Tensor(v.copy())), nnops.backward_mask(Tensor(v), name, threshold)),
         lambda up, mask: [bwd(up, mask)], (x,))])
 
 

@@ -21,24 +21,23 @@ Conventions
 * Settings come in as arguments (a conv's ``Conv2dSpec``, the pooling
   window, the pyramid levels); the network's own values are ``zhunet``
   constants, such as ``zhunet.SPP_LEVELS``.
-* Ownership: an op writes over no argument of its caller's, with two
-  exceptions that let a layer reuse the full-size maps it owns instead of
-  allocating one per op. ``batchnorm_forward`` and ``batchnorm_backward``
-  take ownership of their input map: an eval-mode forward writes its
-  output over its input, and the backward writes the input gradient over
-  the context's ``x`` and sets ``x`` to None, so a context takes one
-  backward. The activation ops and their backwards take an ``out=`` array
-  of their input's shape and dtype, which may be the input itself, and
-  write into it the bytes they would otherwise return in a fresh array.
-  The only other mutations are the running-statistics update inside
-  ``batchnorm_forward`` in train mode, and the backwards consuming their
-  contexts: ``conv2d_backward`` sets its context's ``x`` to None once the
-  weight gradient is taken, before it makes the input gradient, so an
-  input that only the context held is freed first. A caller may drop a
-  context's ``x`` after the forward and rebuild it for the backward:
-  ``conv2d_output`` and ``batchnorm_output`` give the output of the
-  forward that made a context again, in the same bytes, and each raises
-  ContractError once the context's input is gone.
+* Ownership: an elementwise op (an activation, its backward, eval-mode
+  batchnorm) writes over the map it is handed: a forward writes its output
+  over its input, an activation's backward the input gradient over the
+  upstream. So a layer reuses the full-size maps it owns instead of
+  allocating one per op, and a caller that still needs the map hands over
+  a copy. No other op writes over an argument of its caller's, but
+  ``batchnorm_backward`` takes ownership of its context's ``x``: it writes
+  the input gradient over it and sets ``x`` to None, so a context takes
+  one backward. The only other mutations are the running-statistics
+  update inside ``batchnorm_forward`` in train mode, and the backwards
+  consuming their contexts: ``conv2d_backward`` sets its context's ``x``
+  to None once the weight gradient is taken, before it makes the input
+  gradient, so an input that only the context held is freed first. A
+  caller may drop a context's ``x`` after the forward and rebuild it for
+  the backward: ``conv2d_output`` and ``batchnorm_output`` give the output
+  of the forward that made a context again, in the same bytes, and each
+  raises ContractError once the context's input is gone.
 
 Convolution kernel
 ------------------
@@ -619,60 +618,45 @@ def avg_pool_backward(upstream: Tensor, ctx: AvgPoolContext) -> Tensor:
 # elementwise activations
 # ---------------------------------------------------------------------------
 
-def _out(out: Optional[np.ndarray], like: np.ndarray, what: str) -> Optional[np.ndarray]:
-    """``out`` if it is None or a C-contiguous array of ``like``'s shape
-    and dtype, which an activation op writes its result into."""
-    if out is not None and not (isinstance(out, np.ndarray) and out.shape == like.shape
-                                and out.dtype == like.dtype and out.flags.c_contiguous):
-        raise ShapeError(f"{what} out= must be a C-contiguous {like.dtype} array of shape "
-                         f"{like.shape}")
-    return out
-
-
-def relu(inp: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
-    """max(x, 0), written into ``out`` when one is given (see the module
-    doc on ownership)."""
+def relu(inp: Tensor) -> Tensor:
+    """max(x, 0), written over the input map (see the module doc on
+    ownership)."""
     _require_rank(inp, None, "relu input")
-    return Tensor(np.maximum(inp.array, 0, out=_out(out, inp.array, "relu")))
+    return Tensor(np.maximum(inp.array, 0, out=inp.array))
 
 
-def relu_backward(upstream: Tensor, mask: np.ndarray,
-                  out: Optional[np.ndarray] = None) -> Tensor:
-    """The upstream where ``mask`` is set, written into ``out`` when one is
-    given: relu's backward with ``mask`` = ``backward_mask(x, "relu")``,
-    and, as ``tlu_backward``, tlu's with ``backward_mask(x, "tlu", T)``."""
+def relu_backward(upstream: Tensor, mask: np.ndarray) -> Tensor:
+    """The upstream where ``mask`` is set, written over the upstream:
+    relu's backward with ``mask`` = ``backward_mask(x, "relu")``, and, as
+    ``tlu_backward``, tlu's with ``backward_mask(x, "tlu", T)``."""
     _require_mask(upstream, mask, "relu", np.bool_)
-    up = upstream.array
-    return Tensor(np.multiply(up, mask, out=_out(out, up, "relu_backward")))
+    return Tensor(np.multiply(upstream.array, mask, out=upstream.array))
 
 
-def tlu(inp: Tensor, threshold: float, out: Optional[np.ndarray] = None) -> Tensor:
-    """Truncated linear unit: clamp(x, -T, T), written into ``out`` when one
-    is given; T must be positive."""
+def tlu(inp: Tensor, threshold: float) -> Tensor:
+    """Truncated linear unit: clamp(x, -T, T), written over the input map;
+    T must be positive."""
     _require_rank(inp, None, "tlu input")
     _require_threshold(threshold)
     t = inp.array.dtype.type(threshold)
-    return Tensor(np.clip(inp.array, -t, t, out=_out(out, inp.array, "tlu")))
+    return Tensor(np.clip(inp.array, -t, t, out=inp.array))
 
 
 # the same masked product under its own name, which a caller can patch alone
 tlu_backward = relu_backward
 
 
-def abs_act(inp: Tensor, out: Optional[np.ndarray] = None) -> Tensor:
-    """|x|, written into ``out`` when one is given; subgradient at 0 is
-    taken as 0."""
+def abs_act(inp: Tensor) -> Tensor:
+    """|x|, written over the input map; subgradient at 0 is taken as 0."""
     _require_rank(inp, None, "abs input")
-    return Tensor(np.abs(inp.array, out=_out(out, inp.array, "abs")))
+    return Tensor(np.abs(inp.array, out=inp.array))
 
 
-def abs_backward(upstream: Tensor, sign: np.ndarray,
-                 out: Optional[np.ndarray] = None) -> Tensor:
-    """The upstream times the input's sign, written into ``out`` when one
-    is given; ``sign`` is ``backward_mask(x, "abs")``."""
+def abs_backward(upstream: Tensor, sign: np.ndarray) -> Tensor:
+    """The upstream times the input's sign, written over the upstream;
+    ``sign`` is ``backward_mask(x, "abs")``."""
     _require_mask(upstream, sign, "abs", np.int8)
-    up = upstream.array
-    return Tensor(np.multiply(up, sign, out=_out(out, up, "abs_backward")))
+    return Tensor(np.multiply(upstream.array, sign, out=upstream.array))
 
 
 def backward_mask(inp: Tensor, op: str, threshold: float = 0.0) -> np.ndarray:

@@ -11,9 +11,9 @@ Tensors are thin: shape is fixed at construction, and every Tensor holds a
 C-contiguous array. The rest of the package mutates a Tensor's array in
 place only for parameter updates inside the single-threaded trainer step,
 and over the full-size maps a layer owns: a layer adds into an op's output
-that nothing else references, an eval-mode batchnorm writes its output over
-its input and a batchnorm backward its input gradient over its context's
-input, and a layer hands an activation op its own map as ``out=`` (see
+that nothing else references, an elementwise op (an activation, its
+backward, eval-mode batchnorm) writes over the map it is handed, and a
+batchnorm backward writes its input gradient over its context's input (see
 ``nnops``).
 """
 from __future__ import annotations

@@ -140,7 +140,7 @@ class SepconvBlock:
         if source is not None:
             pw_ctx.x = None
         if self.has_abs:
-            t = nnops.abs_act(t, out=t.array)
+            t = nnops.abs_act(t)
         t, bn1_ctx = nnops.batchnorm_forward(t, self.bn_pw)
         if train:  # freed now, the pointwise output's block takes the depthwise output
             bn1_ctx.x = None
@@ -174,7 +174,7 @@ class SepconvBlock:
         g, g_dw, _ = nnops.conv2d_backward(g, dw)
         g, g_gamma1, g_beta1 = nnops.batchnorm_backward(g, bn1)
         if self.has_abs:
-            g = nnops.abs_backward(g, sign, out=g.array)
+            g = nnops.abs_backward(g, sign)
         g, g_pw, _ = nnops.conv2d_backward(g, pw)
         g.array += up.array  # skip path, into the conv's fresh input gradient
         return g, (g_pw, g_gamma1, g_beta1, g_dw, g_gamma2, g_beta2)
@@ -209,8 +209,7 @@ class BasicBlock:
         if self.bn.mode == "train":  # only a backward reads it
             mask = (nnops.backward_mask(t, "relu") if self.mode == "relu"
                     else nnops.backward_mask(t, "tlu", TLU_THRESHOLD))
-        t = (nnops.relu(t, out=t.array) if self.mode == "relu"
-             else nnops.tlu(t, TLU_THRESHOLD, out=t.array))
+        t = nnops.relu(t) if self.mode == "relu" else nnops.tlu(t, TLU_THRESHOLD)
         pool_ctx = None
         if self.pool:
             t, pool_ctx = nnops.avg_pool(t, self.POOL_WIN, self.POOL_STRIDE, self.POOL_PAD)
@@ -221,9 +220,9 @@ class BasicBlock:
         if ctx["pool"] is not None:
             g = nnops.avg_pool_backward(g, ctx["pool"])
         if self.mode == "relu":
-            g = nnops.relu_backward(g, ctx["mask"], out=g.array)
+            g = nnops.relu_backward(g, ctx["mask"])
         else:
-            g = nnops.tlu_backward(g, ctx["mask"], out=g.array)
+            g = nnops.tlu_backward(g, ctx["mask"])
         g, g_gamma, g_beta = nnops.batchnorm_backward(g, ctx["bn"])
         g, g_w, _ = nnops.conv2d_backward(g, ctx["conv"])
         return g, (g_w, g_gamma, g_beta)
@@ -245,14 +244,14 @@ class Head:
     def forward(self, x: Tensor) -> tuple[Tensor, tuple]:
         feat, spp_ctx = nnops.spp_forward(x, SPP_LEVELS)
         h1, fc1_ctx = nnops.linear_forward(feat, self.fc1_w, self.fc1_b)
-        logits, fc2_ctx = nnops.linear_forward(nnops.relu(h1, out=h1.array), self.fc2_w, self.fc2_b)
+        logits, fc2_ctx = nnops.linear_forward(nnops.relu(h1), self.fc2_w, self.fc2_b)
         return logits, (spp_ctx, fc1_ctx, fc2_ctx)
 
     def backward(self, up: Tensor, ctx: tuple) -> tuple[Tensor, tuple]:
         spp_ctx, fc1_ctx, fc2_ctx = ctx
         g, gw2, gb2 = nnops.linear_backward(up, fc2_ctx)
         mask = nnops.backward_mask(Tensor(fc2_ctx.x), "relu")
-        g, gw1, gb1 = nnops.linear_backward(nnops.relu_backward(g, mask, out=g.array), fc1_ctx)
+        g, gw1, gb1 = nnops.linear_backward(nnops.relu_backward(g, mask), fc1_ctx)
         return nnops.spp_backward(g, spp_ctx), (gw1, gb1, gw2, gb2)
 
 

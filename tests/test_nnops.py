@@ -183,7 +183,7 @@ MODEL_CONVS = {
 
 
 @pytest.mark.parametrize("band_elems", [1 << 15, 1 << 16])
-def test_each_model_conv_gives_the_same_bytes_at_every_shard_count(band_elems, monkeypatch):
+def test_each_model_conv_gives_the_same_bytes_at_every_worker_count(band_elems, monkeypatch):
     """At a WORKERS above 1 the band kernel joins whole bands of a
     one-image f32 map and keeps the last one apart, and keeps an f64 map's
     bands; the forward bytes, and the input-gradient bytes where cin > 1,
@@ -374,17 +374,20 @@ def test_relu_values():
 def test_tlu_with_huge_threshold_is_identity():
     rng = np.random.Generator(np.random.PCG64(9))
     x = rng.uniform(-1e6, 1e6, size=(4, 4))
-    out = nnops.tlu(Tensor(x), 1e9)
+    out = nnops.tlu(Tensor(x.copy()), 1e9)  # it writes over its input
     assert np.array_equal(out.array, x)
 
 
 def test_activation_subgradients_at_kinks():
-    up = vec([1.0, 1.0, 1.0])
+    """Each backward writes over its upstream, so each gets its own."""
     x = vec([-1.0, 0.0, 1.0])
+    up = vec([1.0, 1.0, 1.0])
     assert nnops.relu_backward(up, nnops.backward_mask(x, "relu")).array.tolist() == [0.0, 0.0, 1.0]
+    up = vec([1.0, 1.0, 1.0])
     assert nnops.abs_backward(up, nnops.backward_mask(x, "abs")).array.tolist() == [-1.0, 0.0, 1.0]
     edges = vec([-3.0, 0.0, 3.0])
     mask = nnops.backward_mask(edges, "tlu", 3.0)
+    up = vec([1.0, 1.0, 1.0])
     assert nnops.tlu_backward(up, mask).array.tolist() == [0.0, 1.0, 0.0]
 
 
@@ -393,10 +396,11 @@ def test_relu_gradient_matches_finite_differences_away_from_kink():
     x = rng.standard_normal((3, 4))
     x[np.abs(x) < 1e-3] = 0.5  # keep probes off the kink
     up = rng.standard_normal(x.shape)
-    analytic = nnops.relu_backward(Tensor(up), nnops.backward_mask(Tensor(x), "relu")).array
+    # the op writes over the map it is handed, so each call gets a copy
+    analytic = nnops.relu_backward(Tensor(up.copy()), nnops.backward_mask(Tensor(x), "relu")).array
 
     def loss(v):
-        return float(np.sum(up * nnops.relu(Tensor(v)).array))
+        return float(np.sum(up * nnops.relu(Tensor(v.copy())).array))
 
     assert max_rel_err(analytic, numeric_gradient(loss, x)) < 1e-6
 
@@ -406,42 +410,36 @@ def test_tlu_rejects_non_positive_threshold():
         nnops.tlu(Tensor(np.zeros(1, dtype=np.float32)), 0.0)
 
 
+# each op's map operand (the input of a forward, the upstream of a backward)
+# and the numpy bytes it must hold after the call, from copies of x and up
 _ACTIVATION_CALLS = {
-    "relu": lambda x, up, out=None: nnops.relu(x, out=out),
-    "tlu": lambda x, up, out=None: nnops.tlu(x, 3.0, out=out),
-    "abs_act": lambda x, up, out=None: nnops.abs_act(x, out=out),
-    "relu_backward": lambda x, up, out=None: nnops.relu_backward(
-        up, nnops.backward_mask(x, "relu"), out=out),
-    "tlu_backward": lambda x, up, out=None: nnops.tlu_backward(
-        up, nnops.backward_mask(x, "tlu", 3.0), out=out),
-    "abs_backward": lambda x, up, out=None: nnops.abs_backward(
-        up, nnops.backward_mask(x, "abs"), out=out),
+    "relu": (lambda x, up: nnops.relu(x), lambda x, up: np.maximum(x, 0)),
+    "tlu": (lambda x, up: nnops.tlu(x, 3.0), lambda x, up: np.clip(x, -3.0, 3.0)),
+    "abs_act": (lambda x, up: nnops.abs_act(x), lambda x, up: np.abs(x)),
+    "relu_backward": (lambda x, up: nnops.relu_backward(up, nnops.backward_mask(x, "relu")),
+                      lambda x, up: np.multiply(up, x > 0)),
+    "tlu_backward": (lambda x, up: nnops.tlu_backward(up, nnops.backward_mask(x, "tlu", 3.0)),
+                     lambda x, up: np.multiply(up, (x > -3.0) & (x < 3.0))),
+    "abs_backward": (lambda x, up: nnops.abs_backward(up, nnops.backward_mask(x, "abs")),
+                     lambda x, up: np.multiply(up, np.sign(x))),
 }
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("op", sorted(_ACTIVATION_CALLS))
-def test_an_activation_op_writes_into_out_the_bytes_it_returns_without_it(op, dtype):
-    """Into a separate array, and over the op's own map operand (the input
-    of a forward, the upstream of a backward), which is how a layer calls
-    it."""
-    call = _ACTIVATION_CALLS[op]
+def test_an_activation_op_writes_its_result_over_the_map_it_is_handed(op, dtype):
+    """The forwards write over their input, the backwards over their
+    upstream, and each returns that very array."""
+    call, reference = _ACTIVATION_CALLS[op]
     rng = np.random.Generator(np.random.PCG64(19))
     x = (rng.standard_normal((3, 4, 5, 6)) * 4).astype(dtype)
     x[0, 0, 0, :3] = [0.0, 3.0, -3.0]  # the kinks
     up = rng.standard_normal(x.shape).astype(dtype)
-    expected = call(Tensor(x), Tensor(up)).array
-    out = np.full_like(x, np.nan)
-    got = call(Tensor(x), Tensor(up), out)
-    assert got.array is out and got.array.tobytes() == expected.tobytes()
-    x2, up2 = x.copy(), up.copy()
-    out = x2 if op in ("relu", "tlu", "abs_act") else up2
-    got = call(Tensor(x2), Tensor(up2), out)
-    assert got.array is out and got.array.tobytes() == expected.tobytes()
-    for bad in (np.empty(x.shape, np.float16), np.empty(x.shape[1:], dtype),
-                np.empty(x.shape[::-1], dtype).T):
-        with pytest.raises(ShapeError):
-            call(Tensor(x), Tensor(up), bad)
+    expected = reference(x.copy(), up.copy())
+    assert expected.dtype == dtype
+    handed = x if op in ("relu", "tlu", "abs_act") else up
+    got = call(Tensor(x), Tensor(up))
+    assert got.array is handed and got.array.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

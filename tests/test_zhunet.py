@@ -216,7 +216,7 @@ def test_an_empty_eval_batch_gives_empty_logits_and_feature_maps(workers, monkey
         model.forward(x, mode="train")
 
 
-def test_sharded_eval_forwards_under_fast_thread_switching_match_the_serial_bytes(monkeypatch):
+def test_threaded_eval_forwards_under_fast_thread_switching_match_the_serial_bytes(monkeypatch):
     """Four workers on a 7-image batch, more threads than cores, with the
     interpreter switching threads every microsecond."""
     model = build(seed=1)
@@ -654,7 +654,7 @@ def _train_step(model, images):
     return logits, model.backward(grad_logits)
 
 
-def test_a_train_step_gives_the_same_bytes_at_any_shard_count_its_thread_set(monkeypatch):
+def test_a_train_step_gives_the_same_bytes_at_any_worker_count_its_thread_set(monkeypatch):
     """A 1-image step at a WORKERS above 1 joins the bands of its forward
     convs, the maps its backward rebuilds and its input gradients, but the
     weight gradients add the smaller bands' products in the same order. A
@@ -687,7 +687,7 @@ def test_train_steps_at_a_repeated_shape_fault_in_no_new_memory():
 
 
 @pytest.mark.skipif(not nnops.FREED_MEMORY_KEPT, reason="the C library has no mallopt")
-def test_sharded_eval_forwards_reuse_the_heap_and_then_fault_in_no_new_memory(monkeypatch):
+def test_threaded_eval_forwards_reuse_the_heap_and_then_fault_in_no_new_memory(monkeypatch):
     """Worker threads allocate from the main arena, so a two-worker forward
     reuses the blocks that serial forwards of the same batch freed. A
     thread's own arena would first fault in about 2,400 pages at 64x64,
